@@ -1,27 +1,16 @@
-//! Criterion benchmarks for the staged serving pipeline (PR 7), pinned by
-//! `BENCH_pr7.json`.
+//! Criterion benchmarks for `send_stream` (PR 7 routine names, so old
+//! records stay comparable; the numbers of record are the `serve_stream`
+//! rows of `benchmark/`).
 //!
-//! Three questions:
-//!
-//! 1. What does the serial fallback cost? `pipeline/send_stream_1worker`
-//!    runs the identical stage functions inline and must stay within a few
-//!    percent of `pipeline/sequential_send_message`.
-//! 2. What does the threaded pipeline cost on pure-CPU work?
-//!    `pipeline/send_stream_4workers` — on a single-core host this mostly
-//!    measures queue overhead, since NN encode/decode cannot physically
-//!    parallelize there.
-//! 3. How much does stage overlap buy when the PHY leg has real airtime?
-//!    The `pipeline/paced_*` pair wraps the channel in a
-//!    [`PacedChannel`] (deterministic per-symbol `thread::sleep`,
-//!    bit-identical output): while message N's symbols are on the air, the
-//!    encode worker is already serving message N+1 — sleeping threads
-//!    don't compete for cores. This is the sustained-throughput gate.
-//!    Honest ceiling note: on a single-core host the pipelined wall clock
-//!    is bounded below by `max(total CPU, total airtime)` while sequential
-//!    pays `CPU + airtime`, so the speedup is capped strictly under 2×
-//!    (measured ≈1.9× here, i.e. ~96% of that host's own ceiling); the
-//!    full ≥2× needs ≥2 cores, where the encode/decode legs of different
-//!    messages also run concurrently instead of time-slicing one core.
+//! 1. `pipeline/send_stream_1worker` against
+//!    `pipeline/sequential_send_message`: what window-wide encode/decode
+//!    packing alone is worth, on one thread.
+//! 2. `pipeline/send_stream_4workers`: the same trace with windows fanned
+//!    out over four workers — a gain only where there are cores to run
+//!    them.
+//! 3. The `pipeline/paced_*` pair wraps the channel in a [`PacedChannel`]
+//!    (deterministic per-symbol `thread::sleep`, bit-identical output), so
+//!    each worker's PHY leg sleeps while the others compute.
 //!
 //! Training is disabled (threshold above buffer capacity) so every
 //! iteration serves a stationary workload: no mid-trace training rounds,
@@ -38,9 +27,7 @@ const TRACE_LEN: usize = 64;
 
 /// Airtime per complex symbol for the paced pair. Sized so per-message
 /// airtime lands in the same range as the per-message CPU encode+decode
-/// cost of the bench codec — the regime where stage overlap pays the most
-/// (an air leg far larger than the CPU legs caps the pipeline at the PHY
-/// stage's own throughput; far smaller and there is nothing to hide).
+/// cost of the bench codec, so neither leg hides the other.
 const NS_PER_SYMBOL: u64 = 1_100;
 
 fn build(paced: bool) -> (SemanticEdgeSystem, Vec<UserId>) {
@@ -48,8 +35,8 @@ fn build(paced: bool) -> (SemanticEdgeSystem, Vec<UserId>) {
     config.n_edges = 3;
     config.channel = ChannelModel::Awgn { snr_db: 10.0 };
     // A deliberately beefy codec over the tiny language: the serving-side
-    // encode/decode cost is what the pipeline overlaps, so give it real
-    // work per message. Pretraining accuracy is irrelevant to throughput,
+    // encode/decode cost is what the workers share, so give it real work
+    // per message. Pretraining accuracy is irrelevant to throughput,
     // so keep its epochs low and system builds fast.
     config.codec = CodecConfig {
         embed_dim: 256,

@@ -68,9 +68,10 @@ pub struct SystemConfig {
     pub selection: SelectionStrategy,
     /// Number of edge servers in the topology (min 2).
     pub n_edges: usize,
-    /// Max messages the staged pipeline's encode stage packs into one
-    /// batched NN call ([`crate::SemanticEdgeSystem::send_stream`] /
-    /// `send_batch` grouping).
+    /// Messages one worker takes from a
+    /// [`crate::SemanticEdgeSystem::send_stream`] window, and so the most it
+    /// packs into one batched NN call: a window holds at most
+    /// `encode_batch_size × semcom_par::max_workers()` messages.
     pub encode_batch_size: usize,
     /// Per-user link adaptation: each user's channel follows a seeded
     /// Markov SNR trace and the ingress stage consults the user's

@@ -1,30 +1,31 @@
-//! Staged, pipelined message serving: [`SemanticEdgeSystem::send_stream`].
+//! Window-parallel message serving: [`SemanticEdgeSystem::send_stream`].
 //!
 //! The sequential [`SemanticEdgeSystem::send_message`] walks one message at
 //! a time through *compose → select → encode → channel → decode → commit*.
-//! This module overlaps those stages across messages on a
-//! [`semcom_par::Pipeline`] of bounded SPSC queues:
+//! Semantic decode is ≈85 % of that walk, so overlapping *stages* gains
+//! nothing; this module instead serves a **window** of mutually independent
+//! messages at once and splits the window's messages across workers:
 //!
 //! ```text
-//! driver (caller thread)        stage workers
-//! ┌─────────┐   queue   ┌────────┐  ┌─────┐  ┌────────┐   queue   ┌────────┐
-//! │ Ingress ├──────────►│ Encode ├──► PHY ├──► Decode ├──────────►│ Commit │
-//! └─────────┘           └────────┘  └─────┘  └────────┘           └────────┘
+//! caller thread            semcom_par::par_chunks workers            caller thread
+//! ┌──────────────────┐     ┌───────────────────────────────────┐     ┌────────────────┐
+//! │ Ingress a window ├──┬─►│ chunk 0: encode → PHY → decode    ├──┬─►│ Commit window  │
+//! │ (≤ 1 ticket per  │  ├─►│ chunk 1: encode → PHY → decode    ├──┤  │ in ticket order│
+//! │  user, ≤ cap)    │  └─►│ …        (contiguous slices)      ├──┘  └────────────────┘
+//! └──────────────────┘     └───────────────────────────────────┘
 //! ```
 //!
 //! * **Ingress** (caller thread, needs `&mut self`): composes the sentence,
 //!   runs §III-A selection and the home-edge cache lookup, captures frozen
 //!   `Arc` handles to the serving encoder/decoder, and pre-assigns the
 //!   message's channel RNG from the same `derive_seed` schedule the
-//!   sequential path uses. Each message gets a monotonically increasing
-//!   *sequence ticket*.
-//! * **Encode** batches up to [`SystemConfig::encode_batch_size`] queued
-//!   messages per tick and packs the ones that share an encoder into one
-//!   forward pass (bit-identical to per-message encodes by the encoder's
-//!   per-row independence, the PR 6 property).
-//! * **PHY** transmits features in place through one per-worker
+//!   sequential path uses. Tickets are the positions in the caller's list.
+//! * **Encode** packs the chunk's slots that share an encoder (`Arc`
+//!   identity) into one forward pass; **decode** does the same per decoder.
+//!   Every row flows through either network independently, so a packed
+//!   pass is bit-identical to per-message calls at any grouping.
+//! * **PHY** transmits each slot's features in place through one per-chunk
 //!   [`FeatureScratch`] using the slot's own pre-assigned RNG.
-//! * **Decode** runs the peer-edge decoder captured at ingress.
 //! * **Commit** (caller thread) applies cache/buffer/training/metrics/sync
 //!   effects strictly in ticket order, emitting deferred journal events
 //!   (e.g. `DomainMisselected`) at that point.
@@ -33,24 +34,30 @@
 //!
 //! `send_stream` is **bit-identical to the equivalent sequence of
 //! `send_message` calls at any `SEMCOM_THREADS`** (pinned by the
-//! `pipeline_equivalence` property test). The three mechanisms:
+//! `pipeline_equivalence` property test). Every slot carries its own
+//! channel RNG, seeded from its message index at ingress, so noise draws
+//! never depend on which worker transmits it; and a window closes before
+//! anything a later ingress reads could still be changed by an uncommitted
+//! ticket:
 //!
-//! 1. **Pre-assigned RNG**: every slot carries its own channel RNG seeded
-//!    from its message index at ingress, so noise draws never depend on
-//!    stage interleaving.
-//! 2. **Per-user dependencies**: user `u`'s next message is not ingressed
-//!    until `u`'s previous ticket has committed (selector state and buffer
-//!    occupancy are read at ingress).
-//! 3. **Training barriers**: ingress predicts from buffer occupancy
-//!    whether a message will trigger training (`min(len + tokens, capacity)
-//!    ≥ threshold`, the exact [`semcom_fl::DomainBuffer`] readiness rule).
-//!    A predicted-training ticket becomes a full pipeline barrier — no
-//!    later message is ingressed until it commits — so model mutation,
-//!    cache eviction, and twin invalidation never race a captured handle.
+//! 1. **One ticket per user**: selector state, link state and buffer
+//!    occupancy are read at ingress, so a user's next message starts the
+//!    next window, after the previous ticket has committed.
+//! 2. **Training closes the window**: ingress predicts from buffer
+//!    occupancy whether a message will trigger training (`min(len +
+//!    tokens, capacity) ≥ threshold`, the exact
+//!    [`semcom_fl::DomainBuffer`] readiness rule). Such a ticket is the
+//!    last of its window, so model mutation, cache eviction and twin
+//!    invalidation never race a captured handle.
+//! 3. **Size cap**: [`crate::SystemConfig::encode_batch_size`] `× max_workers()`
+//!    tickets, one full encode batch per worker.
 //!
-//! At `max_workers() <= 1` the same stage functions run inline on the
-//! caller thread (no queues, no threads), recording the identical span
-//! and counter schedule, so goldens match byte-for-byte at 1/2/4 threads.
+//! There is one schedule. A window is fanned out only when there is more
+//! than one worker, the caller is not itself a `semcom-par` worker, and the
+//! window's decoder work reaches [`semcom_nn::PAR_WORK`] (a thread spawn
+//! costs more than a small window); otherwise the same chunk function runs
+//! once, on the caller thread, over the whole window. Spans, counters and
+//! events are recorded identically either way.
 
 use crate::metrics::MessageOutcome;
 use crate::server::UserKey;
@@ -58,37 +65,43 @@ use crate::system::{
     adaptive_transmit_in_place, MsgTraceTimings, SemanticEdgeSystem, SlotLink, UserId,
 };
 use rand::rngs::StdRng;
-use semcom_channel::{Channel, Complex, FeatureScratch};
-use semcom_codec::{KnowledgeBase, QuantizedDecoder, QuantizedEncoder};
+use semcom_channel::{Channel, FeatureScratch};
+use semcom_codec::{
+    DecodeScratch, EncodeScratch, KnowledgeBase, QuantizedDecoder, QuantizedEncoder,
+};
 use semcom_nn::rng::{derive_seed, seeded_rng};
 use semcom_nn::Tensor;
 use semcom_obs::{Event, Recorder, Stage};
-use semcom_par::spsc::PushError;
-use semcom_par::Pipeline;
 use semcom_text::{ConceptId, CorpusGenerator, Domain, Rendering, Sentence};
-use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Frozen encoder handle captured at ingress; stage workers read it
-/// without locking or cloning weight tables.
+/// Frozen serving-model handle captured at ingress: the f32 knowledge base
+/// or its int8 twin `Q`. Workers read it without locking or cloning
+/// weight tables.
 #[derive(Clone)]
-enum StreamEncoder {
+enum StreamModel<Q> {
     F32(Arc<KnowledgeBase>),
-    Int8(Arc<QuantizedEncoder>),
+    Int8(Arc<Q>),
 }
 
-/// Frozen decoder handle captured at ingress.
-#[derive(Clone)]
-enum StreamDecoder {
-    F32(Arc<KnowledgeBase>),
-    Int8(Arc<QuantizedDecoder>),
+type StreamEncoder = StreamModel<QuantizedEncoder>;
+type StreamDecoder = StreamModel<QuantizedDecoder>;
+
+impl<Q> StreamModel<Q> {
+    /// Identity of the shared model: two live handles are the same model
+    /// exactly when they point at the same allocation.
+    fn addr(&self) -> usize {
+        match self {
+            StreamModel::F32(kb) => Arc::as_ptr(kb) as usize,
+            StreamModel::Int8(twin) => Arc::as_ptr(twin) as usize,
+        }
+    }
 }
 
 /// One in-flight message: everything ingress decided, the frozen model
-/// handles, and the pre-assigned channel RNG. Mutated in place as it moves
-/// through the stages.
+/// handles, and the pre-assigned channel RNG. Mutated in place by the
+/// worker that owns its chunk.
 struct StreamSlot {
-    ticket: u64,
     msg_idx: u64,
     user: UserId,
     home: usize,
@@ -113,116 +126,116 @@ struct StreamSlot {
     /// Encode + channel + decode time accumulated across the stages.
     stage_ns: u64,
     /// Per-phase `(start, dur)` pairs for the causal trace; `None` unless
-    /// the recorder has a trace buffer. Stages fill the timings in place;
-    /// the commit emits the spans on the driver thread in ticket order.
+    /// the recorder has a trace buffer. Workers fill the timings in place;
+    /// the commit emits the spans on the caller thread in ticket order.
     trace: Option<MsgTraceTimings>,
 }
 
-fn same_encoder(a: &StreamEncoder, b: &StreamEncoder) -> bool {
-    match (a, b) {
-        (StreamEncoder::F32(x), StreamEncoder::F32(y)) => Arc::ptr_eq(x, y),
-        (StreamEncoder::Int8(x), StreamEncoder::Int8(y)) => Arc::ptr_eq(x, y),
-        _ => false,
-    }
-}
-
-/// Encode stage: groups the batch by serving encoder (`Arc` identity) and
-/// packs each group into one forward pass. Per-row independence of the
-/// encoder makes the packed pass bit-identical to per-message encodes.
-fn run_encode(batch: &mut [StreamSlot], obs: &Recorder) {
-    let t0 = obs.now_ns();
-    let mut groups: Vec<Vec<usize>> = Vec::new();
-    for i in 0..batch.len() {
-        let Some(enc) = &batch[i].enc else { continue };
-        match groups.iter_mut().find(|g| {
-            same_encoder(
-                batch[g[0]]
-                    .enc
-                    .as_ref()
-                    .expect("grouped slots carry encoders"),
-                enc,
-            )
-        }) {
-            Some(g) => g.push(i),
-            None => groups.push(vec![i]),
+/// The chunk's slots that carry a model, grouped by that model's identity:
+/// `(model, member indices)`, groups and members in first-seen order.
+fn group_slots<Q: Clone>(
+    chunk: &[StreamSlot],
+    model: impl Fn(&StreamSlot) -> Option<&StreamModel<Q>>,
+) -> Vec<(StreamModel<Q>, Vec<usize>)> {
+    let mut groups: Vec<(StreamModel<Q>, Vec<usize>)> = Vec::new();
+    for (i, slot) in chunk.iter().enumerate() {
+        let Some(m) = model(slot) else { continue };
+        match groups.iter_mut().find(|(g, _)| g.addr() == m.addr()) {
+            Some((_, members)) => members.push(i),
+            None => groups.push((m.clone(), vec![i])),
         }
     }
-    for g in &groups {
-        let enc = batch[g[0]]
-            .enc
-            .clone()
-            .expect("grouped slots carry encoders");
+    groups
+}
+
+/// Books one NN stage's wall time since `t0` to the grouped slots in equal
+/// shares (histogram entry, message total, trace span) and returns how many
+/// slots that was.
+fn share_stage_time<Q>(
+    chunk: &mut [StreamSlot],
+    groups: &[(StreamModel<Q>, Vec<usize>)],
+    stage: Stage,
+    t0: u64,
+    obs: &Recorder,
+    set_trace: impl Fn(&mut MsgTraceTimings, (u64, u64)),
+) -> u64 {
+    let n: u64 = groups.iter().map(|(_, g)| g.len() as u64).sum();
+    if let Some(share) = obs.now_ns().saturating_sub(t0).checked_div(n) {
+        for &i in groups.iter().flat_map(|(_, g)| g) {
+            obs.record_ns(stage, share);
+            chunk[i].stage_ns += share;
+            if let Some(t) = chunk[i].trace.as_mut() {
+                set_trace(t, (t0, share));
+            }
+        }
+    }
+    n
+}
+
+/// Encode stage: groups the chunk by serving encoder and packs each group
+/// into one forward pass.
+fn run_encode(chunk: &mut [StreamSlot], obs: &Recorder) {
+    let t0 = obs.now_ns();
+    let groups = group_slots(chunk, |s| s.enc.as_ref());
+    let mut scratch = EncodeScratch::new();
+    let mut packed: Vec<usize> = Vec::new();
+    for (enc, g) in &groups {
         match enc {
-            StreamEncoder::F32(kb) => {
+            StreamModel::F32(kb) => {
                 let lists: Vec<&[usize]> = g
                     .iter()
-                    .map(|&i| batch[i].sentence.tokens.as_slice())
+                    .map(|&i| chunk[i].sentence.tokens.as_slice())
                     .collect();
                 let feats = kb.encoder.encode_batch(&lists);
                 for (&i, f) in g.iter().zip(feats) {
-                    batch[i].features = Some(f);
+                    chunk[i].features = Some(f);
                 }
             }
-            StreamEncoder::Int8(enc) => {
-                let total: usize = g.iter().map(|&i| batch[i].sentence.tokens.len()).sum();
-                let mut packed = Vec::with_capacity(total);
+            StreamModel::Int8(enc) => {
+                packed.clear();
                 for &i in g {
-                    packed.extend_from_slice(&batch[i].sentence.tokens);
+                    packed.extend_from_slice(&chunk[i].sentence.tokens);
                 }
-                let features = enc.encode(&packed);
-                let dim = features.cols();
-                let flat = features.as_slice();
+                let flat = enc.encode_batch_into(&packed, &mut scratch);
+                let dim = enc.feature_dim();
                 let mut row = 0;
                 for &i in g {
-                    let len = batch[i].sentence.tokens.len();
+                    let len = chunk[i].sentence.tokens.len();
                     let part = flat[row * dim..(row + len) * dim].to_vec();
-                    batch[i].features =
+                    chunk[i].features =
                         Some(Tensor::from_vec(len, dim, part).expect("split preserves shape"));
                     row += len;
                 }
             }
         }
     }
-    let n: usize = groups.iter().map(|g| g.len()).sum();
+    let n = share_stage_time(chunk, &groups, Stage::SemanticEncode, t0, obs, |t, span| {
+        t.encode = span
+    });
     if n > 0 {
-        let share = obs.now_ns().saturating_sub(t0) / n as u64;
-        for g in &groups {
-            for &i in g {
-                obs.record_ns(Stage::SemanticEncode, share);
-                batch[i].stage_ns += share;
-                if let Some(t) = batch[i].trace.as_mut() {
-                    t.encode = (t0, share);
-                }
-            }
-        }
-        obs.add("pipeline_stage_encode", n as u64);
+        obs.add("pipeline_stage_encode", n);
         obs.add("sched_stream_encode_batches", 1);
     }
 }
 
-/// PHY stage: in-place feature transmission on the slot's pre-assigned RNG
-/// through a per-worker scratch (zero allocations once warm).
-fn run_phy(
-    slot: &mut StreamSlot,
-    channel: &dyn Channel,
-    scratch: &mut FeatureScratch,
-    obs: &Recorder,
-) {
-    if let Some(f) = slot.features.as_mut() {
+/// PHY stage: in-place feature transmission of every slot on its
+/// pre-assigned RNG through the chunk's scratch (zero allocations once
+/// warm).
+fn run_phy(chunk: &mut [StreamSlot], channel: &dyn Channel, obs: &Recorder) {
+    let mut scratch = FeatureScratch::new();
+    let mut n = 0u64;
+    for slot in chunk {
+        let Some(f) = slot.features.as_mut() else {
+            continue;
+        };
         let t0 = obs.now_ns();
         match &slot.link {
             Some(link) => {
                 let (rows, cols) = (f.rows(), f.cols());
-                adaptive_transmit_in_place(
-                    f.as_mut_slice(),
-                    rows,
-                    cols,
-                    link,
-                    scratch,
-                    &mut slot.rng,
-                );
+                let data = f.as_mut_slice();
+                adaptive_transmit_in_place(data, rows, cols, link, &mut scratch, &mut slot.rng);
             }
-            None => channel.transmit_f32_in_place(f.as_mut_slice(), scratch, &mut slot.rng),
+            None => channel.transmit_f32_in_place(f.as_mut_slice(), &mut scratch, &mut slot.rng),
         }
         let elapsed = obs.now_ns().saturating_sub(t0);
         obs.record_ns(Stage::Channel, elapsed);
@@ -230,49 +243,76 @@ fn run_phy(
         if let Some(t) = slot.trace.as_mut() {
             t.channel = (t0, elapsed);
         }
-        obs.add("pipeline_stage_phy", 1);
+        n += 1;
+    }
+    if n > 0 {
+        obs.add("pipeline_stage_phy", n);
     }
 }
 
-/// Decode stage: peer-edge decoder captured at ingress.
-fn run_decode(slot: &mut StreamSlot, obs: &Recorder) {
-    if let Some(f) = &slot.features {
-        let t0 = obs.now_ns();
-        slot.decoded = match slot.dec.as_ref().expect("non-empty slots carry decoders") {
-            StreamDecoder::F32(kb) => kb.decoder.predict(f),
-            StreamDecoder::Int8(qd) => qd.predict(f),
-        };
-        let elapsed = obs.now_ns().saturating_sub(t0);
-        obs.record_ns(Stage::SemanticDecode, elapsed);
-        slot.stage_ns += elapsed;
-        if let Some(t) = slot.trace.as_mut() {
-            t.decode = (t0, elapsed);
+/// Decode stage: groups the chunk by the peer-edge decoder captured at
+/// ingress and runs one packed `predict` per group.
+fn run_decode(chunk: &mut [StreamSlot], obs: &Recorder) {
+    let t0 = obs.now_ns();
+    let groups = group_slots(chunk, |s| s.dec.as_ref());
+    let mut scratch = DecodeScratch::new();
+    let mut packed: Vec<f32> = Vec::new();
+    let mut concepts: Vec<ConceptId> = Vec::new();
+    for (dec, g) in &groups {
+        packed.clear();
+        for &i in g {
+            let f = chunk[i].features.as_ref().expect("encoded before decode");
+            packed.extend_from_slice(f.as_slice());
         }
-        obs.add("pipeline_stage_decode", 1);
+        match dec {
+            StreamModel::F32(kb) => {
+                let dim = kb.decoder.feature_dim();
+                let rows = packed.len() / dim;
+                let received = Tensor::from_vec(rows, dim, std::mem::take(&mut packed))
+                    .expect("whole feature rows were packed");
+                concepts = kb.decoder.predict(&received);
+                packed = received.into_vec();
+            }
+            StreamModel::Int8(qd) => {
+                let rows = packed.len() / qd.feature_dim();
+                qd.predict_into(&packed, rows, &mut scratch, &mut concepts);
+            }
+        }
+        let mut row = 0;
+        for &i in g {
+            let len = chunk[i].sentence.tokens.len();
+            chunk[i].decoded = concepts[row..row + len].to_vec();
+            row += len;
+        }
+    }
+    let n = share_stage_time(chunk, &groups, Stage::SemanticDecode, t0, obs, |t, span| {
+        t.decode = span
+    });
+    if n > 0 {
+        obs.add("pipeline_stage_decode", n);
+        obs.add("sched_stream_decode_batches", 1);
     }
 }
 
-/// Stand-in installed while the real channel is lent to the stage workers;
-/// nothing may transmit through the system during `send_stream`.
-#[derive(Debug)]
-struct DetachedChannel;
-
-impl Channel for DetachedChannel {
-    fn transmit(&self, _symbols: &[Complex], _rng: &mut dyn rand::RngCore) -> Vec<Complex> {
-        unreachable!("channel is detached while send_stream is running")
-    }
+/// Everything between ingress and commit for one contiguous run of slots;
+/// the unit of work a worker (or, inline, the caller) executes.
+fn run_chunk(chunk: &mut [StreamSlot], channel: &dyn Channel, obs: &Recorder) {
+    run_encode(chunk, obs);
+    run_phy(chunk, channel, obs);
+    run_decode(chunk, obs);
 }
 
 impl SemanticEdgeSystem {
-    /// Sends one message for every listed user through the **staged
-    /// serving pipeline**: ingress and ordered commit on the caller
-    /// thread, encode (cross-user batched) → PHY → decode on stage workers
-    /// connected by bounded SPSC queues. Results are returned in input
-    /// order and are **bit-identical to the equivalent sequence of
-    /// [`Self::send_message`] calls at any `SEMCOM_THREADS`** — see the
-    /// [module docs](crate::stream) for the ticket/barrier mechanics that
-    /// guarantee it. With one worker the stages run inline (same spans,
-    /// same effects, no queues).
+    /// Sends one message for every listed user, serving them a
+    /// **dependency-free window** at a time: ingress and ordered commit on
+    /// the caller thread, encode → PHY → decode of whole messages on
+    /// `semcom-par` workers, each taking a contiguous chunk of the window
+    /// and packing the slots that share a model into one NN pass. Results
+    /// are returned in input order and are **bit-identical to the
+    /// equivalent sequence of [`Self::send_message`] calls at any
+    /// `SEMCOM_THREADS`** — see the [module docs](crate::stream) for the
+    /// window rules that guarantee it. Small windows, one worker, and calls
+    /// from inside a worker run the same chunk function inline.
     ///
     /// # Panics
     ///
@@ -285,152 +325,70 @@ impl SemanticEdgeSystem {
             return Vec::new();
         }
         self.obs.add("pipeline_messages", users.len() as u64);
-        if semcom_par::max_workers() <= 1 {
-            self.send_stream_serial(users)
+        let base = self.metrics.messages;
+        let workers = if semcom_par::in_worker() {
+            1
         } else {
-            self.send_stream_pipelined(users)
-        }
-    }
+            semcom_par::max_workers()
+        };
+        let cap = self.config.encode_batch_size.max(1) * workers;
+        // Decoder flops per feature row (the `2·m·k·n` of its two matmuls).
+        let codec = &self.config.codec;
+        let row_flops = 2 * codec.hidden_dim * (codec.feature_dim + self.language.concept_count());
 
-    /// Inline single-thread fallback: identical stage functions, identical
-    /// span/counter/event schedule, no queues or worker threads.
-    fn send_stream_serial(&mut self, users: &[UserId]) -> Vec<MessageOutcome> {
-        let base = self.metrics.messages;
-        let obs = self.obs.clone();
-        let channel = std::mem::replace(&mut self.channel, Box::new(DetachedChannel));
-        let mut scratch = FeatureScratch::new();
-        let mut batch: Vec<StreamSlot> = Vec::with_capacity(1);
         let mut outcomes = Vec::with_capacity(users.len());
-        for (i, &user) in users.iter().enumerate() {
-            let slot = self.stream_ingress(user, i as u64, base + i as u64);
-            batch.push(slot);
-            run_encode(&mut batch, &obs);
-            let mut slot = batch.pop().expect("one slot in flight");
-            run_phy(&mut slot, channel.as_ref(), &mut scratch, &obs);
-            run_decode(&mut slot, &obs);
-            outcomes.push(self.stream_commit(slot));
-        }
-        self.channel = channel;
-        self.obs.set_gauge("sched_stream_workers", 1.0);
-        self.obs.set_gauge("sched_stream_encode_queue_peak", 0.0);
-        self.obs.set_gauge("sched_stream_egress_queue_peak", 0.0);
-        outcomes
-    }
-
-    /// The overlapped path: stage workers borrow the channel and frozen
-    /// model handles; the driver (this thread) interleaves ingress, feed,
-    /// and ordered commit.
-    fn send_stream_pipelined(&mut self, users: &[UserId]) -> Vec<MessageOutcome> {
-        let base = self.metrics.messages;
-        let encode_batch = self.config.encode_batch_size.max(1);
-        let queue_cap = (encode_batch * 2).max(8);
-        // Lend the channel to the PHY stage for the duration of the run;
-        // ingress/commit never transmit.
-        let channel = std::mem::replace(&mut self.channel, Box::new(DetachedChannel));
-        let channel_ref: &(dyn Channel + Send + Sync) = channel.as_ref();
-        let obs_e = self.obs.clone();
-        let obs_p = self.obs.clone();
-        let obs_d = self.obs.clone();
-        let mut scratch = FeatureScratch::new();
-        let pipeline = Pipeline::new(queue_cap)
-            .batch_stage(encode_batch, move |batch: &mut Vec<StreamSlot>| {
-                run_encode(batch, &obs_e);
-            })
-            .stage(move |mut slot: StreamSlot| {
-                run_phy(&mut slot, channel_ref, &mut scratch, &obs_p);
-                slot
-            })
-            .stage(move |mut slot: StreamSlot| {
-                run_decode(&mut slot, &obs_d);
-                slot
-            });
-        let workers = pipeline.planned_workers();
-
-        let (outcomes, peak_in, peak_out) = pipeline.run(|mut tx, mut rx| {
-            let mut outcomes = Vec::with_capacity(users.len());
-            let mut pending: Option<StreamSlot> = None;
-            let mut next = 0usize; // next user index to ingress
-            let mut committed = 0usize; // tickets committed so far
-            let mut barrier: Option<u64> = None; // training ticket in flight
-            let mut last_ticket: HashMap<UserId, u64> = HashMap::new();
-            let (mut peak_in, mut peak_out) = (0usize, 0usize);
-            loop {
-                // Feed as far as the dependency rules and queue space allow.
-                loop {
-                    if pending.is_none() {
-                        if next >= users.len() {
-                            break;
-                        }
-                        // A predicted-training ticket is a full barrier.
-                        if barrier.is_some_and(|b| (committed as u64) <= b) {
-                            break;
-                        }
-                        let user = users[next];
-                        // User state (selector, buffers) is read at ingress:
-                        // wait for this user's previous ticket to commit.
-                        if last_ticket
-                            .get(&user)
-                            .is_some_and(|&t| (committed as u64) <= t)
-                        {
-                            break;
-                        }
-                        let ticket = next as u64;
-                        let slot = self.stream_ingress(user, ticket, base + ticket);
-                        if slot.will_train {
-                            barrier = Some(ticket);
-                        }
-                        last_ticket.insert(user, ticket);
-                        next += 1;
-                        pending = Some(slot);
-                    }
-                    peak_in = peak_in.max(tx.len() + 1);
-                    match tx.try_push(pending.take().expect("pending set above")) {
-                        Ok(()) => {}
-                        Err(PushError::Full(slot)) => {
-                            pending = Some(slot);
-                            break;
-                        }
-                        Err(PushError::Closed(_)) => {
-                            unreachable!("stage workers outlive the driver")
-                        }
-                    }
-                }
-                // Drain exactly one committed result, or finish.
-                let in_pipe = next - committed - usize::from(pending.is_some());
-                if in_pipe == 0 {
-                    assert!(
-                        pending.is_none() && next >= users.len(),
-                        "feed loop only stalls with work in flight"
-                    );
+        let mut window: Vec<StreamSlot> = Vec::with_capacity(cap.min(users.len()));
+        let (mut windows, mut window_peak, mut fanouts, mut chunks_peak) = (0u64, 0, 0u64, 1);
+        let mut next = 0;
+        while next < users.len() {
+            // Ingress until a dependency would be crossed (see module docs).
+            while next < users.len()
+                && window.len() < cap
+                && window.iter().all(|s| s.user != users[next])
+            {
+                let slot = self.stream_ingress(users[next], base + next as u64);
+                next += 1;
+                let closes = slot.will_train;
+                window.push(slot);
+                if closes {
                     break;
                 }
-                peak_out = peak_out.max(rx.len());
-                let done = rx.pop().expect("pipeline holds in-flight slots");
-                assert_eq!(done.ticket, committed as u64, "tickets commit in order");
-                outcomes.push(self.stream_commit(done));
-                committed += 1;
             }
-            drop(tx);
-            assert!(rx.pop().is_none(), "all tickets drained");
-            (outcomes, peak_in, peak_out)
-        });
+            windows += 1;
+            window_peak = window_peak.max(window.len());
 
-        self.channel = channel;
-        self.obs.set_gauge("sched_stream_workers", workers as f64);
+            let rows: usize = window.iter().map(|s| s.sentence.tokens.len()).sum();
+            let fan_out = workers > 1 && rows.saturating_mul(row_flops) >= semcom_nn::PAR_WORK;
+            let chunk_len = if fan_out {
+                fanouts += 1;
+                window.len().div_ceil(workers)
+            } else {
+                window.len()
+            };
+            chunks_peak = chunks_peak.max(window.len().div_ceil(chunk_len));
+            let (channel, obs) = (self.channel.as_ref(), &self.obs);
+            semcom_par::par_chunks(&mut window, chunk_len, |_, chunk| {
+                run_chunk(chunk, channel, obs)
+            });
+
+            for slot in window.drain(..) {
+                outcomes.push(self.stream_commit(slot));
+            }
+        }
+        self.obs.add("sched_stream_windows", windows);
+        self.obs.add("sched_stream_fanouts", fanouts);
         self.obs
-            .set_gauge("sched_stream_queue_cap", queue_cap as f64);
+            .set_gauge("sched_stream_window_peak", window_peak as f64);
         self.obs
-            .set_gauge("sched_stream_encode_queue_peak", peak_in as f64);
-        self.obs
-            .set_gauge("sched_stream_egress_queue_peak", peak_out as f64);
+            .set_gauge("sched_stream_workers", chunks_peak as f64);
         outcomes
     }
 
-    /// Ingress for ticket `ticket` (= message index `msg_idx - base`):
-    /// compose, select, cache lookup, model capture, training prediction,
-    /// RNG pre-assignment. Runs on the caller thread; the only stage
-    /// besides commit that touches `&mut self`.
-    fn stream_ingress(&mut self, user: UserId, ticket: u64, msg_idx: u64) -> StreamSlot {
+    /// Ingress for message index `msg_idx`: compose, select, cache lookup,
+    /// model capture, training prediction, RNG pre-assignment. Runs on the
+    /// caller thread; the only stage besides commit that touches
+    /// `&mut self`.
+    fn stream_ingress(&mut self, user: UserId, msg_idx: u64) -> StreamSlot {
         let t0 = self.obs.now_ns();
         let (sentence, home, peer, true_domain) = {
             let profile = self.users.get(&user).expect("user is registered");
@@ -449,8 +407,8 @@ impl SemanticEdgeSystem {
         let (selected, key, used_user_model, misselected) =
             self.select_and_lookup(user, true_domain, home, &sentence.tokens);
 
-        // Capture frozen serving handles. Training commits are barriers,
-        // so the captured models are exactly what the sequential path
+        // Capture frozen serving handles. A training ticket closes its
+        // window, so the captured models are exactly what the sequential path
         // would read at its encode/decode time.
         let (enc, dec) = if sentence.tokens.is_empty() {
             (None, None)
@@ -510,7 +468,6 @@ impl SemanticEdgeSystem {
         self.obs.record_ns(Stage::Ingress, ingress_ns);
         self.obs.add("pipeline_stage_ingress", 1);
         StreamSlot {
-            ticket,
             msg_idx,
             user,
             home,
@@ -597,5 +554,45 @@ impl SemanticEdgeSystem {
             .record_ns(Stage::Message, ingress_ns + stage_ns + commit_ns);
         self.obs.add("pipeline_stage_commit", 1);
         outcome
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::SystemConfig;
+
+    /// A chunk that mixes decoders (users spread over the domains) and has
+    /// an empty message in the middle: every slot's share of a packed
+    /// decode equals `predict` on its own features, on both model arms.
+    #[test]
+    fn grouped_decode_matches_per_slot_predict() {
+        for quant in [false, true] {
+            let mut system = SemanticEdgeSystem::build(SystemConfig::tiny(), 3);
+            if quant {
+                system.enable_quantized_serving();
+            }
+            let mut chunk: Vec<StreamSlot> = (0..8)
+                .map(|i| {
+                    let user = system.register_user(Domain::ALL[i % Domain::ALL.len()], 0.2);
+                    system.stream_ingress(user, i as u64)
+                })
+                .collect();
+            chunk[3].sentence.tokens.clear();
+            (chunk[3].enc, chunk[3].dec) = (None, None);
+            let groups = group_slots(&chunk, |s| s.dec.as_ref()).len();
+            assert!((2..7).contains(&groups), "mixed and shared decoders");
+
+            run_chunk(&mut chunk, system.channel.as_ref(), &Recorder::disabled());
+            for (i, slot) in chunk.iter().enumerate() {
+                let expected = match (&slot.dec, &slot.features) {
+                    (Some(StreamModel::F32(kb)), Some(f)) => kb.decoder.predict(f),
+                    (Some(StreamModel::Int8(qd)), Some(f)) => qd.predict(f),
+                    _ => Vec::new(),
+                };
+                assert_eq!(slot.decoded, expected, "quant={quant} slot {i}");
+                assert_eq!(slot.decoded.is_empty(), i == 3);
+            }
+        }
     }
 }

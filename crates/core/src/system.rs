@@ -42,8 +42,8 @@ pub(crate) struct UserProfile {
 /// sync, eviction, edge restart), so a cached twin always mirrors the
 /// currently-resident model; general twins are frozen at enable time,
 /// matching the frozen general KBs.
-/// Twins are held behind [`Arc`] so the streaming pipeline can hand frozen
-/// references to stage workers without cloning weight tables.
+/// Twins are held behind [`Arc`] so `send_stream` can hand frozen
+/// references to its workers without cloning weight tables.
 pub(crate) struct QuantServing {
     pub(crate) general: HashMap<Domain, (Arc<QuantizedEncoder>, Arc<QuantizedDecoder>)>,
     pub(crate) user_encoders: HashMap<UserKey, Arc<QuantizedEncoder>>,
@@ -421,11 +421,9 @@ impl SemanticEdgeSystem {
     }
 
     /// Replaces the physical channel used for message serving — e.g. a
-    /// [`semcom_channel::PacedChannel`] that models per-symbol airtime so
-    /// stage overlap in [`Self::send_stream`] is measurable even where CPU
-    /// parallelism is not available. The replacement participates in all
-    /// serving paths; determinism holds as long as the channel itself is
-    /// deterministic for a given RNG stream.
+    /// [`semcom_channel::PacedChannel`] that models per-symbol airtime. The
+    /// replacement participates in all serving paths; determinism holds as
+    /// long as the channel itself is deterministic for a given RNG stream.
     pub fn set_channel(&mut self, channel: Box<dyn Channel + Send + Sync>) {
         self.channel = channel;
     }

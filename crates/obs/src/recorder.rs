@@ -41,9 +41,9 @@ pub enum Stage {
     /// Pipeline ingress: compose + select + model capture for one message
     /// (`SemanticEdgeSystem::send_stream`).
     Ingress,
-    /// Semantic NN encode, batched per pipeline tick (per-message share).
+    /// Semantic NN encode, packed per worker chunk (per-message share).
     SemanticEncode,
-    /// Semantic NN decode in the pipeline's decode stage.
+    /// Semantic NN decode, packed per worker chunk (per-message share).
     SemanticDecode,
     /// Pipeline commit: cache/metrics/sync effects applied in ticket order.
     Commit,

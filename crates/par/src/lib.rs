@@ -34,7 +34,12 @@
 //! queues ([`spsc`]) and a staged [`Pipeline`] builder ([`pipeline`]) for
 //! producer/consumer overlap: stages run on scoped workers connected by
 //! queues, items exit in push order, and adjacent stages are fused when
-//! the worker budget is smaller than the stage count.
+//! the worker budget is smaller than the stage count. Nothing in the
+//! workspace serves through them any more (`send_stream` fans whole
+//! messages out with [`par_chunks`]); they stay public and unchanged
+//! because `benchmark/src/probes.rs` times them for `par.spsc_handoff_ns`
+//! and `par.pipeline_item_overhead_us`, and the benchmark may not change in
+//! the PR that changes what it measures.
 
 pub mod pipeline;
 pub mod spsc;

@@ -17,6 +17,12 @@ cargo build --release --workspace
 echo "=== cargo test ==="
 cargo test --workspace -q
 
+echo "=== benchmark package (builds against the public API) ==="
+# benchmark/ is a workspace of its own over ../crates/*: a public-API change
+# that stops it compiling, or breaks its quick-size self-test, fails here
+# and not first in the benchmark driver.
+cargo test --offline -q --manifest-path benchmark/Cargo.toml
+
 echo "=== bench smoke (criterion --test mode) ==="
 # Runs every channel and cache bench routine exactly once (no sampling),
 # so the fast/reference bench pairs can't bit-rot without failing CI.
@@ -31,8 +37,8 @@ cargo bench -p semcom-bench --bench obs -- --test
 # int8 vs fp32 encode, batched vs per-user; see BENCH_pr6.json).
 cargo bench -p semcom-bench --bench matmul -- --test
 cargo bench -p semcom-bench --bench codec -- --test
-# Staged serving pipeline routines (sequential vs send_stream, serial
-# fallback, paced airtime overlap; see BENCH_pr7.json).
+# send_stream routines (sequential vs send_stream at 1 and 4 workers, paced
+# airtime; routine names as recorded in BENCH_pr7.json).
 cargo bench -p semcom-bench --bench pipeline -- --test
 # Sharded fleet routines (single-loop reference vs 4-shard streaming
 # engine at 1 worker and at the natural count; see BENCH_pr8.json).
@@ -111,16 +117,17 @@ done
 echo "=== staged pipeline golden (T10) + thread invariance ==="
 # T10 serves a mixed trace through send_stream (asserting bit-identity to
 # send_message inside the harness) and replays the fleet DES dispatch loop
-# through the pipeline. Its stdout — ending in the deterministic snapshot —
-# must match the golden byte-for-byte at 1, 2, AND 4 workers: the PR 7
-# contract that pipelining never changes what any user receives.
-for threads in 1 2 4; do
+# through it. Its stdout — ending in the deterministic snapshot — must match
+# the golden byte-for-byte at 1, 2, 3 AND 4 workers (3 splits a window into
+# uneven chunks): the PR 7 contract that serving messages in parallel never
+# changes what any user receives.
+for threads in 1 2 3 4; do
     SEMCOM_THREADS=$threads ./target/release/t10_pipeline 2>/dev/null \
         | diff -u tests/goldens/t10_pipeline.stdout - || {
         echo "ci: harness t10_pipeline (crates/bench/src/bin/t10_pipeline.rs) diverged from tests/goldens/t10_pipeline.stdout at SEMCOM_THREADS=$threads." >&2
         echo "ci: if the change is intentional, regenerate with:" >&2
         echo "ci:   SEMCOM_THREADS=1 ./target/release/t10_pipeline 2>/dev/null > tests/goldens/t10_pipeline.stdout" >&2
-        echo "ci: then re-run this script — divergence at only SOME worker counts means the staged pipeline broke determinism, not the golden." >&2
+        echo "ci: then re-run this script — divergence at only SOME worker counts means send_stream's window rules broke determinism, not the golden." >&2
         exit 1
     }
     echo "t10_pipeline matches golden at SEMCOM_THREADS=$threads"

@@ -1,16 +1,23 @@
-//! Property test pinning the PR 7 determinism contract: the staged
-//! serving pipeline ([`SemanticEdgeSystem::send_stream`]) is
-//! **bit-identical** to the equivalent sequence of `send_message` calls —
-//! outcomes and system metrics — at every worker count, over randomized
-//! user mixes, idiolect strengths, edge placements, SNRs, serving modes,
-//! and training-trigger schedules. A second assertion pins the
-//! observability side: the deterministic snapshot export of a streamed run
-//! must be byte-identical at 1, 2, and 4 workers (the property the T10
-//! golden relies on).
+//! Property test pinning the PR 7 determinism contract: window-parallel
+//! serving ([`SemanticEdgeSystem::send_stream`]) is **bit-identical** to
+//! the equivalent sequence of `send_message` calls — outcomes and system
+//! metrics — at every worker count, over randomized user mixes, idiolect
+//! strengths, edge placements, SNRs, serving modes, and training-trigger
+//! schedules. A second assertion pins the observability side: the
+//! deterministic snapshot export of a streamed run must be byte-identical
+//! at 1, 2, 3 and 4 workers (the property the T10 golden relies on).
+//!
+//! The window cap is `encode_batch_size × workers` (4, 8, 12, 16 for the
+//! tiny config), so with up to 10 users one random trace closes windows on
+//! a repeated user, on a predicted training round and on the cap, at
+//! different tickets for every worker count; 3 workers split a window into
+//! uneven chunks. The tiny codec never reaches `semcom_nn::PAR_WORK`, so
+//! those runs are inline; `fanned_out_windows_match_sequential` widens the
+//! decoder until windows really are served on spawned workers.
 //!
 //! Cases are drawn through the vendored `proptest` strategies but driven
-//! by an explicit bounded loop: each case builds four full systems (one
-//! sequential reference + three streamed runs), so the stock 96-case
+//! by an explicit bounded loop: each case builds five full systems (one
+//! sequential reference + four streamed runs), so the stock 96-case
 //! schedule would dominate the suite's runtime.
 //!
 //! The worker count is a process-global (`semcom_par::set_workers`), so
@@ -41,6 +48,15 @@ fn build(
     config.channel = ChannelModel::Awgn { snr_db };
     config.buffer_threshold = threshold;
     config.n_edges = 3;
+    build_with(config, seed, quant, placements)
+}
+
+fn build_with(
+    config: SystemConfig,
+    seed: u64,
+    quant: bool,
+    placements: &[(usize, f64, usize, usize)],
+) -> (SemanticEdgeSystem, Vec<UserId>) {
     let mut system = SemanticEdgeSystem::build(config, seed);
     if quant {
         system.enable_quantized_serving();
@@ -65,7 +81,7 @@ fn send_stream_matches_sequential_send_message_at_any_worker_count() {
         // mid-stream; higher ones exercise the steady overlapped path.
         let threshold = (8usize..48).generate(&mut rng);
         let quant = case % 2 == 1;
-        let n_placements = (1usize..4).generate(&mut rng);
+        let n_placements = (1usize..11).generate(&mut rng);
         let placements: Vec<(usize, f64, usize, usize)> = (0..n_placements)
             .map(|_| {
                 (
@@ -76,7 +92,7 @@ fn send_stream_matches_sequential_send_message_at_any_worker_count() {
                 )
             })
             .collect();
-        let mix = vec(0usize..4, 1..48).generate(&mut rng);
+        let mix = vec(0usize..10, 1..48).generate(&mut rng);
 
         // Sequential reference (itself thread-count invariant).
         semcom_par::set_workers(1);
@@ -87,7 +103,7 @@ fn send_stream_matches_sequential_send_message_at_any_worker_count() {
         let expected_metrics = reference.metrics();
 
         let mut exports: Vec<String> = Vec::new();
-        for workers in [1usize, 2, 4] {
+        for workers in [1usize, 2, 3, 4] {
             semcom_par::set_workers(workers);
             let (mut streamed, stream_users) = build(seed, snr_db, threshold, quant, &placements);
             assert_eq!(stream_users, users);
@@ -104,15 +120,87 @@ fn send_stream_matches_sequential_send_message_at_any_worker_count() {
             );
             exports.push(streamed.observability_snapshot().to_json_deterministic());
         }
-        assert_eq!(
-            exports[0], exports[1],
-            "case {case}: snapshot differs at 2 workers"
-        );
-        assert_eq!(
-            exports[0], exports[2],
-            "case {case}: snapshot differs at 4 workers"
-        );
+        for (export, workers) in exports.iter().zip([1, 2, 3, 4]).skip(1) {
+            assert_eq!(
+                &exports[0], export,
+                "case {case}: snapshot differs at {workers} workers"
+            );
+        }
     }
+    semcom_par::reset_workers();
+}
+
+/// The same contract where windows really fan out. A 4096-wide decoder over
+/// the tiny language puts a full window above `PAR_WORK`, and the trace is
+/// laid out so every window rule fires with workers running: rounds of all
+/// 12 users (past the 2-worker cap of 8, exactly the 3-worker cap, under
+/// the 4-worker cap so the repeat closes it), a user repeated back to
+/// back, and a threshold low enough for training rounds mid-window.
+#[test]
+fn fanned_out_windows_match_sequential() {
+    let _guard = WORKER_LOCK.lock().unwrap();
+    let placements: Vec<(usize, f64, usize, usize)> = (0..12)
+        .map(|i| (i, 0.1 + 0.06 * i as f64, i % 3, (i + 1) % 3))
+        .collect();
+    for quant in [false, true] {
+        let config = || {
+            let mut config = SystemConfig::tiny();
+            config.codec.hidden_dim = 4096;
+            // Accuracy is irrelevant here; keep the wide model cheap to build.
+            config.pretrain.epochs = 1;
+            config.pretrain_sentences = 8;
+            config.finetune.epochs = 1;
+            config.buffer_threshold = 27;
+            config.buffer_capacity = 40;
+            config.n_edges = 3;
+            config
+        };
+        semcom_par::set_workers(1);
+        let (mut reference, users) = build_with(config(), 5, quant, &placements);
+        let mut order: Vec<UserId> = Vec::new();
+        for round in 0..3 {
+            order.extend(&users);
+            order.extend([users[round], users[round], users[11 - round]]);
+        }
+        let expected: Vec<MessageOutcome> =
+            order.iter().map(|&u| reference.send_message(u)).collect();
+        assert!(reference.metrics().trainings > 0, "training rounds fire");
+
+        for workers in [2usize, 3, 4] {
+            semcom_par::set_workers(workers);
+            let (mut streamed, _) = build_with(config(), 5, quant, &placements);
+            streamed.attach_recorder(Recorder::with_ticks());
+            assert_eq!(streamed.send_stream(&order), expected, "workers={workers}");
+            assert_eq!(streamed.metrics(), reference.metrics(), "workers={workers}");
+            let snap = streamed.observability_snapshot();
+            let fanouts = snap.counter("sched_stream_fanouts").expect("published");
+            assert!(fanouts > 0, "workers={workers}: windows ran on workers");
+            let peak = snap.gauge("sched_stream_window_peak").expect("published");
+            assert_eq!(peak, (4.0 * workers as f64).min(12.0), "cap or user count");
+        }
+    }
+    semcom_par::reset_workers();
+}
+
+/// A window below `PAR_WORK` is served on the caller thread however many
+/// workers there are: four tiny-codec messages never pay a thread spawn.
+#[test]
+fn small_windows_do_not_fan_out() {
+    let _guard = WORKER_LOCK.lock().unwrap();
+    semcom_par::set_workers(4);
+    let placements = [
+        (0usize, 0.3f64, 0usize, 1usize),
+        (1, 0.3, 1, 2),
+        (2, 0.3, 2, 0),
+        (3, 0.3, 0, 2),
+    ];
+    let (mut system, users) = build(7, 9.0, 40, false, &placements);
+    system.attach_recorder(Recorder::with_ticks());
+    assert_eq!(system.send_stream(&users).len(), 4);
+    let snap = system.observability_snapshot();
+    assert_eq!(snap.counter("sched_stream_fanouts"), Some(0));
+    assert_eq!(snap.counter("sched_stream_windows"), Some(1));
+    assert_eq!(snap.gauge("sched_stream_workers"), Some(1.0));
     semcom_par::reset_workers();
 }
 
