@@ -103,30 +103,49 @@ impl Trainer {
     }
 
     /// Trains on explicit `(token, concept-index)` pairs — the form stored
-    /// in the paper's domain buffers `b_m`.
+    /// in the paper's domain buffers `b_m`. Runs at least one epoch.
     ///
     /// # Panics
     ///
-    /// Panics if any concept index is out of the decoder's class range.
+    /// Panics — before the first optimizer step, so `kb` is untouched — if
+    /// any token is out of the encoder's vocabulary range or any concept
+    /// index is out of the decoder's class range.
     pub fn fit_pairs(
         &mut self,
         kb: &mut KnowledgeBase,
         pairs: &[(usize, usize)],
         seed: u64,
     ) -> TrainReport {
+        let (vocab, concepts) = (kb.encoder.vocab_size(), kb.decoder.concept_count());
+        for &(token, concept) in pairs {
+            assert!(
+                token < vocab,
+                "token id {token} out of range for vocab of {vocab}"
+            );
+            assert!(
+                concept < concepts,
+                "concept index {concept} out of range for {concepts} classes"
+            );
+        }
         let mut rng = seeded_rng(seed);
         let mut opt = Adam::new(self.config.learning_rate);
         let channel = self.config.train_snr_db.map(AwgnChannel::new);
         let mut order: Vec<usize> = (0..pairs.len()).collect();
+        let batch = self.config.batch_size.max(1);
+        let mut tokens = Vec::with_capacity(batch.min(pairs.len()));
+        let mut targets = Vec::with_capacity(batch.min(pairs.len()));
+        let epochs = self.config.epochs.max(1);
         let mut final_loss = 0.0;
 
-        for _ in 0..self.config.epochs.max(1) {
+        for _ in 0..epochs {
             order.shuffle(&mut rng);
             let mut epoch_loss = 0.0;
             let mut batches = 0;
-            for chunk in order.chunks(self.config.batch_size.max(1)) {
-                let tokens: Vec<usize> = chunk.iter().map(|&i| pairs[i].0).collect();
-                let targets: Vec<usize> = chunk.iter().map(|&i| pairs[i].1).collect();
+            for chunk in order.chunks(batch) {
+                tokens.clear();
+                tokens.extend(chunk.iter().map(|&i| pairs[i].0));
+                targets.clear();
+                targets.extend(chunk.iter().map(|&i| pairs[i].1));
                 epoch_loss +=
                     self.step(kb, &tokens, &targets, channel.as_ref(), &mut opt, &mut rng);
                 batches += 1;
@@ -139,7 +158,7 @@ impl Trainer {
         TrainReport {
             final_loss,
             samples: pairs.len(),
-            epochs: self.config.epochs,
+            epochs,
         }
     }
 
@@ -406,6 +425,39 @@ mod tests {
         let mut kb = KnowledgeBase::new(CodecConfig::tiny(), 10, 5, KbScope::General, 1);
         let report = Trainer::new(quick_config()).fit_pairs(&mut kb, &[], 0);
         assert_eq!(report.samples, 0);
+    }
+
+    /// A bad pair in the *second* minibatch must be rejected before the
+    /// first minibatch has updated anything.
+    fn assert_rejected_untouched(bad: (usize, usize)) {
+        let mut kb = KnowledgeBase::new(CodecConfig::tiny(), 10, 5, KbScope::General, 1);
+        let before = (kb.encoder.encode(&[0, 3, 9]), kb.version());
+        let mut pairs = vec![(1, 1); 40];
+        pairs.push(bad);
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            Trainer::new(quick_config()).fit_pairs(&mut kb, &pairs, 0)
+        }));
+        let message = *result.unwrap_err().downcast::<String>().unwrap();
+        assert!(message.contains("out of range"), "{message}");
+        assert_eq!((kb.encoder.encode(&[0, 3, 9]), kb.version()), before);
+    }
+
+    #[test]
+    fn fit_pairs_rejects_bad_pairs_before_mutating() {
+        assert_rejected_untouched((10, 1));
+        assert_rejected_untouched((1, 5));
+    }
+
+    #[test]
+    fn report_counts_the_epoch_a_zero_epoch_config_still_runs() {
+        let mut kb = KnowledgeBase::new(CodecConfig::tiny(), 10, 5, KbScope::General, 1);
+        let cfg = TrainConfig {
+            epochs: 0,
+            ..quick_config()
+        };
+        let report = Trainer::new(cfg).fit_pairs(&mut kb, &[(1, 1), (2, 2)], 0);
+        assert_eq!(report.epochs, 1);
+        assert!(report.final_loss > 0.0);
     }
 
     #[test]

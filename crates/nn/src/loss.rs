@@ -2,16 +2,25 @@
 
 use crate::Tensor;
 
+/// Writes the stabilised exponentials `exp(v − max(row))` of one logit row
+/// into `exps` and returns their sum — the part [`softmax`] and
+/// [`softmax_cross_entropy`] share.
+fn row_exps(row: &[f32], exps: &mut [f32]) -> f32 {
+    let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    for (e, &v) in exps.iter_mut().zip(row) {
+        *e = (v - max).exp();
+    }
+    exps.iter().sum()
+}
+
 /// Numerically-stable row-wise softmax.
 pub fn softmax(logits: &Tensor) -> Tensor {
     let mut out = Tensor::zeros(logits.rows(), logits.cols());
     for r in 0..logits.rows() {
-        let row = logits.row(r);
-        let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let exps: Vec<f32> = row.iter().map(|&v| (v - max).exp()).collect();
-        let sum: f32 = exps.iter().sum();
-        for (c, e) in exps.iter().enumerate() {
-            out.set(r, c, e / sum);
+        let probs = out.row_mut(r);
+        let sum = row_exps(logits.row(r), probs);
+        for p in probs {
+            *p /= sum;
         }
     }
     out
@@ -23,6 +32,13 @@ pub fn softmax(logits: &Tensor) -> Tensor {
 /// Returns `(mean loss, d loss / d logits)` — the gradient already includes
 /// the `1/batch` factor, so it can be fed straight into `backward`.
 ///
+/// Fused: each row goes max → `exp` → sum → `(e / sum) · (1/batch)`
+/// straight into the gradient tensor, with `((e / sum) − 1) · (1/batch)` at
+/// the target column. Those are the per-element operations, in the order,
+/// of [`softmax`] followed by subtracting the one-hot target and scaling,
+/// so the result is bit-identical to that composed form without its three
+/// intermediate tensors.
+///
 /// # Panics
 ///
 /// Panics if `targets.len() != logits.rows()` or any target is out of range.
@@ -32,16 +48,22 @@ pub fn softmax_cross_entropy(logits: &Tensor, targets: &[usize]) -> (f32, Tensor
         logits.rows(),
         "one target per logit row required"
     );
-    let probs = softmax(logits);
     let n = logits.rows().max(1) as f32;
+    let inv_n = 1.0 / n;
     let mut loss = 0.0;
-    let mut grad = probs.clone();
+    let mut grad = Tensor::zeros(logits.rows(), logits.cols());
     for (r, &t) in targets.iter().enumerate() {
         assert!(t < logits.cols(), "target {t} out of range");
-        loss -= probs.get(r, t).max(1e-12).ln();
-        grad.set(r, t, grad.get(r, t) - 1.0);
+        let g = grad.row_mut(r);
+        let sum = row_exps(logits.row(r), g);
+        let p_target = g[t] / sum;
+        loss -= p_target.max(1e-12).ln();
+        for e in g.iter_mut() {
+            *e = *e / sum * inv_n;
+        }
+        g[t] = (p_target - 1.0) * inv_n;
     }
-    (loss / n, grad.scale(1.0 / n))
+    (loss / n, grad)
 }
 
 /// Mean-squared error between `pred` and `target`.
@@ -136,6 +158,62 @@ mod tests {
                 "grad[{i}]: {num} vs {}",
                 grad.as_slice()[i]
             );
+        }
+    }
+
+    /// [`softmax`] as shipped before it shared [`row_exps`].
+    fn softmax_reference(logits: &Tensor) -> Tensor {
+        let mut out = Tensor::zeros(logits.rows(), logits.cols());
+        for r in 0..logits.rows() {
+            let row = logits.row(r);
+            let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+            let exps: Vec<f32> = row.iter().map(|&v| (v - max).exp()).collect();
+            let sum: f32 = exps.iter().sum();
+            for (c, e) in exps.iter().enumerate() {
+                out.set(r, c, e / sum);
+            }
+        }
+        out
+    }
+
+    /// [`softmax_cross_entropy`] as shipped before it was fused: softmax →
+    /// copy → subtract the one-hot target → `scale`.
+    fn composed_cross_entropy(logits: &Tensor, targets: &[usize]) -> (f32, Tensor) {
+        let probs = softmax_reference(logits);
+        let n = logits.rows().max(1) as f32;
+        let mut loss = 0.0;
+        let mut grad = probs.clone();
+        for (r, &t) in targets.iter().enumerate() {
+            loss -= probs.get(r, t).max(1e-12).ln();
+            grad.set(r, t, grad.get(r, t) - 1.0);
+        }
+        (loss / n, grad.scale(1.0 / n))
+    }
+
+    #[test]
+    fn fused_cross_entropy_is_bit_identical_to_the_composed_form() {
+        use crate::rng::seeded_rng;
+        use rand::Rng;
+        let mut rng = seeded_rng(17);
+        // 1-row batch, odd widths, a 64-row minibatch, a single class.
+        for (rows, cols) in [(1, 5), (3, 1), (7, 13), (64, 138), (65, 33)] {
+            let data = (0..rows * cols)
+                .map(|_| (rng.gen::<f32>() - 0.5) * 40.0)
+                .collect();
+            let mut logits = Tensor::from_vec(rows, cols, data).unwrap();
+            // One row of equal logits (uniform softmax, exp(0) everywhere).
+            logits.row_mut(rows / 2).fill(3.25);
+            let targets: Vec<usize> = (0..rows).map(|_| rng.gen_range(0..cols)).collect();
+            let bits = |t: &Tensor| t.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&softmax(&logits)),
+                bits(&softmax_reference(&logits)),
+                "softmax at {rows}x{cols}"
+            );
+            let (loss, grad) = softmax_cross_entropy(&logits, &targets);
+            let (want_loss, want_grad) = composed_cross_entropy(&logits, &targets);
+            assert_eq!(loss.to_bits(), want_loss.to_bits(), "loss at {rows}x{cols}");
+            assert_eq!(bits(&grad), bits(&want_grad), "gradient at {rows}x{cols}");
         }
     }
 

@@ -86,6 +86,22 @@ impl Optimizer for Sgd {
 }
 
 /// Adam (Kingma & Ba) with bias correction.
+///
+/// The update walks each parameter **row by row** over zipped slices of
+/// value, gradient and both moments, so the per-element `div`/`sqrt` chain
+/// has no index to bounds-check and vectorises.
+///
+/// Rows that have never received a non-zero gradient are skipped: with
+/// `m = v = g = 0` the step computes `m = v = 0` and
+/// `w − lr·0/(√0 + ε) = w − 0 = w`, so skipping it changes no bit of the
+/// value or of either moment. (`−0.0` counts as zero — it leaves `m`, `v`
+/// at `+0.0` — and `NaN` counts as non-zero; under a negative or
+/// non-finite learning rate that `0` is `−0.0` or `NaN`, and `step` then
+/// skips nothing.) Once a row has seen a gradient its moments keep
+/// decaying on later zero-gradient steps, so it stays active for good. An
+/// embedding table, where a fine-tune round touches a few dozen of several
+/// hundred rows, pays for the touched rows only; the state is one `bool`
+/// per parameter row.
 #[derive(Debug, Clone)]
 pub struct Adam {
     lr: f32,
@@ -95,6 +111,8 @@ pub struct Adam {
     t: u64,
     m: Vec<Vec<f32>>,
     v: Vec<Vec<f32>>,
+    /// Per parameter, per row: has this row ever had a non-zero gradient?
+    active: Vec<Vec<bool>>,
 }
 
 impl Adam {
@@ -108,6 +126,7 @@ impl Adam {
             t: 0,
             m: Vec::new(),
             v: Vec::new(),
+            active: Vec::new(),
         }
     }
 
@@ -125,32 +144,50 @@ impl Adam {
 impl Optimizer for Adam {
     fn step(&mut self, params: &mut [&mut Param]) {
         while self.m.len() < params.len() {
-            let i = self.m.len();
-            self.m.push(vec![0.0; params[i].value.len()]);
-            self.v.push(vec![0.0; params[i].value.len()]);
+            let p = &params[self.m.len()];
+            self.m.push(vec![0.0; p.value.len()]);
+            self.v.push(vec![0.0; p.value.len()]);
+            self.active.push(vec![false; p.value.rows()]);
         }
         self.t += 1;
-        let bc1 = 1.0 - self.beta1.powi(self.t as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.t as i32);
+        let (lr, beta1, beta2, eps) = (self.lr, self.beta1, self.beta2, self.eps);
+        let bc1 = 1.0 - beta1.powi(self.t as i32);
+        let bc2 = 1.0 - beta2.powi(self.t as i32);
+        // What the loop below subtracts from a weight whose `m = v = g = 0`.
+        // Skipping is exact only while that is `+0.0`: a negative `lr` makes
+        // it `−0.0` (which flips a `−0.0` weight), a non-finite one `NaN`.
+        let idle_update = lr * (0.0 / bc1) / ((0.0f32 / bc2).sqrt() + eps);
+        let may_skip = idle_update.to_bits() == 0;
         for (i, p) in params.iter_mut().enumerate() {
-            assert_eq!(
-                self.m[i].len(),
-                p.value.len(),
+            assert!(
+                self.m[i].len() == p.value.len() && self.active[i].len() == p.value.rows(),
                 "optimizer param order changed"
             );
-            let (m, v) = (&mut self.m[i], &mut self.v[i]);
-            for (j, (w, &g)) in p
+            let cols = p.value.cols();
+            if cols == 0 {
+                continue;
+            }
+            let rows = p
                 .value
                 .as_mut_slice()
-                .iter_mut()
-                .zip(p.grad.as_slice())
-                .enumerate()
-            {
-                m[j] = self.beta1 * m[j] + (1.0 - self.beta1) * g;
-                v[j] = self.beta2 * v[j] + (1.0 - self.beta2) * g * g;
-                let m_hat = m[j] / bc1;
-                let v_hat = v[j] / bc2;
-                *w -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
+                .chunks_exact_mut(cols)
+                .zip(p.grad.as_slice().chunks_exact(cols))
+                .zip(self.m[i].chunks_exact_mut(cols))
+                .zip(self.v[i].chunks_exact_mut(cols))
+                .zip(self.active[i].iter_mut());
+            for ((((w_row, g_row), m_row), v_row), active) in rows {
+                // Not `any`: the short-circuit would keep the scan scalar.
+                if may_skip && !*active && !g_row.iter().fold(false, |nz, &g| nz | (g != 0.0)) {
+                    continue;
+                }
+                *active = true;
+                for (((w, &g), m), v) in w_row.iter_mut().zip(g_row).zip(m_row).zip(v_row) {
+                    *m = beta1 * *m + (1.0 - beta1) * g;
+                    *v = beta2 * *v + (1.0 - beta2) * g * g;
+                    let m_hat = *m / bc1;
+                    let v_hat = *v / bc2;
+                    *w -= lr * m_hat / (v_hat.sqrt() + eps);
+                }
             }
         }
     }
@@ -197,6 +234,138 @@ mod tests {
     fn adam_converges_on_linear_regression() {
         let mut opt = Adam::new(0.05);
         assert!(train(&mut opt, 500) < 1e-3);
+    }
+
+    /// The dense scalar Adam loop this crate shipped before the row-sparse
+    /// rewrite, kept as the bit-exactness reference for [`Adam::step`].
+    struct DenseAdam {
+        t: u64,
+        m: Vec<Vec<f32>>,
+        v: Vec<Vec<f32>>,
+    }
+
+    impl DenseAdam {
+        fn step(&mut self, lr: f32, params: &mut [Param]) {
+            let (beta1, beta2, eps) = (0.9f32, 0.999f32, 1e-8f32);
+            while self.m.len() < params.len() {
+                let i = self.m.len();
+                self.m.push(vec![0.0; params[i].value.len()]);
+                self.v.push(vec![0.0; params[i].value.len()]);
+            }
+            self.t += 1;
+            let bc1 = 1.0 - beta1.powi(self.t as i32);
+            let bc2 = 1.0 - beta2.powi(self.t as i32);
+            for (i, p) in params.iter_mut().enumerate() {
+                let (m, v) = (&mut self.m[i], &mut self.v[i]);
+                for (j, (w, &g)) in p
+                    .value
+                    .as_mut_slice()
+                    .iter_mut()
+                    .zip(p.grad.as_slice())
+                    .enumerate()
+                {
+                    m[j] = beta1 * m[j] + (1.0 - beta1) * g;
+                    v[j] = beta2 * v[j] + (1.0 - beta2) * g * g;
+                    let m_hat = m[j] / bc1;
+                    let v_hat = v[j] / bc2;
+                    *w -= lr * m_hat / (v_hat.sqrt() + eps);
+                }
+            }
+        }
+    }
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Steps [`Adam`] and [`DenseAdam`] through the same 24 gradients,
+    /// comparing every value and moment bit after every step.
+    fn adam_against_dense(lr: f32) -> (Adam, Vec<Param>) {
+        use crate::rng::seeded_rng;
+        use rand::Rng;
+        let mut rng = seeded_rng(31);
+        let mut randn = |rows: usize, cols: usize| {
+            let data = (0..rows * cols).map(|_| rng.gen::<f32>() - 0.5).collect();
+            Tensor::from_vec(rows, cols, data).unwrap()
+        };
+        // An embedding-like table whose rows go active one at a time, a
+        // dense weight (width not a multiple of any SIMD lane count), a 1×n
+        // bias, and a parameter that never receives a gradient.
+        let mut fast = vec![
+            Param::new(randn(12, 7)),
+            Param::new(randn(5, 19)),
+            Param::new(randn(1, 9)),
+            Param::new(randn(4, 3)),
+        ];
+        fast[3].value.set(2, 1, -0.0);
+        let mut dense = fast.clone();
+        let mut opt = Adam::new(lr);
+        let mut reference = DenseAdam {
+            t: 0,
+            m: Vec::new(),
+            v: Vec::new(),
+        };
+        for step in 0..24usize {
+            let mut grads = vec![
+                Tensor::zeros(12, 7),
+                randn(5, 19),
+                randn(1, 9),
+                Tensor::zeros(4, 3),
+            ];
+            // Table row r first sees a gradient at step 2·r (rows 0..=11 go
+            // active late, one by one), then only every third step, so
+            // active rows also take zero-gradient decay steps.
+            for r in 0..12 {
+                if step >= 2 * r && (step - 2 * r) % 3 == 0 {
+                    let fresh = randn(1, 7);
+                    grads[0].row_mut(r).copy_from_slice(fresh.as_slice());
+                }
+            }
+            // Signed zeros must not activate a row; NaN must.
+            grads[0].set(11, 0, -0.0);
+            grads[0].set(11, 3, 0.0);
+            grads[1].set(2, 4, -0.0);
+            if step == 9 {
+                grads[1].set(3, 18, f32::NAN);
+                grads[0].set(10, 6, f32::NAN);
+            }
+            for ((f, d), g) in fast.iter_mut().zip(&mut dense).zip(grads) {
+                f.grad = g.clone();
+                d.grad = g;
+            }
+            opt.step(&mut fast.iter_mut().collect::<Vec<_>>());
+            reference.step(lr, &mut dense);
+            for (i, (f, d)) in fast.iter().zip(&dense).enumerate() {
+                assert_eq!(
+                    bits(f.value.as_slice()),
+                    bits(d.value.as_slice()),
+                    "value of param {i} at step {step}"
+                );
+                assert_eq!(bits(&opt.m[i]), bits(&reference.m[i]), "m[{i}] step {step}");
+                assert_eq!(bits(&opt.v[i]), bits(&reference.v[i]), "v[{i}] step {step}");
+            }
+        }
+        (opt, fast)
+    }
+
+    #[test]
+    fn adam_is_bit_identical_to_the_dense_scalar_loop() {
+        let (opt, params) = adam_against_dense(0.01);
+        // The skip really happened: the never-touched parameter has no
+        // active row, the table's last row only signed zeros until step 22.
+        assert!(opt.active[3].iter().all(|&a| !a));
+        assert!(opt.active[0].iter().all(|&a| a));
+        assert!(params[1].value.as_slice().iter().any(|w| w.is_nan()));
+    }
+
+    #[test]
+    fn adam_does_not_skip_when_an_idle_update_is_not_positive_zero() {
+        // `w − (−0.0)` turns a `−0.0` weight into `+0.0`, and an infinite
+        // rate turns every weight into NaN, gradient or not.
+        let (_, params) = adam_against_dense(-0.01);
+        assert_eq!(params[3].value.get(2, 1).to_bits(), 0.0f32.to_bits());
+        let (_, params) = adam_against_dense(f32::INFINITY);
+        assert!(params[3].value.as_slice().iter().all(|w| w.is_nan()));
     }
 
     #[test]

@@ -509,10 +509,10 @@ impl Tensor {
 /// 161³ product. `semcom-par` spawns scoped OS threads per call rather
 /// than keeping a pool, which costs on the order of 100 µs per fan-out;
 /// below this threshold that overhead dominates. Trainer minibatch
-/// products sit near 2^20 flops (~0.2 ms serial) and measurably lose when
-/// fanned out (the `trainer_epoch_4threads` regression in
-/// `BENCH_pr1.json`), while the 512³-scale products the banding exists
-/// for are ~2^28 flops.
+/// products sit near 2^20 flops (64×64×176 in a default fine-tune step:
+/// ≈30 µs serial on the 2-core reference host, see DESIGN.md "Fine-tune
+/// step") and lose outright when fanned out, while the 512³-scale
+/// products the banding exists for are ~2^28 flops.
 pub const PAR_WORK: usize = 1 << 23;
 
 /// Runs `kernel(first_row, band)` over contiguous row bands of `out`
@@ -542,21 +542,22 @@ where
 }
 
 /// Explicit SIMD lane width of the matmul microkernel: output columns are
-/// processed eight at a time through fixed-size `[f32; 8]` accumulator
-/// arrays. Safe portable Rust (this crate forbids `unsafe`), but the
-/// fixed-width value arrays compile to one AVX/NEON register group per
-/// accumulator, so the inner loop vectorizes without intrinsics.
+/// processed in fixed-size `[f32; LANES]` (and, in the 4-row tile,
+/// `[f32; 2 * LANES]`) accumulator arrays. Safe portable Rust (this crate
+/// forbids `unsafe`), but the fixed-width value arrays compile to one
+/// AVX/NEON register group per accumulator, so the inner loop vectorizes
+/// without intrinsics.
 const LANES: usize = 8;
 
 /// Dense row-major product kernel: `band = a_band (rows×k) · b (k×n)`.
 ///
-/// Register-tiled microkernel: four output rows × eight output columns per
-/// tile, with the 4×8 partial sums held in `[f32; 8]` lane arrays
-/// ([`LANES`]) that live in vector registers across the whole `k` block.
-/// Each streamed row of `b` is thus reused fourfold from registers, and the
-/// per-lane multiply-adds vectorize. Columns beyond the last full lane
-/// group (`n % 8 != 0`) and rows beyond the last full quad fall back to
-/// scalar tiles.
+/// Register-tiled microkernel: four output rows × sixteen output columns
+/// per tile ([`mm_tile4`]), with the partial sums held in lane arrays that
+/// live in vector registers across the whole `k` block. Each streamed row
+/// of `b` is thus reused fourfold from registers, and the per-lane
+/// multiply-adds vectorize. Columns beyond the last full 16 fall to an
+/// 8-wide tile and then to scalar columns; rows beyond the last full quad
+/// fall back to one-row tiles.
 ///
 /// The inner loops are dense on purpose: a data-dependent sparse skip (the
 /// old `a == 0.0` branch) defeats vectorization and mispredicts on dense
@@ -605,45 +606,25 @@ fn mm_kernel(a: &[f32], b: &[f32], band: &mut [f32], k_dim: usize, n: usize) {
 }
 
 /// 4-row register tile of [`mm_kernel`]: accumulates `a_rows · b[k0..k1]`
-/// into four output rows, eight columns ([`LANES`]) at a time.
-fn mm_tile4(
-    a_rows: [&[f32]; 4],
-    b: &[f32],
-    (k0, k1): (usize, usize),
-    n: usize,
-    o: [&mut [f32]; 4],
-) {
-    let [a0, a1, a2, a3] = a_rows;
-    let [o0, o1, o2, o3] = o;
-    let mut j = 0;
-    while j + LANES <= n {
-        // Partial sums for this 4×8 tile live in lane arrays (registers)
-        // for the whole k block; loaded/stored once per block.
-        let mut c0: [f32; LANES] = o0[j..j + LANES].try_into().unwrap();
-        let mut c1: [f32; LANES] = o1[j..j + LANES].try_into().unwrap();
-        let mut c2: [f32; LANES] = o2[j..j + LANES].try_into().unwrap();
-        let mut c3: [f32; LANES] = o3[j..j + LANES].try_into().unwrap();
-        for k in k0..k1 {
-            let bv: [f32; LANES] = b[k * n + j..k * n + j + LANES].try_into().unwrap();
-            let (av0, av1, av2, av3) = (a0[k], a1[k], a2[k], a3[k]);
-            for l in 0..LANES {
-                c0[l] += av0 * bv[l];
-                c1[l] += av1 * bv[l];
-                c2[l] += av2 * bv[l];
-                c3[l] += av3 * bv[l];
-            }
-        }
-        o0[j..j + LANES].copy_from_slice(&c0);
-        o1[j..j + LANES].copy_from_slice(&c1);
-        o2[j..j + LANES].copy_from_slice(&c2);
-        o3[j..j + LANES].copy_from_slice(&c3);
-        j += LANES;
-    }
+/// into four output rows — sixteen columns at a time, then eight
+/// ([`LANES`]), then one.
+///
+/// The 16-wide pass is what keeps the adders busy: its eight accumulator
+/// registers (4 rows × 2) are eight independent add chains, enough to
+/// cover the add latency, where the 8-wide pass alone has four. Every
+/// output element still sums its `k` terms in ascending order whichever
+/// pass its column lands in, so the result equals
+/// [`Tensor::matmul_reference`] bit for bit.
+fn mm_tile4(a_rows: [&[f32]; 4], b: &[f32], ks: (usize, usize), n: usize, mut o: [&mut [f32]; 4]) {
+    let j = mm_tile4_cols::<{ 2 * LANES }>(a_rows, b, ks, n, &mut o, 0);
+    let j = mm_tile4_cols::<LANES>(a_rows, b, ks, n, &mut o, j);
     // Scalar fallback for the n % LANES remainder columns: same ascending-k
     // per-element order, so still bit-identical to the reference.
+    let [a0, a1, a2, a3] = a_rows;
+    let [o0, o1, o2, o3] = o;
     for jj in j..n {
         let (mut s0, mut s1, mut s2, mut s3) = (o0[jj], o1[jj], o2[jj], o3[jj]);
-        for k in k0..k1 {
+        for k in ks.0..ks.1 {
             let bv = b[k * n + jj];
             s0 += a0[k] * bv;
             s1 += a1[k] * bv;
@@ -655,6 +636,43 @@ fn mm_tile4(
         o2[jj] = s2;
         o3[jj] = s3;
     }
+}
+
+/// One column pass of [`mm_tile4`]: every full `W`-column group from
+/// column `j` on; returns the first column it did not cover.
+#[inline(always)]
+fn mm_tile4_cols<const W: usize>(
+    [a0, a1, a2, a3]: [&[f32]; 4],
+    b: &[f32],
+    (k0, k1): (usize, usize),
+    n: usize,
+    [o0, o1, o2, o3]: &mut [&mut [f32]; 4],
+    mut j: usize,
+) -> usize {
+    while j + W <= n {
+        // Partial sums for this 4×W tile live in lane arrays (registers)
+        // for the whole k block; loaded/stored once per block.
+        let mut c0: [f32; W] = o0[j..j + W].try_into().unwrap();
+        let mut c1: [f32; W] = o1[j..j + W].try_into().unwrap();
+        let mut c2: [f32; W] = o2[j..j + W].try_into().unwrap();
+        let mut c3: [f32; W] = o3[j..j + W].try_into().unwrap();
+        for k in k0..k1 {
+            let bv: [f32; W] = b[k * n + j..k * n + j + W].try_into().unwrap();
+            let (av0, av1, av2, av3) = (a0[k], a1[k], a2[k], a3[k]);
+            for l in 0..W {
+                c0[l] += av0 * bv[l];
+                c1[l] += av1 * bv[l];
+                c2[l] += av2 * bv[l];
+                c3[l] += av3 * bv[l];
+            }
+        }
+        o0[j..j + W].copy_from_slice(&c0);
+        o1[j..j + W].copy_from_slice(&c1);
+        o2[j..j + W].copy_from_slice(&c2);
+        o3[j..j + W].copy_from_slice(&c3);
+        j += W;
+    }
+    j
 }
 
 /// 1-row tile of [`mm_kernel`] for the rows % 4 remainder band rows.

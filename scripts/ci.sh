@@ -46,6 +46,11 @@ cargo bench -p semcom-bench --bench fleet -- --test
 # The F14 adaptation loop sits on every serving ingress and fleet arrival:
 # the policy step and the adaptive/offload fleet replays must keep running.
 cargo bench -p semcom-bench --bench adapt -- --test
+# `system` pre-trains a SemanticEdgeSystem and `vision` trains an ImageKb:
+# both run the optimizer, loss and matmul kernels end to end (as does the
+# `fit_pairs` routine of the codec bench above).
+cargo bench -p semcom-bench --bench system -- --test
+cargo bench -p semcom-bench --bench vision -- --test
 
 echo "=== int8 accuracy gate (quantization loss < 1%) ==="
 # Redundant with `cargo test --workspace` above but called out as its own
@@ -74,6 +79,15 @@ for fig in f2_snr_sweep f6_channel_ablation f4_cache_sweep t7_fault_sweep; do
         exit 1
     }
     echo "$fig matches golden"
+done
+
+echo "=== fine-tune digest (training numerics pinned to the bit) ==="
+# Redundant with `cargo test --workspace` above at the host's worker count;
+# run here at 1 and 4 so a training kernel that moves one parameter bit, or
+# starts to depend on the worker count, fails next to the goldens it would
+# otherwise only reach through F2 and benchmark/expected/.
+for threads in 1 4; do
+    SEMCOM_THREADS=$threads cargo test -q --test finetune_digest
 done
 
 echo "=== observability golden (T8) + thread invariance ==="

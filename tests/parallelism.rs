@@ -9,7 +9,7 @@
 use semcom_channel::NoiselessChannel;
 use semcom_codec::train::{TrainConfig, Trainer};
 use semcom_codec::{CodecConfig, KbScope, KnowledgeBase};
-use semcom_nn::Tensor;
+use semcom_nn::{Tensor, PAR_WORK};
 use semcom_text::{CorpusGenerator, Domain, LanguageConfig, Rendering};
 use std::sync::Mutex;
 
@@ -34,10 +34,17 @@ fn pseudo(rows: usize, cols: usize, seed: u64) -> Tensor {
 #[test]
 fn matmul_is_bit_identical_across_worker_counts() {
     let _guard = WORKER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    // 96^3 = 884736 multiply-adds, comfortably above the parallel
-    // threshold (PAR_WORK = 2^18).
-    let a = pseudo(96, 96, 1);
-    let b = pseudo(96, 96, 2);
+    // Sized from the public threshold so the product really fans out:
+    // rows · 2·k·n ≥ PAR_WORK, with a row count no worker count in 2..=4
+    // divides, so the bands are uneven as well.
+    let (k, n) = (96, 96);
+    let mut rows = PAR_WORK.div_ceil(2 * k * n);
+    while (2..=4).any(|w| rows.is_multiple_of(w)) {
+        rows += 1;
+    }
+    assert!(rows * 2 * k * n >= PAR_WORK);
+    let a = pseudo(rows, k, 1);
+    let b = pseudo(k, n, 2);
     semcom_par::set_workers(1);
     let reference = a.matmul(&b);
     for workers in 2..=4 {
