@@ -21,8 +21,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use semcom_channel::coding::HammingCode74;
 use semcom_channel::{AwgnChannel, BitPipeline, BitVec, Modulation, TransmitScratch};
 use semcom_fl::{
-    run_sync_round_observed, SyncProtocol, SyncReceiver, SyncSender, TransportConfig,
-    TransportStats,
+    run_sync_round, SyncProtocol, SyncReceiver, SyncSender, TransportConfig, TransportStats,
 };
 use semcom_nn::params::ParamVec;
 use semcom_nn::rng::seeded_rng;
@@ -114,7 +113,7 @@ fn bench_instrumented_sync(c: &mut Criterion) {
                 let mut receiver = SyncReceiver::new();
                 let mut params = before.clone();
                 let mut stats = TransportStats::default();
-                run_sync_round_observed(
+                run_sync_round(
                     &mut sender,
                     &mut receiver,
                     &mut params,
@@ -125,6 +124,7 @@ fn bench_instrumented_sync(c: &mut Criterion) {
                     &mut stats,
                     &rec,
                     0,
+                    None,
                 )
             })
         });

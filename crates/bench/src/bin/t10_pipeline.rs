@@ -23,7 +23,7 @@
 //!
 //! Stdout ends with `Snapshot::to_json_deterministic()` of the section-B
 //! backend recorder: per-stage histogram *counts* (one entry per message:
-//! ingress/encode/PHY/decode/commit), `pipeline_*` counters, and the
+//! ingress/encode/PHY/decode/commit), the `system_*` counters, and the
 //! journal without timestamps. Scheduling-dependent `sched_*` metrics
 //! (queue peaks, observed batch widths, worker counts) are excluded from
 //! the deterministic export by design — they are *expected* to vary with
@@ -197,7 +197,7 @@ fn main() {
     );
 
     // Deterministic export (golden-checked): stage histogram counts,
-    // pipeline_* counters, journal without timestamps. `sched_*` metrics
+    // counters, journal without timestamps. `sched_*` metrics
     // are excluded here and reported on stderr with the full snapshot.
     let snapshot = backend.system.observability_snapshot();
     println!("\n=== deterministic snapshot ===");
@@ -208,7 +208,7 @@ fn main() {
 
     println!("\nexpected shape: section A's two rows are identical between the staged");
     println!("pipeline and the per-message path — same accuracy, same trainings, same");
-    println!("payload symbols. Section B's pipeline_messages counter equals the 400 DES");
-    println!("requests, with per-stage histogram counts of 400 each for");
-    println!("ingress/encode/phy/decode/commit, at every SEMCOM_THREADS.");
+    println!("payload symbols. Section B's system_messages counter equals the 400 DES");
+    println!("requests, and the ingress/semantic_encode/channel/semantic_decode/commit");
+    println!("histogram counts are 400 each, at every SEMCOM_THREADS.");
 }

@@ -3,10 +3,10 @@
 //! PR 10's observability layer, end to end. Four sections:
 //!
 //! * **A — serving span trees**: the same 36-message workload served
-//!   three ways (`send_message`, `send_batch`, `send_stream`) produces
-//!   node-for-node identical span trees — span identity is
+//!   one ticket at a time (`send_message`) and in windows (`send_stream`)
+//!   produces node-for-node identical span trees — span identity is
 //!   content-derived, so the trace structure is a pure function of the
-//!   messages, not of batching or worker scheduling.
+//!   messages, not of window width or worker scheduling.
 //! * **B — transport spans**: T7-style sync rounds over a seeded
 //!   [`FaultyLink`], each round a `sync_session` root with `sync_round`,
 //!   per-try `attempt`, and `resync` children — retries become visible
@@ -41,7 +41,7 @@ use semcom_edge::{
     ShardedFleetConfig, ShardedFleetSim, Topology,
 };
 use semcom_fl::{
-    run_sync_round_traced, PerfectLink, RoundOutcome, SyncProtocol, SyncReceiver, SyncSender,
+    run_sync_round, PerfectLink, RoundOutcome, SyncProtocol, SyncReceiver, SyncSender,
     TransportConfig, TransportStats,
 };
 use semcom_nn::params::ParamVec;
@@ -99,7 +99,7 @@ fn register_users(sys: &mut SemanticEdgeSystem) -> Vec<UserId> {
 }
 
 fn section_a() {
-    println!("\n--- A: serving span trees (message vs batch vs stream) ---");
+    println!("\n--- A: serving span trees (message vs stream) ---");
     const ROUNDS: usize = 12;
     let (mut msg, rec_msg) = traced_system(21);
     let users = register_users(&mut msg);
@@ -107,11 +107,6 @@ fn section_a() {
         for &u in &users {
             msg.send_message(u);
         }
-    }
-    let (mut batch, rec_batch) = traced_system(21);
-    let users = register_users(&mut batch);
-    for _ in 0..ROUNDS {
-        batch.send_batch(&users);
     }
     let (mut stream, rec_stream) = traced_system(21);
     let users = register_users(&mut stream);
@@ -121,19 +116,17 @@ fn section_a() {
 
     let buf = rec_msg.trace_buffer().expect("tracing enabled");
     let lines = buf.structural_lines();
-    for (name, rec) in [("batch", &rec_batch), ("stream", &rec_stream)] {
-        let other = rec.trace_buffer().expect("tracing enabled");
-        assert_eq!(
-            lines,
-            other.structural_lines(),
-            "send_{name} span tree diverges from send_message"
-        );
-    }
+    let windowed = rec_stream.trace_buffer().expect("tracing enabled");
+    assert_eq!(
+        lines,
+        windowed.structural_lines(),
+        "send_stream span tree diverges from send_message"
+    );
     println!("messages,{}", ROUNDS * users.len());
     println!("traces,{}", assert_well_formed(&buf));
     println!("spans,{}", buf.len());
     print_counts("spans_by_name", &buf.counts_by_name());
-    println!("structural_match,message=batch=stream");
+    println!("structural_match,message=stream");
     println!("first_tree:");
     for line in lines.iter().filter(|l| l.starts_with("trace=0 ")) {
         println!("  {line}");
@@ -172,7 +165,7 @@ fn section_b() {
         state = ParamVec::from_parts(state.shapes().to_vec(), stepped).expect("layout kept");
         let parent = SpanContext::root(SESSION_TRACE_BASE | i);
         let t0 = rec.now_ns();
-        let out = run_sync_round_traced(
+        let out = run_sync_round(
             &mut sender,
             &mut receiver,
             &mut rx_params,
@@ -183,8 +176,7 @@ fn section_b() {
             &mut tstats,
             &rec,
             2_000 + i,
-            Some(parent),
-            0,
+            Some((parent, 0)),
         );
         let dur = rec.now_ns().saturating_sub(t0);
         rec.trace_span(TraceSpan::new(parent, None, "sync_session", t0, dur));
@@ -528,7 +520,7 @@ fn main() {
         eprintln!("[timing] section {name}: {:?}", t0.elapsed());
     }
 
-    println!("\nexpected shape: the three serving paths build node-for-node");
+    println!("\nexpected shape: every window width builds node-for-node");
     println!("identical span trees (A); faulty-link retries surface as attempt");
     println!("spans under each sync_round (B); the flash crowd exports a stable");
     println!("Perfetto digest, per-window curves, and asserted slo_breach events");

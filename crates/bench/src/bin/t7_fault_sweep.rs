@@ -42,6 +42,7 @@ use semcom_fl::{
 };
 use semcom_nn::params::ParamVec;
 use semcom_nn::rng::seeded_rng;
+use semcom_obs::Recorder;
 
 /// Decoder-sized parameter layout: one 24x16 weight matrix plus bias row.
 fn initial_params() -> ParamVec {
@@ -123,6 +124,9 @@ fn run_session(
             &mut link_rng,
             config,
             &mut stats,
+            &Recorder::disabled(),
+            0,
+            None,
         );
         check(
             out,
@@ -146,6 +150,9 @@ fn run_session(
             &mut link_rng,
             config,
             &mut stats,
+            &Recorder::disabled(),
+            0,
+            None,
         );
         check(
             out,

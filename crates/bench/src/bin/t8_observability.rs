@@ -30,7 +30,7 @@ use semcom_channel::{
     AwgnChannel, BitPipeline, BitVec, FaultConfig, FaultyLink, Modulation, TransmitScratch,
 };
 use semcom_fl::{
-    run_sync_round_observed, RoundOutcome, SyncProtocol, SyncReceiver, SyncSender, TransportConfig,
+    run_sync_round, RoundOutcome, SyncProtocol, SyncReceiver, SyncSender, TransportConfig,
     TransportStats,
 };
 use semcom_nn::params::ParamVec;
@@ -118,7 +118,7 @@ fn main() {
     for _ in 0..20 {
         let stepped: Vec<f32> = state.as_slice().iter().map(|v| v + 0.01).collect();
         state = ParamVec::from_parts(state.shapes().to_vec(), stepped).expect("layout kept");
-        let out = run_sync_round_observed(
+        let out = run_sync_round(
             &mut sender,
             &mut sync_receiver,
             &mut rx_params,
@@ -129,6 +129,7 @@ fn main() {
             &mut tstats,
             &recorder,
             1000,
+            None,
         );
         if matches!(out, RoundOutcome::Synced { .. }) {
             synced += 1;

@@ -21,6 +21,13 @@
 //! * context-aware **model selection** (§III-A, [`semcom_select`]);
 //! * a physical channel between the edges ([`semcom_channel`]).
 //!
+//! Messages cross the system one way — the window engine of [`stream`]:
+//! [`SemanticEdgeSystem::send_stream`] serves a list of users a
+//! dependency-free window at a time, and
+//! [`SemanticEdgeSystem::send_message`] is the same engine on a one-ticket
+//! window. `system` keeps build, registration, training + decoder sync,
+//! migration, restart and probing.
+//!
 //! # Example
 //!
 //! ```

@@ -1,10 +1,11 @@
-//! Window-parallel message serving: [`SemanticEdgeSystem::send_stream`].
+//! Message serving: [`SemanticEdgeSystem::send_stream`] and its one-ticket
+//! form [`SemanticEdgeSystem::send_message`].
 //!
-//! The sequential [`SemanticEdgeSystem::send_message`] walks one message at
-//! a time through *compose → select → encode → channel → decode → commit*.
-//! Semantic decode is ≈85 % of that walk, so overlapping *stages* gains
-//! nothing; this module instead serves a **window** of mutually independent
-//! messages at once and splits the window's messages across workers:
+//! Every message crosses the system the one way the paper's Fig. 1 draws
+//! it: *compose → select → encode → channel → decode → commit*. Semantic
+//! decode is ≈85 % of that walk, so overlapping *stages* gains nothing;
+//! this module instead serves a **window** of mutually independent messages
+//! at once and splits the window's messages across workers:
 //!
 //! ```text
 //! caller thread            semcom_par::par_chunks workers            caller thread
@@ -18,8 +19,8 @@
 //! * **Ingress** (caller thread, needs `&mut self`): composes the sentence,
 //!   runs §III-A selection and the home-edge cache lookup, captures frozen
 //!   `Arc` handles to the serving encoder/decoder, and pre-assigns the
-//!   message's channel RNG from the same `derive_seed` schedule the
-//!   sequential path uses. Tickets are the positions in the caller's list.
+//!   message's channel RNG from its message index. Tickets are the
+//!   positions in the caller's list.
 //! * **Encode** packs the chunk's slots that share an encoder (`Arc`
 //!   identity) into one forward pass; **decode** does the same per decoder.
 //!   Every row flows through either network independently, so a packed
@@ -34,7 +35,8 @@
 //!
 //! `send_stream` is **bit-identical to the equivalent sequence of
 //! `send_message` calls at any `SEMCOM_THREADS`** (pinned by the
-//! `pipeline_equivalence` property test). Every slot carries its own
+//! `pipeline_equivalence` property test, and by value in
+//! `tests/serving_digest.rs`). Every slot carries its own
 //! channel RNG, seeded from its message index at ingress, so noise draws
 //! never depend on which worker transmits it; and a window closes before
 //! anything a later ingress reads could still be changed by an uncommitted
@@ -57,23 +59,98 @@
 //! window's decoder work reaches [`semcom_nn::PAR_WORK`] (a thread spawn
 //! costs more than a small window); otherwise the same chunk function runs
 //! once, on the caller thread, over the whole window. Spans, counters and
-//! events are recorded identically either way.
+//! events are recorded identically either way. A one-ticket window — all
+//! `send_message` ever opens — has nothing to group or fan out and runs
+//! ingress → encode → PHY → decode → commit strictly in order: sequential
+//! serving is this engine at width 1, not a second implementation.
 
+use crate::config::ChannelModel;
 use crate::metrics::MessageOutcome;
 use crate::server::UserKey;
-use crate::system::{
-    adaptive_transmit_in_place, MsgTraceTimings, SemanticEdgeSystem, SlotLink, UserId,
-};
+use crate::system::{SemanticEdgeSystem, UserId};
 use rand::rngs::StdRng;
-use semcom_channel::{Channel, FeatureScratch};
+use rand::RngCore;
+use semcom_channel::{AwgnChannel, Channel, FeatureScratch, RayleighChannel};
 use semcom_codec::{
     DecodeScratch, EncodeScratch, KnowledgeBase, QuantizedDecoder, QuantizedEncoder,
 };
+use semcom_fl::BufferSample;
 use semcom_nn::rng::{derive_seed, seeded_rng};
 use semcom_nn::Tensor;
-use semcom_obs::{Event, Recorder, Stage};
-use semcom_text::{ConceptId, CorpusGenerator, Domain, Rendering, Sentence};
+use semcom_obs::{Event, Recorder, SpanContext, Stage, TraceSpan};
+use semcom_text::{ConceptId, Domain, Sentence};
 use std::sync::Arc;
+
+/// The per-message transmit configuration the link-adaptation loop picked:
+/// the instantaneous SNR the message actually experiences and the selected
+/// table entry's kept feature dims. Captured once per message at ingress,
+/// in arrival order, so the per-user link trajectory does not depend on how
+/// messages are windowed.
+#[derive(Debug, Clone, Copy)]
+struct SlotLink {
+    /// Instantaneous channel SNR from the user's Markov trace (dB).
+    snr_db: f64,
+    /// Feature dims the selected entry transmits (clamped to the codec
+    /// dim at use).
+    keep: usize,
+    /// Whether the slot's channel is Rayleigh fading (else AWGN).
+    rayleigh: bool,
+}
+
+impl SlotLink {
+    /// Feature dims actually transmitted for a codec of `full_dim`.
+    fn kept(&self, full_dim: usize) -> usize {
+        self.keep.min(full_dim).max(1)
+    }
+}
+
+/// Link-adaptive PHY: transmits only the first `kept` feature dims of each
+/// token row through a channel realized at the slot's instantaneous SNR,
+/// zero-filling the punctured dims for the fixed-width decoder — all in the
+/// caller's buffer: each row's kept prefix is compacted to the front,
+/// `data[..rows·kept]` is transmitted, and the rows are expanded again from
+/// the last one backwards (a row's destination never reaches below its own
+/// or an earlier row's compacted source). With `kept == cols` every move is
+/// onto itself and this is a plain full-width transmit at the slot SNR.
+fn adaptive_transmit_in_place(
+    data: &mut [f32],
+    rows: usize,
+    cols: usize,
+    link: &SlotLink,
+    scratch: &mut FeatureScratch,
+    rng: &mut dyn RngCore,
+) {
+    let keep = link.kept(cols);
+    for r in 1..rows {
+        data.copy_within(r * cols..r * cols + keep, r * keep);
+    }
+    let sent = &mut data[..rows * keep];
+    if link.rayleigh {
+        RayleighChannel::new(link.snr_db).transmit_f32_in_place(sent, scratch, rng);
+    } else {
+        AwgnChannel::new(link.snr_db).transmit_f32_in_place(sent, scratch, rng);
+    }
+    for r in (0..rows).rev() {
+        data.copy_within(r * keep..(r + 1) * keep, r * cols);
+        data[r * cols + keep..(r + 1) * cols].fill(0.0);
+    }
+}
+
+/// Per-stage `(start_ns, dur_ns)` pairs captured while one message moves
+/// through the stages, emitted as child spans of the message's trace root
+/// at commit time. Only populated when the recorder carries a trace buffer,
+/// so tracing-off runs take no extra clock reads.
+#[derive(Debug, Clone, Copy, Default)]
+struct MsgTraceTimings {
+    /// Message start (ingress).
+    start_ns: u64,
+    /// Semantic encode (per-message share of a packed pass).
+    encode: (u64, u64),
+    /// Channel transit (adaptive or fixed).
+    channel: (u64, u64),
+    /// Semantic decode at the peer edge.
+    decode: (u64, u64),
+}
 
 /// Frozen serving-model handle captured at ingress: the f32 knowledge base
 /// or its int8 twin `Q`. Workers read it without locking or cloning
@@ -110,7 +187,6 @@ struct StreamSlot {
     selected: Domain,
     key: UserKey,
     used_user_model: bool,
-    misselected: bool,
     will_train: bool,
     sentence: Sentence,
     enc: Option<StreamEncoder>,
@@ -131,89 +207,106 @@ struct StreamSlot {
     trace: Option<MsgTraceTimings>,
 }
 
-/// The chunk's slots that carry a model, grouped by that model's identity:
-/// `(model, member indices)`, groups and members in first-seen order.
+/// The distinct models the chunk's slots carry, in first-seen order: one
+/// packed NN pass each. A group's members are the slots whose handle has
+/// that model's [`StreamModel::addr`].
 fn group_slots<Q: Clone>(
     chunk: &[StreamSlot],
     model: impl Fn(&StreamSlot) -> Option<&StreamModel<Q>>,
-) -> Vec<(StreamModel<Q>, Vec<usize>)> {
-    let mut groups: Vec<(StreamModel<Q>, Vec<usize>)> = Vec::new();
-    for (i, slot) in chunk.iter().enumerate() {
-        let Some(m) = model(slot) else { continue };
-        match groups.iter_mut().find(|(g, _)| g.addr() == m.addr()) {
-            Some((_, members)) => members.push(i),
-            None => groups.push((m.clone(), vec![i])),
+) -> Vec<StreamModel<Q>> {
+    let mut models: Vec<StreamModel<Q>> = Vec::new();
+    for m in chunk.iter().filter_map(model) {
+        if models.iter().all(|g| g.addr() != m.addr()) {
+            models.push(m.clone());
         }
     }
-    groups
+    models
 }
 
-/// Books one NN stage's wall time since `t0` to the grouped slots in equal
-/// shares (histogram entry, message total, trace span) and returns how many
-/// slots that was.
-fn share_stage_time<Q>(
+/// Collects into `members` the chunk positions whose handle is model `of`.
+fn gather_members<Q>(
+    chunk: &[StreamSlot],
+    model: impl Fn(&StreamSlot) -> Option<&StreamModel<Q>>,
+    of: &StreamModel<Q>,
+    members: &mut Vec<usize>,
+) {
+    members.clear();
+    members.extend(
+        (0..chunk.len()).filter(|&i| model(&chunk[i]).is_some_and(|m| m.addr() == of.addr())),
+    );
+}
+
+/// Books one NN stage's wall time since `t0` to the slots that took part
+/// in equal shares (histogram entry, message total, trace span).
+fn share_stage_time(
     chunk: &mut [StreamSlot],
-    groups: &[(StreamModel<Q>, Vec<usize>)],
+    took_part: impl Fn(&StreamSlot) -> bool,
     stage: Stage,
     t0: u64,
     obs: &Recorder,
     set_trace: impl Fn(&mut MsgTraceTimings, (u64, u64)),
-) -> u64 {
-    let n: u64 = groups.iter().map(|(_, g)| g.len() as u64).sum();
+) {
+    let n = chunk.iter().filter(|s| took_part(s)).count() as u64;
     if let Some(share) = obs.now_ns().saturating_sub(t0).checked_div(n) {
-        for &i in groups.iter().flat_map(|(_, g)| g) {
+        for slot in chunk.iter_mut().filter(|s| took_part(s)) {
             obs.record_ns(stage, share);
-            chunk[i].stage_ns += share;
-            if let Some(t) = chunk[i].trace.as_mut() {
+            slot.stage_ns += share;
+            if let Some(t) = slot.trace.as_mut() {
                 set_trace(t, (t0, share));
             }
         }
     }
-    n
 }
 
 /// Encode stage: groups the chunk by serving encoder and packs each group
 /// into one forward pass.
 fn run_encode(chunk: &mut [StreamSlot], obs: &Recorder) {
     let t0 = obs.now_ns();
-    let groups = group_slots(chunk, |s| s.enc.as_ref());
+    let models = group_slots(chunk, |s| s.enc.as_ref());
     let mut scratch = EncodeScratch::new();
-    let mut packed: Vec<usize> = Vec::new();
-    for (enc, g) in &groups {
-        match enc {
-            StreamModel::F32(kb) => {
-                let lists: Vec<&[usize]> = g
-                    .iter()
-                    .map(|&i| chunk[i].sentence.tokens.as_slice())
-                    .collect();
-                let feats = kb.encoder.encode_batch(&lists);
-                for (&i, f) in g.iter().zip(feats) {
-                    chunk[i].features = Some(f);
-                }
-            }
-            StreamModel::Int8(enc) => {
+    let (mut members, mut packed) = (Vec::new(), Vec::new());
+    for enc in &models {
+        gather_members(chunk, |s| s.enc.as_ref(), enc, &mut members);
+        // A lone member's token list is the packed input as it stands.
+        let tokens: &[usize] = match members[..] {
+            [i] => &chunk[i].sentence.tokens,
+            _ => {
                 packed.clear();
-                for &i in g {
+                for &i in &members {
                     packed.extend_from_slice(&chunk[i].sentence.tokens);
                 }
-                let flat = enc.encode_batch_into(&packed, &mut scratch);
-                let dim = enc.feature_dim();
-                let mut row = 0;
-                for &i in g {
-                    let len = chunk[i].sentence.tokens.len();
-                    let part = flat[row * dim..(row + len) * dim].to_vec();
-                    chunk[i].features =
-                        Some(Tensor::from_vec(len, dim, part).expect("split preserves shape"));
-                    row += len;
-                }
+                &packed
             }
+        };
+        let features;
+        let (flat, dim) = match enc {
+            StreamModel::F32(kb) => {
+                features = kb.encoder.encode(tokens);
+                (features.as_slice(), features.cols())
+            }
+            StreamModel::Int8(enc) => (
+                enc.encode_batch_into(tokens, &mut scratch),
+                enc.feature_dim(),
+            ),
+        };
+        let mut row = 0;
+        for &i in &members {
+            let len = chunk[i].sentence.tokens.len();
+            let part = flat[row * dim..(row + len) * dim].to_vec();
+            chunk[i].features =
+                Some(Tensor::from_vec(len, dim, part).expect("split preserves shape"));
+            row += len;
         }
     }
-    let n = share_stage_time(chunk, &groups, Stage::SemanticEncode, t0, obs, |t, span| {
-        t.encode = span
-    });
-    if n > 0 {
-        obs.add("pipeline_stage_encode", n);
+    share_stage_time(
+        chunk,
+        |s| s.enc.is_some(),
+        Stage::SemanticEncode,
+        t0,
+        obs,
+        |t, span| t.encode = span,
+    );
+    if !models.is_empty() {
         obs.add("sched_stream_encode_batches", 1);
     }
 }
@@ -223,7 +316,6 @@ fn run_encode(chunk: &mut [StreamSlot], obs: &Recorder) {
 /// warm).
 fn run_phy(chunk: &mut [StreamSlot], channel: &dyn Channel, obs: &Recorder) {
     let mut scratch = FeatureScratch::new();
-    let mut n = 0u64;
     for slot in chunk {
         let Some(f) = slot.features.as_mut() else {
             continue;
@@ -243,10 +335,6 @@ fn run_phy(chunk: &mut [StreamSlot], channel: &dyn Channel, obs: &Recorder) {
         if let Some(t) = slot.trace.as_mut() {
             t.channel = (t0, elapsed);
         }
-        n += 1;
-    }
-    if n > 0 {
-        obs.add("pipeline_stage_phy", n);
     }
 }
 
@@ -254,42 +342,51 @@ fn run_phy(chunk: &mut [StreamSlot], channel: &dyn Channel, obs: &Recorder) {
 /// ingress and runs one packed `predict` per group.
 fn run_decode(chunk: &mut [StreamSlot], obs: &Recorder) {
     let t0 = obs.now_ns();
-    let groups = group_slots(chunk, |s| s.dec.as_ref());
+    let models = group_slots(chunk, |s| s.dec.as_ref());
     let mut scratch = DecodeScratch::new();
-    let mut packed: Vec<f32> = Vec::new();
+    let mut members = Vec::new();
     let mut concepts: Vec<ConceptId> = Vec::new();
-    for (dec, g) in &groups {
-        packed.clear();
-        for &i in g {
-            let f = chunk[i].features.as_ref().expect("encoded before decode");
-            packed.extend_from_slice(f.as_slice());
-        }
-        match dec {
-            StreamModel::F32(kb) => {
-                let dim = kb.decoder.feature_dim();
-                let rows = packed.len() / dim;
-                let received = Tensor::from_vec(rows, dim, std::mem::take(&mut packed))
+    for dec in &models {
+        gather_members(chunk, |s| s.dec.as_ref(), dec, &mut members);
+        let features = |i: usize| chunk[i].features.as_ref().expect("encoded before decode");
+        // A lone member's tensor is the packed input as it stands.
+        let packed;
+        let received = match members[..] {
+            [i] => features(i),
+            _ => {
+                let dim = features(members[0]).cols();
+                let mut rows = Vec::new();
+                for &i in &members {
+                    rows.extend_from_slice(features(i).as_slice());
+                }
+                packed = Tensor::from_vec(rows.len() / dim, dim, rows)
                     .expect("whole feature rows were packed");
-                concepts = kb.decoder.predict(&received);
-                packed = received.into_vec();
+                &packed
             }
+        };
+        match dec {
+            StreamModel::F32(kb) => concepts = kb.decoder.predict(received),
             StreamModel::Int8(qd) => {
-                let rows = packed.len() / qd.feature_dim();
-                qd.predict_into(&packed, rows, &mut scratch, &mut concepts);
+                let rows = received.rows();
+                qd.predict_into(received.as_slice(), rows, &mut scratch, &mut concepts);
             }
         }
         let mut row = 0;
-        for &i in g {
+        for &i in &members {
             let len = chunk[i].sentence.tokens.len();
             chunk[i].decoded = concepts[row..row + len].to_vec();
             row += len;
         }
     }
-    let n = share_stage_time(chunk, &groups, Stage::SemanticDecode, t0, obs, |t, span| {
-        t.decode = span
-    });
-    if n > 0 {
-        obs.add("pipeline_stage_decode", n);
+    share_stage_time(
+        chunk,
+        |s| s.dec.is_some(),
+        Stage::SemanticDecode,
+        t0,
+        obs,
+        |t, span| t.decode = span,
+    );
+    if !models.is_empty() {
         obs.add("sched_stream_decode_batches", 1);
     }
 }
@@ -303,20 +400,34 @@ fn run_chunk(chunk: &mut [StreamSlot], channel: &dyn Channel, obs: &Recorder) {
 }
 
 impl SemanticEdgeSystem {
+    /// Sends one message for `user` through the full pipeline: selection →
+    /// (user or general) semantic encoding at the home edge → channel →
+    /// decoding at the peer edge → sender-side mismatch bookkeeping via the
+    /// decoder copy → buffer fill → possible user-model training and
+    /// decoder sync. This is [`Self::send_stream`] on a one-ticket window.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the user is unknown.
+    pub fn send_message(&mut self, user: UserId) -> MessageOutcome {
+        let mut outcomes = self.send_stream(&[user]);
+        outcomes.pop().expect("one outcome per ticket")
+    }
+
     /// Sends one message for every listed user, serving them a
     /// **dependency-free window** at a time: ingress and ordered commit on
     /// the caller thread, encode → PHY → decode of whole messages on
     /// `semcom-par` workers, each taking a contiguous chunk of the window
     /// and packing the slots that share a model into one NN pass. Results
-    /// are returned in input order and are **bit-identical to the
-    /// equivalent sequence of [`Self::send_message`] calls at any
-    /// `SEMCOM_THREADS`** — see the [module docs](crate::stream) for the
-    /// window rules that guarantee it. Small windows, one worker, and calls
-    /// from inside a worker run the same chunk function inline.
+    /// are returned in input order and are **bit-identical at any
+    /// `SEMCOM_THREADS` and any split of the list into calls** — see the
+    /// [module docs](crate::stream) for the window rules that guarantee
+    /// it. Small windows, one worker, and calls from inside a worker run
+    /// the same chunk function inline.
     ///
     /// # Panics
     ///
-    /// Panics if any user is unknown.
+    /// Panics if any user is unknown, before any state changes.
     pub fn send_stream(&mut self, users: &[UserId]) -> Vec<MessageOutcome> {
         for user in users {
             assert!(self.users.contains_key(user), "user is registered");
@@ -324,7 +435,6 @@ impl SemanticEdgeSystem {
         if users.is_empty() {
             return Vec::new();
         }
-        self.obs.add("pipeline_messages", users.len() as u64);
         let base = self.metrics.messages;
         let workers = if semcom_par::in_worker() {
             1
@@ -384,32 +494,43 @@ impl SemanticEdgeSystem {
         outcomes
     }
 
-    /// Ingress for message index `msg_idx`: compose, select, cache lookup,
-    /// model capture, training prediction, RNG pre-assignment. Runs on the
-    /// caller thread; the only stage besides commit that touches
-    /// `&mut self`.
+    /// Ingress for message index `msg_idx`: compose, link step, select,
+    /// cache lookup, model capture, training prediction, RNG
+    /// pre-assignment. Runs on the caller thread; the only stage besides
+    /// commit that touches `&mut self`.
     fn stream_ingress(&mut self, user: UserId, msg_idx: u64) -> StreamSlot {
         let t0 = self.obs.now_ns();
-        let (sentence, home, peer, true_domain) = {
-            let profile = self.users.get(&user).expect("user is registered");
-            let mut gen = CorpusGenerator::new(
-                &self.language,
-                derive_seed(self.seed, 1_000_000 + msg_idx * 7 + user),
-            );
-            (
-                gen.sentence(profile.domain, Rendering::Idiolect(&profile.idiolect)),
-                profile.home,
-                profile.peer,
-                profile.domain,
-            )
-        };
-        let link = self.advance_link(user);
-        let (selected, key, used_user_model, misselected) =
-            self.select_and_lookup(user, true_domain, home, &sentence.tokens);
+        let profile = self.users.get(&user).expect("user is registered");
+        let (home, peer, true_domain) = (profile.home, profile.peer, profile.domain);
+        let sentence = self.compose(user, profile, msg_idx);
+
+        // The user's link advances exactly once per message, in arrival
+        // order, so the per-user Markov trace is independent of windowing.
+        let link = self.links.get_mut(&user).map(|state| {
+            let d = state.step();
+            self.adapt_messages += 1;
+            self.adapt_switches += d.switched as u64;
+            SlotLink {
+                snr_db: d.snr_db,
+                keep: d.link.feature_dim,
+                rayleigh: matches!(self.config.channel, ChannelModel::Rayleigh { .. }),
+            }
+        });
+
+        // §III-A: pick the domain model from message content + context,
+        // then look it up (recording hit/miss) in the home edge's
+        // user-model cache. A misselection is journaled at commit.
+        let selected = self
+            .selectors
+            .get_mut(&user)
+            .expect("selector per registered user")
+            .select(&sentence.tokens);
+        let key: UserKey = (user, selected);
+        let used_user_model = self.servers[home].lookup_user_kb(&key);
 
         // Capture frozen serving handles. A training ticket closes its
-        // window, so the captured models are exactly what the sequential path
-        // would read at its encode/decode time.
+        // window, so the captured models are exactly what is resident when
+        // every earlier message has committed.
         let (enc, dec) = if sentence.tokens.is_empty() {
             (None, None)
         } else {
@@ -466,7 +587,6 @@ impl SemanticEdgeSystem {
         let rng = seeded_rng(derive_seed(self.seed, 2_000_000 + msg_idx));
         let ingress_ns = self.obs.now_ns().saturating_sub(t0);
         self.obs.record_ns(Stage::Ingress, ingress_ns);
-        self.obs.add("pipeline_stage_ingress", 1);
         StreamSlot {
             msg_idx,
             user,
@@ -476,7 +596,6 @@ impl SemanticEdgeSystem {
             selected,
             key,
             used_user_model,
-            misselected,
             will_train,
             sentence,
             enc,
@@ -494,8 +613,9 @@ impl SemanticEdgeSystem {
         }
     }
 
-    /// Ordered commit: deferred journal events, then the shared back half
-    /// of serving (buffers, training, sync, metrics, selector feedback).
+    /// Ordered commit: the deferred misselection event, mismatch
+    /// bookkeeping, buffer fill, training trigger, metrics, selector
+    /// feedback and the message's trace tree.
     fn stream_commit(&mut self, slot: StreamSlot) -> MessageOutcome {
         let t0 = self.obs.now_ns();
         let StreamSlot {
@@ -507,7 +627,6 @@ impl SemanticEdgeSystem {
             selected,
             key,
             used_user_model,
-            misselected,
             will_train,
             sentence,
             link,
@@ -520,39 +639,109 @@ impl SemanticEdgeSystem {
         // The unbound fields (enc, dec, rng, features) drop here, so a
         // training round's `Arc::make_mut` never clones weights for a
         // handle this slot was still holding.
-        if misselected {
+        if selected != true_domain {
             self.obs.emit(Event::DomainMisselected {
                 user,
                 selected: selected.index() as u8,
                 actual: true_domain.index() as u8,
             });
         }
-        let kept_dim = link.map(|l| l.kept(self.config.codec.feature_dim));
-        let outcome = self.finalize_core(
-            user,
-            home,
-            peer,
-            true_domain,
-            selected,
+
+        // §II-C: the home edge has the decoder copy (d_i^m = d_j^m) and the
+        // ground truth, so it records the mismatch locally — no output is
+        // echoed back over the network.
+        let buffer = self.servers[home].buffer_mut(
             key,
-            used_user_model,
-            msg_idx,
-            &sentence,
-            decoded,
-            kept_dim,
-            trace,
+            self.config.buffer_capacity,
+            self.config.buffer_threshold,
         );
+        let mut correct = 0u64;
+        for ((&token, concept), got) in sentence.tokens.iter().zip(&sentence.concepts).zip(&decoded)
+        {
+            correct += (got == concept) as u64;
+            buffer.push(BufferSample {
+                token,
+                concept: concept.index(),
+                correct: got == concept,
+            });
+        }
+        let trained = buffer.is_ready();
         debug_assert_eq!(
-            outcome.trained, will_train,
+            trained, will_train,
             "ingress training prediction must match the commit"
         );
+
+        // §II-D: enough data in b_m → train the user-specific model and
+        // ship the decoder update to the peer edge.
+        let sync_bytes = if trained {
+            self.train_and_sync(key, home, peer, msg_idx)
+        } else {
+            0
+        };
+
+        // Bookkeeping. A punctured adaptive transmit spends fewer channel
+        // symbols per token (`kept / 2` complex uses instead of `dim / 2`).
+        let codec = &self.config.codec;
+        let symbols_per_token = match link {
+            Some(l) => l.kept(codec.feature_dim).div_ceil(2),
+            None => codec.symbols_per_token(),
+        };
+        let tokens = sentence.tokens.len();
+        let outcome = MessageOutcome {
+            user,
+            true_domain,
+            selected_domain: selected,
+            sent: sentence.concepts,
+            decoded,
+            used_user_model,
+            trained,
+            sync_bytes,
+            symbols: symbols_per_token * tokens,
+        };
+        self.metrics.messages += 1;
+        self.metrics.tokens += tokens as u64;
+        self.metrics.correct_tokens += correct;
+        self.metrics.selection_correct += outcome.selection_correct() as u64;
+        self.metrics.payload_symbols += outcome.symbols as u64;
+        self.metrics.user_model_messages += used_user_model as u64;
+        self.metrics.trainings += trained as u64;
+        // §III-A feedback loop: the home edge's decoder copy tells it how
+        // well this selection decoded; RL selectors learn from it.
+        self.selectors
+            .get_mut(&user)
+            .expect("selector per registered user")
+            .observe(outcome.accuracy());
+
+        // Causal trace: one tree per message, identical in structure at
+        // any window width. Child ordinals are fixed (0 = encode,
+        // 1 = channel, 2 = decode; train/sync children 3/4 are emitted by
+        // `train_and_sync`), and all spans land here, on the caller
+        // thread, in commit order.
+        if let Some(t) = trace {
+            let root = SpanContext::root(msg_idx);
+            for (ordinal, name, (start, dur)) in [
+                (0, "semantic_encode", t.encode),
+                (1, "channel", t.channel),
+                (2, "semantic_decode", t.decode),
+            ] {
+                self.obs.trace_span(TraceSpan::new(
+                    root.child(ordinal),
+                    Some(root.span),
+                    name,
+                    start,
+                    dur,
+                ));
+            }
+            let dur = self.obs.now_ns().saturating_sub(t.start_ns);
+            self.obs
+                .trace_span(TraceSpan::new(root, None, "message", t.start_ns, dur));
+        }
+
         let commit_ns = self.obs.now_ns().saturating_sub(t0);
         self.obs.record_ns(Stage::Commit, commit_ns);
-        // Per-message parity with the sequential path's envelope spans.
         self.obs.record_ns(Stage::SemanticTransmit, stage_ns);
         self.obs
             .record_ns(Stage::Message, ingress_ns + stage_ns + commit_ns);
-        self.obs.add("pipeline_stage_commit", 1);
         outcome
     }
 }
@@ -561,6 +750,76 @@ impl SemanticEdgeSystem {
 mod tests {
     use super::*;
     use crate::SystemConfig;
+
+    /// The pack → transmit → copy back form the in-place puncture replaced,
+    /// kept as its reference.
+    fn adaptive_transmit_reference(
+        data: &mut [f32],
+        rows: usize,
+        cols: usize,
+        link: &SlotLink,
+        rng: &mut dyn RngCore,
+    ) {
+        let keep = link.kept(cols);
+        let mut packed = Vec::with_capacity(rows * keep);
+        for r in 0..rows {
+            packed.extend_from_slice(&data[r * cols..r * cols + keep]);
+        }
+        let mut scratch = FeatureScratch::new();
+        if link.rayleigh {
+            RayleighChannel::new(link.snr_db).transmit_f32_in_place(&mut packed, &mut scratch, rng);
+        } else {
+            AwgnChannel::new(link.snr_db).transmit_f32_in_place(&mut packed, &mut scratch, rng);
+        }
+        for r in 0..rows {
+            data[r * cols..r * cols + keep].copy_from_slice(&packed[r * keep..(r + 1) * keep]);
+            data[r * cols + keep..(r + 1) * cols].fill(0.0);
+        }
+    }
+
+    #[test]
+    fn in_place_puncture_matches_pack_and_copy_back_bit_for_bit() {
+        let cols = 8;
+        let mut scratch = FeatureScratch::new();
+        for rayleigh in [false, true] {
+            for keep in [1, cols / 2, cols - 1, cols] {
+                for rows in [1, 2, 7] {
+                    let link = SlotLink {
+                        snr_db: 3.5,
+                        keep,
+                        rayleigh,
+                    };
+                    let features: Vec<f32> = (0..rows * cols)
+                        .map(|i| (i as f32 * 0.37).sin() + 0.01 * i as f32)
+                        .collect();
+                    let seed = (rows * 100 + keep) as u64;
+                    let mut expected = features.clone();
+                    adaptive_transmit_reference(
+                        &mut expected,
+                        rows,
+                        cols,
+                        &link,
+                        &mut seeded_rng(seed),
+                    );
+                    let mut got = features;
+                    adaptive_transmit_in_place(
+                        &mut got,
+                        rows,
+                        cols,
+                        &link,
+                        &mut scratch,
+                        &mut seeded_rng(seed),
+                    );
+                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(&got),
+                        bits(&expected),
+                        "rayleigh={rayleigh} keep={keep} rows={rows}"
+                    );
+                }
+            }
+        }
+    }
 
     /// A chunk that mixes decoders (users spread over the domains) and has
     /// an empty message in the middle: every slot's share of a packed

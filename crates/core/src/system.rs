@@ -1,25 +1,22 @@
 use crate::config::{ChannelModel, SelectionStrategy, SystemConfig};
-use crate::metrics::{MessageOutcome, SystemMetrics};
+use crate::metrics::SystemMetrics;
 use crate::server::{EdgeServer, UserKey};
-use rand::RngCore;
 use semcom_channel::adapt::LinkState;
-use semcom_channel::{AwgnChannel, Channel, FeatureScratch, RayleighChannel};
+use semcom_channel::{AwgnChannel, Channel, RayleighChannel};
 use semcom_codec::train::Trainer;
 use semcom_codec::{
     quantize_model, KbScope, KnowledgeBase, QuantizedDecoder, QuantizedEncoder, QuantizedKb,
 };
 use semcom_fl::{
-    run_sync_round_traced, BufferSample, RoundOutcome, SyncLink, SyncReceiver, SyncSender,
-    TransportConfig, TransportStats,
+    run_sync_round, RoundOutcome, SyncLink, SyncReceiver, SyncSender, TransportConfig,
+    TransportStats,
 };
 use semcom_nn::params::ParamVec;
 use semcom_nn::rng::{derive_seed, seeded_rng};
-use semcom_nn::Tensor;
 use semcom_obs::{Event, Recorder, RejectCause, Snapshot, SpanContext, Stage, TraceSpan};
 use semcom_select::{BanditSelector, ContextualSelector, DomainSelector, NaiveBayesSelector};
 use semcom_text::{
-    ConceptId, CorpusGenerator, Domain, Idiolect, IdiolectConfig, Rendering, Sentence,
-    SyntheticLanguage,
+    CorpusGenerator, Domain, Idiolect, IdiolectConfig, Rendering, Sentence, SyntheticLanguage,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -48,108 +45,6 @@ pub(crate) struct QuantServing {
     pub(crate) general: HashMap<Domain, (Arc<QuantizedEncoder>, Arc<QuantizedDecoder>)>,
     pub(crate) user_encoders: HashMap<UserKey, Arc<QuantizedEncoder>>,
     pub(crate) user_decoders: HashMap<UserKey, Arc<QuantizedDecoder>>,
-}
-
-/// The per-message transmit configuration the link-adaptation loop picked:
-/// the instantaneous SNR the message actually experiences, the estimator's
-/// view, and the selected table entry (kept feature dims). Captured once
-/// per message at ingress, so every send path — sequential, batched,
-/// streamed — sees the identical per-user link trajectory.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct SlotLink {
-    /// Instantaneous channel SNR from the user's Markov trace (dB).
-    pub(crate) snr_db: f64,
-    /// Feature dims the selected entry transmits (clamped to the codec
-    /// dim at use).
-    pub(crate) keep: usize,
-    /// Whether the slot's channel is Rayleigh fading (else AWGN).
-    pub(crate) rayleigh: bool,
-}
-
-impl SlotLink {
-    /// Feature dims actually transmitted for a codec of `full_dim`.
-    pub(crate) fn kept(&self, full_dim: usize) -> usize {
-        self.keep.min(full_dim).max(1)
-    }
-}
-
-/// Link-adaptive PHY: transmits only the first `kept` feature dims of each
-/// token row through a channel realized at the slot's instantaneous SNR,
-/// zero-filling the punctured dims for the fixed-width decoder. Shared by
-/// the sequential, batched, and streamed paths (same packing, same RNG
-/// order → bit-identical across them). With `kept == cols` this degenerates
-/// to a plain full-width transmit at the slot SNR.
-pub(crate) fn adaptive_transmit_in_place(
-    data: &mut [f32],
-    rows: usize,
-    cols: usize,
-    link: &SlotLink,
-    scratch: &mut FeatureScratch,
-    rng: &mut dyn RngCore,
-) {
-    let keep = link.kept(cols);
-    let transmit = |buf: &mut [f32], scratch: &mut FeatureScratch, rng: &mut dyn RngCore| {
-        if link.rayleigh {
-            RayleighChannel::new(link.snr_db).transmit_f32_in_place(buf, scratch, rng);
-        } else {
-            AwgnChannel::new(link.snr_db).transmit_f32_in_place(buf, scratch, rng);
-        }
-    };
-    if keep == cols {
-        transmit(data, scratch, rng);
-        return;
-    }
-    let mut packed = Vec::with_capacity(rows * keep);
-    for r in 0..rows {
-        packed.extend_from_slice(&data[r * cols..r * cols + keep]);
-    }
-    transmit(&mut packed, scratch, rng);
-    for r in 0..rows {
-        data[r * cols..r * cols + keep].copy_from_slice(&packed[r * keep..(r + 1) * keep]);
-        for v in &mut data[r * cols + keep..(r + 1) * cols] {
-            *v = 0.0;
-        }
-    }
-}
-
-/// Per-message state shared by the sequential and batched send paths: the
-/// composed sentence plus everything selection and cache lookup decided,
-/// tagged with the message index that seeds channel noise and training.
-struct MessageSlot {
-    user: UserId,
-    profile: UserProfile,
-    sentence: Sentence,
-    selected: Domain,
-    key: UserKey,
-    used_user_model: bool,
-    msg_idx: u64,
-    /// Pre-computed encoder output (batched path); `None` means encode on
-    /// demand.
-    features: Option<Tensor>,
-    /// The adaptive link decision for this message (`None` when link
-    /// adaptation is disabled).
-    link: Option<SlotLink>,
-    /// `(start_ns, dur_ns)` of this message's (share of a) semantic
-    /// encode, captured for the causal trace when the batched path
-    /// encoded before [`SemanticEdgeSystem::transmit_slot`] ran. Only
-    /// populated when tracing is enabled.
-    trace_encode: (u64, u64),
-}
-
-/// Per-stage `(start_ns, dur_ns)` pairs captured while one message moves
-/// through the pipeline, emitted as child spans of the message's trace
-/// root at commit time. Only populated when the recorder carries a trace
-/// buffer, so tracing-off runs take no extra clock reads.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct MsgTraceTimings {
-    /// Message start (composition/ingress).
-    pub start_ns: u64,
-    /// Semantic encode (per-message share of a packed pass).
-    pub encode: (u64, u64),
-    /// Channel transit (adaptive or fixed).
-    pub channel: (u64, u64),
-    /// Semantic decode at the peer edge.
-    pub decode: (u64, u64),
 }
 
 /// The complete semantic edge computing and caching system of the paper's
@@ -531,26 +426,6 @@ impl SemanticEdgeSystem {
         id
     }
 
-    /// Advances the user's link-adaptation state by one message slot and
-    /// returns the transmit configuration it picked; `None` when link
-    /// adaptation is disabled. Called exactly once per message, in arrival
-    /// order, by every send path (sequential, batched, streamed), so the
-    /// per-user trace is path-independent.
-    pub(crate) fn advance_link(&mut self, user: UserId) -> Option<SlotLink> {
-        let rayleigh = matches!(self.config.channel, ChannelModel::Rayleigh { .. });
-        let link = self.links.get_mut(&user)?;
-        let d = link.step();
-        self.adapt_messages += 1;
-        if d.switched {
-            self.adapt_switches += 1;
-        }
-        Some(SlotLink {
-            snr_db: d.snr_db,
-            keep: d.link.feature_dim,
-            rayleigh,
-        })
-    }
-
     /// Link-adaptation counters: `(messages served adaptively, config
     /// switches made)`. Both zero unless [`SystemConfig::adapt`] is set.
     pub fn adapt_stats(&self) -> (u64, u64) {
@@ -605,508 +480,28 @@ impl SemanticEdgeSystem {
     /// Panics if the user is unknown.
     pub fn compose_message(&self, user: UserId) -> Sentence {
         let profile = self.users.get(&user).expect("user is registered");
+        self.compose(user, profile, self.metrics.messages)
+    }
+
+    /// The sentence `user` utters as message number `msg_idx`.
+    pub(crate) fn compose(&self, user: UserId, profile: &UserProfile, msg_idx: u64) -> Sentence {
         let mut gen = CorpusGenerator::new(
             &self.language,
-            derive_seed(self.seed, 1_000_000 + self.metrics.messages * 7 + user),
+            derive_seed(self.seed, 1_000_000 + msg_idx * 7 + user),
         );
         gen.sentence(profile.domain, Rendering::Idiolect(&profile.idiolect))
-    }
-
-    /// Sends one message for `user` through the full pipeline: selection →
-    /// (user or general) semantic encoding at the home edge → channel →
-    /// decoding at the peer edge → sender-side mismatch bookkeeping via the
-    /// decoder copy → buffer fill → possible user-model training and
-    /// decoder sync.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the user is unknown.
-    pub fn send_message(&mut self, user: UserId) -> MessageOutcome {
-        let sentence = self.compose_message(user);
-        self.send_sentence(user, &sentence)
-    }
-
-    /// Like [`Self::send_message`] with an explicit, caller-composed
-    /// sentence.
-    pub fn send_sentence(&mut self, user: UserId, sentence: &Sentence) -> MessageOutcome {
-        let _msg_span = self.obs.span(Stage::Message);
-        let msg_idx = self.metrics.messages;
-        let mut trace = self.obs.tracing_enabled().then(|| MsgTraceTimings {
-            start_ns: self.obs.now_ns(),
-            ..MsgTraceTimings::default()
-        });
-        let slot = self.prepare_slot(user, sentence.clone(), msg_idx);
-        let mut rng = seeded_rng(derive_seed(self.seed, 2_000_000 + msg_idx));
-        let decoded = {
-            let _span = self.obs.span(Stage::SemanticTransmit);
-            self.transmit_slot(&slot, &mut rng, trace.as_mut())
-        };
-        self.finalize_slot(&slot, decoded, trace)
-    }
-
-    /// Sends one message for every listed user with the encoder work
-    /// **batched across users**: messages that resolve to the same encoder
-    /// (same edge, same model) are packed into one activation matrix and
-    /// encoded in a single matmul. Per-row independence of the encoder
-    /// makes the packed pass bit-identical to per-user encodes, and every
-    /// message keeps its own composition/channel/training seed schedule
-    /// (the message counter advances one slot at a time exactly as in
-    /// sequential [`Self::send_message`] calls). For *distinct* users a
-    /// batch therefore matches the sequential loop unless a mid-batch
-    /// training round would have evicted a later user's cached model.
-    ///
-    /// The realized packing is published on the attached recorder as the
-    /// `encode_batch_size` gauge (mean feature rows per encoder matmul).
-    /// Every message in a batch records its **own** per-stage histogram
-    /// entries — a [`Stage::SemanticEncode`] share of its group's packed
-    /// pass and a full [`Stage::SemanticTransmit`] — not just one envelope
-    /// span per group.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any user is unknown.
-    pub fn send_batch(&mut self, users: &[UserId]) -> Vec<MessageOutcome> {
-        // Phase 1: compose + select + cache lookup, in arrival order.
-        let base = self.metrics.messages;
-        let mut slots: Vec<MessageSlot> = Vec::with_capacity(users.len());
-        for (i, &user) in users.iter().enumerate() {
-            let msg_idx = base + i as u64;
-            let profile = self.users.get(&user).expect("user is registered");
-            let mut gen = CorpusGenerator::new(
-                &self.language,
-                derive_seed(self.seed, 1_000_000 + msg_idx * 7 + user),
-            );
-            let sentence = gen.sentence(profile.domain, Rendering::Idiolect(&profile.idiolect));
-            slots.push(self.prepare_slot(user, sentence, msg_idx));
-        }
-
-        // Phase 2: group slots by serving encoder and encode each group in
-        // one packed forward pass. Empty messages never reach the encoder.
-        type EncoderKey = (usize, Option<UserKey>, Domain);
-        let mut groups: Vec<(EncoderKey, Vec<usize>)> = Vec::new();
-        for (i, slot) in slots.iter().enumerate() {
-            if slot.sentence.tokens.is_empty() {
-                continue;
-            }
-            let gkey = (
-                slot.profile.home,
-                slot.used_user_model.then_some(slot.key),
-                slot.selected,
-            );
-            match groups.iter_mut().find(|(k, _)| *k == gkey) {
-                Some((_, members)) => members.push(i),
-                None => groups.push((gkey, vec![i])),
-            }
-        }
-        let mut packed_rows = 0usize;
-        // Per-slot share of its group's packed encode time, so every
-        // message in a batch gets its own SemanticEncode/SemanticTransmit
-        // histogram entry rather than one envelope span per group.
-        let mut encode_ns = vec![0u64; slots.len()];
-        for ((home, user_key, selected), members) in &groups {
-            let t0 = self.obs.now_ns();
-            let token_lists: Vec<&[usize]> = members
-                .iter()
-                .map(|&i| slots[i].sentence.tokens.as_slice())
-                .collect();
-            packed_rows += token_lists.iter().map(|t| t.len()).sum::<usize>();
-            let features = self.encode_group(*home, *user_key, *selected, &token_lists);
-            let share = self.obs.now_ns().saturating_sub(t0) / members.len().max(1) as u64;
-            for (&i, f) in members.iter().zip(features) {
-                slots[i].features = Some(f);
-                slots[i].trace_encode = (t0, share);
-                encode_ns[i] = share;
-                self.obs.record_ns(Stage::SemanticEncode, share);
-            }
-        }
-        if !groups.is_empty() {
-            self.obs.set_gauge(
-                "encode_batch_size",
-                packed_rows as f64 / groups.len() as f64,
-            );
-        }
-
-        // Phase 3: channel, decode, buffers, training, and metrics — one
-        // slot at a time, in order, on each message's own seed.
-        let mut out = Vec::with_capacity(slots.len());
-        let tracing = self.obs.tracing_enabled();
-        for (i, slot) in slots.iter().enumerate() {
-            let _msg_span = self.obs.span(Stage::Message);
-            let mut rng = seeded_rng(derive_seed(self.seed, 2_000_000 + slot.msg_idx));
-            let t0 = self.obs.now_ns();
-            let mut trace = tracing.then(|| MsgTraceTimings {
-                // The batch arrived together: this message's causal start
-                // is its encode (or phase 3 entry for empty messages).
-                start_ns: if slot.trace_encode.1 > 0 {
-                    slot.trace_encode.0
-                } else {
-                    t0
-                },
-                ..MsgTraceTimings::default()
-            });
-            let decoded = self.transmit_slot(slot, &mut rng, trace.as_mut());
-            // Full per-message transmit time: this message's share of the
-            // packed encode plus its own channel + decode.
-            let spent = encode_ns[i] + self.obs.now_ns().saturating_sub(t0);
-            self.obs.record_ns(Stage::SemanticTransmit, spent);
-            out.push(self.finalize_slot(slot, decoded, trace));
-        }
-        out
-    }
-
-    /// Selection + cache lookup for one composed message; shared by the
-    /// sequential and batched send paths.
-    fn prepare_slot(&mut self, user: UserId, sentence: Sentence, msg_idx: u64) -> MessageSlot {
-        let profile = self.users.get(&user).expect("user is registered").clone();
-        let link = self.advance_link(user);
-        let (selected, key, used_user_model, misselected) =
-            self.select_and_lookup(user, profile.domain, profile.home, &sentence.tokens);
-        if misselected {
-            self.obs.emit(Event::DomainMisselected {
-                user,
-                selected: selected.index() as u8,
-                actual: profile.domain.index() as u8,
-            });
-        }
-        MessageSlot {
-            user,
-            profile,
-            sentence,
-            selected,
-            key,
-            used_user_model,
-            msg_idx,
-            features: None,
-            link,
-            trace_encode: (0, 0),
-        }
-    }
-
-    /// §III-A selection + home-edge cache lookup for one message — the
-    /// state-mutating front half of serving, shared by `prepare_slot` and
-    /// the streaming ingress (which defers the misselection event to its
-    /// ordered commit instead of emitting it here). Returns
-    /// `(selected, key, used_user_model, misselected)`.
-    pub(crate) fn select_and_lookup(
-        &mut self,
-        user: UserId,
-        true_domain: Domain,
-        home: usize,
-        tokens: &[usize],
-    ) -> (Domain, UserKey, bool, bool) {
-        // §III-A: pick the domain model from message content + context.
-        let selected = self
-            .selectors
-            .get_mut(&user)
-            .expect("selector per registered user")
-            .select(tokens);
-        let key: UserKey = (user, selected);
-        // Cache lookup (records hit/miss on the home edge's user-model
-        // cache).
-        let used_user_model = self.servers[home].lookup_user_kb(&key);
-        (selected, key, used_user_model, selected != true_domain)
-    }
-
-    /// Encode (or reuse pre-batched features) → channel → decode for one
-    /// message, on the f32 or quantized path depending on serving mode.
-    /// With `trace` set, the three phases' `(start, dur)` pairs are
-    /// captured for the message's causal trace (extra clock reads happen
-    /// only then).
-    fn transmit_slot(
-        &mut self,
-        slot: &MessageSlot,
-        rng: &mut dyn RngCore,
-        mut trace: Option<&mut MsgTraceTimings>,
-    ) -> Vec<ConceptId> {
-        if slot.sentence.tokens.is_empty() {
-            return Vec::new();
-        }
-        let features = match &slot.features {
-            Some(f) => {
-                if let Some(t) = trace.as_deref_mut() {
-                    t.encode = slot.trace_encode;
-                }
-                f.clone()
-            }
-            None => {
-                let t0 = trace.as_ref().map(|_| self.obs.now_ns());
-                let key = slot.used_user_model.then_some(slot.key);
-                let mut f = self.encode_group(
-                    slot.profile.home,
-                    key,
-                    slot.selected,
-                    &[&slot.sentence.tokens],
-                );
-                if let (Some(t), Some(t0)) = (trace.as_deref_mut(), t0) {
-                    t.encode = (t0, self.obs.now_ns().saturating_sub(t0));
-                }
-                f.pop().expect("one tensor per token list")
-            }
-        };
-        let chan_t0 = trace.as_ref().map(|_| self.obs.now_ns());
-        let received = if let Some(link) = &slot.link {
-            // Adaptive path: the slot's own channel realization (SNR from
-            // the user's Markov trace) and punctured feature dims.
-            let mut received = features;
-            let (rows, cols) = (received.rows(), received.cols());
-            let mut scratch = FeatureScratch::new();
-            adaptive_transmit_in_place(
-                received.as_mut_slice(),
-                rows,
-                cols,
-                link,
-                &mut scratch,
-                rng,
-            );
-            received
-        } else {
-            let out = self.channel.transmit_f32(features.as_slice(), rng);
-            Tensor::from_vec(features.rows(), features.cols(), out)
-                .expect("channel preserves feature length")
-        };
-        let dec_t0 = if let (Some(t), Some(t0)) = (trace.as_deref_mut(), chan_t0) {
-            let now = self.obs.now_ns();
-            t.channel = (t0, now.saturating_sub(t0));
-            Some(now)
-        } else {
-            None
-        };
-        let decoded = self.decode_one(slot.key, slot.profile.peer, &received);
-        if let (Some(t), Some(t0)) = (trace, dec_t0) {
-            t.decode = (t0, self.obs.now_ns().saturating_sub(t0));
-        }
-        decoded
-    }
-
-    /// Encodes the token lists of all messages served by one encoder
-    /// (`user_key = Some` → that cached user model on `home`, `None` → the
-    /// general `selected`-domain model) in a single packed forward pass.
-    fn encode_group(
-        &mut self,
-        home: usize,
-        user_key: Option<UserKey>,
-        selected: Domain,
-        token_lists: &[&[usize]],
-    ) -> Vec<Tensor> {
-        match &mut self.quant {
-            None => {
-                let kb: &KnowledgeBase = match user_key {
-                    Some(key) => self.servers[home]
-                        .peek_user_kb(&key)
-                        .expect("lookup_user_kb reported residency"),
-                    None => self.servers[home].general_kb(selected),
-                };
-                kb.encoder.encode_batch(token_lists)
-            }
-            Some(q) => {
-                let enc: &QuantizedEncoder = match user_key {
-                    Some(key) => {
-                        let kb = self.servers[home]
-                            .peek_user_kb(&key)
-                            .expect("lookup_user_kb reported residency");
-                        q.user_encoders.entry(key).or_insert_with(|| {
-                            Arc::new(QuantizedEncoder::from_encoder(&kb.encoder))
-                        })
-                    }
-                    None => &q.general[&selected].0,
-                };
-                let total: usize = token_lists.iter().map(|t| t.len()).sum();
-                let mut packed = Vec::with_capacity(total);
-                for t in token_lists {
-                    packed.extend_from_slice(t);
-                }
-                let features = enc.encode(&packed);
-                let dim = features.cols();
-                let flat = features.as_slice();
-                let mut out = Vec::with_capacity(token_lists.len());
-                let mut row = 0;
-                for t in token_lists {
-                    let part = flat[row * dim..(row + t.len()) * dim].to_vec();
-                    out.push(Tensor::from_vec(t.len(), dim, part).expect("split preserves shape"));
-                    row += t.len();
-                }
-                out
-            }
-        }
-    }
-
-    /// Decodes received features at the peer edge (user decoder if synced,
-    /// general otherwise), on the f32 or quantized path.
-    fn decode_one(&mut self, key: UserKey, peer: usize, received: &Tensor) -> Vec<ConceptId> {
-        let selected = key.1;
-        match &mut self.quant {
-            None => {
-                let dec: &KnowledgeBase = self.servers[peer]
-                    .user_decoder(&key)
-                    .unwrap_or_else(|| self.servers[peer].general_kb(selected));
-                dec.decoder.predict(received)
-            }
-            Some(q) => match self.servers[peer].user_decoder(&key) {
-                Some(kb) => q
-                    .user_decoders
-                    .entry(key)
-                    .or_insert_with(|| Arc::new(QuantizedDecoder::from_decoder(&kb.decoder)))
-                    .predict(received),
-                None => q.general[&selected].1.predict(received),
-            },
-        }
-    }
-
-    /// Mismatch bookkeeping, buffer fill, training trigger, metrics, and
-    /// selector feedback for one decoded message.
-    fn finalize_slot(
-        &mut self,
-        slot: &MessageSlot,
-        decoded: Vec<ConceptId>,
-        trace: Option<MsgTraceTimings>,
-    ) -> MessageOutcome {
-        let kept_dim = slot.link.map(|l| l.kept(self.config.codec.feature_dim));
-        self.finalize_core(
-            slot.user,
-            slot.profile.home,
-            slot.profile.peer,
-            slot.profile.domain,
-            slot.selected,
-            slot.key,
-            slot.used_user_model,
-            slot.msg_idx,
-            &slot.sentence,
-            decoded,
-            kept_dim,
-            trace,
-        )
-    }
-
-    /// The back half of serving on borrowed parts (so the streaming commit
-    /// can reuse it without materializing a [`MessageSlot`]).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn finalize_core(
-        &mut self,
-        user: UserId,
-        home: usize,
-        peer: usize,
-        true_domain: Domain,
-        selected: Domain,
-        key: UserKey,
-        used_user_model: bool,
-        msg_idx: u64,
-        sentence: &Sentence,
-        decoded: Vec<ConceptId>,
-        kept_dim: Option<usize>,
-        trace: Option<MsgTraceTimings>,
-    ) -> MessageOutcome {
-        // §II-C: the home edge has the decoder copy (d_i^m = d_j^m) and the
-        // ground truth, so it records the mismatch locally — no output is
-        // echoed back over the network.
-        let buffer = self.servers[home].buffer_mut(
-            key,
-            self.config.buffer_capacity,
-            self.config.buffer_threshold,
-        );
-        for ((&token, concept), got) in sentence.tokens.iter().zip(&sentence.concepts).zip(&decoded)
-        {
-            buffer.push(BufferSample {
-                token,
-                concept: concept.index(),
-                correct: got == concept,
-            });
-        }
-        let ready = buffer.is_ready();
-
-        // §II-D: enough data in b_m → train the user-specific model and
-        // ship the decoder update to the peer edge.
-        let mut sync_bytes = 0usize;
-        if ready {
-            sync_bytes = self.train_and_sync(key, home, peer, msg_idx);
-        }
-
-        // Bookkeeping. A punctured adaptive transmit spends fewer channel
-        // symbols per token (`kept / 2` complex uses instead of `dim / 2`).
-        let symbols_per_token = kept_dim
-            .map(|k| k.div_ceil(2))
-            .unwrap_or_else(|| self.config.codec.symbols_per_token());
-        let symbols = symbols_per_token * sentence.tokens.len();
-        let outcome = MessageOutcome {
-            user,
-            true_domain,
-            selected_domain: selected,
-            sent: sentence.concepts.clone(),
-            decoded,
-            used_user_model,
-            trained: ready,
-            sync_bytes,
-            symbols,
-        };
-        self.metrics.messages += 1;
-        self.metrics.tokens += sentence.tokens.len() as u64;
-        self.metrics.correct_tokens += outcome
-            .sent
-            .iter()
-            .zip(&outcome.decoded)
-            .filter(|(a, b)| a == b)
-            .count() as u64;
-        if outcome.selection_correct() {
-            self.metrics.selection_correct += 1;
-        }
-        self.metrics.payload_symbols += symbols as u64;
-        if used_user_model {
-            self.metrics.user_model_messages += 1;
-        }
-        if ready {
-            self.metrics.trainings += 1;
-        }
-        // §III-A feedback loop: the home edge's decoder copy tells it how
-        // well this selection decoded; RL selectors learn from it.
-        self.selectors
-            .get_mut(&user)
-            .expect("selector per registered user")
-            .observe(outcome.accuracy());
-
-        // Causal trace: one tree per message, identical in structure on
-        // every serving path. Child ordinals are fixed (0 = encode,
-        // 1 = channel, 2 = decode; train/sync children 3/4 are emitted by
-        // `train_and_sync`), and all spans land here, on the driver
-        // thread, in commit order.
-        if let Some(t) = trace {
-            let root = SpanContext::root(msg_idx);
-            let parent = Some(root.span);
-            self.obs.trace_span(TraceSpan::new(
-                root.child(0),
-                parent,
-                "semantic_encode",
-                t.encode.0,
-                t.encode.1,
-            ));
-            self.obs.trace_span(TraceSpan::new(
-                root.child(1),
-                parent,
-                "channel",
-                t.channel.0,
-                t.channel.1,
-            ));
-            self.obs.trace_span(TraceSpan::new(
-                root.child(2),
-                parent,
-                "semantic_decode",
-                t.decode.0,
-                t.decode.1,
-            ));
-            let end = self.obs.now_ns();
-            self.obs.trace_span(TraceSpan::new(
-                root,
-                None,
-                "message",
-                t.start_ns,
-                end.saturating_sub(t.start_ns),
-            ));
-        }
-        outcome
     }
 
     /// Trains the user model for `key` from its buffer on edge `home` and
     /// synchronizes the decoder to edge `peer`. Returns the sync bytes
     /// spent.
-    fn train_and_sync(&mut self, key: UserKey, home: usize, peer: usize, msg_idx: u64) -> usize {
+    pub(crate) fn train_and_sync(
+        &mut self,
+        key: UserKey,
+        home: usize,
+        peer: usize,
+        msg_idx: u64,
+    ) -> usize {
         let (user, domain) = key;
         // The f32 model and its synced decoder are about to change; any
         // cached int8 twins are stale the moment training finishes.
@@ -1155,7 +550,7 @@ impl SemanticEdgeSystem {
 
         // When tracing, the train and sync legs become children 3/4 of the
         // triggering message's trace tree (the message root is emitted
-        // later by `finalize_core`; content-derived ids need no ordering).
+        // later by the commit; content-derived ids need no ordering).
         let tracing = self.obs.tracing_enabled();
         let trace_root = SpanContext::root(msg_idx);
         let mut trainer = Trainer::new(self.config.finetune);
@@ -1368,7 +763,7 @@ impl SemanticEdgeSystem {
             let mut sender = SyncSender::new(self.config.sync_protocol, baseline.clone());
             let mut receiver = SyncReceiver::new();
             let mut params = baseline;
-            let outcome = run_sync_round_traced(
+            let outcome = run_sync_round(
                 &mut sender,
                 &mut receiver,
                 &mut params,
@@ -1379,8 +774,7 @@ impl SemanticEdgeSystem {
                 &mut report.transport,
                 &transport_rec,
                 user,
-                tracing.then_some(trace_root),
-                d.index() as u64,
+                tracing.then_some((trace_root, d.index() as u64)),
             );
             match outcome {
                 RoundOutcome::Synced { .. } => {
@@ -1516,6 +910,7 @@ fn classify_rejection(verdict: &semcom_fl::SyncVerdict) -> RejectCause {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MessageOutcome;
     use semcom_codec::CodecConfig;
 
     fn system() -> SemanticEdgeSystem {
@@ -1823,12 +1218,18 @@ mod tests {
         }
         assert!(trainings > 0, "no training in 40 messages");
         assert_eq!(rec.stage_histogram(Stage::Message).unwrap().count(), 40);
-        assert_eq!(
-            rec.stage_histogram(Stage::SemanticTransmit)
-                .unwrap()
-                .count(),
-            40
-        );
+        // Every message reports the whole stage waterfall, and nothing
+        // duplicates the histogram counts as counters.
+        for stage in [
+            Stage::Ingress,
+            Stage::SemanticEncode,
+            Stage::Channel,
+            Stage::SemanticDecode,
+            Stage::Commit,
+            Stage::SemanticTransmit,
+        ] {
+            assert_eq!(rec.stage_histogram(stage).unwrap().count(), 40, "{stage:?}");
+        }
         assert_eq!(
             rec.stage_histogram(Stage::TrainRound).unwrap().count(),
             trainings
@@ -1840,6 +1241,10 @@ mod tests {
         // Cache spans flow through the edge servers' instrumented caches.
         assert!(rec.stage_histogram(Stage::CacheLookup).unwrap().count() >= 40);
         let snap = s.observability_snapshot();
+        assert!(!snap
+            .counters
+            .iter()
+            .any(|(name, _)| name.starts_with("pipeline_")));
         assert!(snap
             .events
             .iter()
@@ -1927,44 +1332,6 @@ mod tests {
     }
 
     #[test]
-    fn send_batch_matches_sequential_sends() {
-        let mut a = system();
-        let mut b = system();
-        let domains = [Domain::It, Domain::News, Domain::Medical];
-        let ua: Vec<UserId> = domains.iter().map(|&d| a.register_user(d, 1.0)).collect();
-        let ub: Vec<UserId> = domains.iter().map(|&d| b.register_user(d, 1.0)).collect();
-        for _ in 0..25 {
-            let seq: Vec<MessageOutcome> = ua.iter().map(|&u| a.send_message(u)).collect();
-            let batched = b.send_batch(&ub);
-            for (x, y) in seq.iter().zip(&batched) {
-                assert_eq!(x.sent, y.sent);
-                assert_eq!(x.decoded, y.decoded);
-                assert_eq!(x.selected_domain, y.selected_domain);
-                assert_eq!(x.used_user_model, y.used_user_model);
-                assert_eq!(x.trained, y.trained);
-                assert_eq!(x.sync_bytes, y.sync_bytes);
-            }
-        }
-        assert_eq!(a.metrics().messages, b.metrics().messages);
-        assert_eq!(a.metrics().correct_tokens, b.metrics().correct_tokens);
-    }
-
-    #[test]
-    fn send_batch_publishes_realized_batch_gauge() {
-        let mut s = system();
-        let rec = Recorder::with_ticks();
-        s.attach_recorder(rec);
-        // Two users in the same domain share the general encoder, so the
-        // packed matmul covers both messages.
-        let u1 = s.register_user(Domain::It, 0.0);
-        let u2 = s.register_user(Domain::It, 0.0);
-        s.send_batch(&[u1, u2]);
-        let snap = s.observability_snapshot();
-        let gauge = snap.gauge("encode_batch_size").expect("gauge published");
-        assert!(gauge >= 2.0, "two messages in one matmul, got {gauge}");
-    }
-
-    #[test]
     fn quantized_serving_tracks_f32_accuracy() {
         let mut f32_sys = system();
         let mut int8_sys = system();
@@ -2003,7 +1370,7 @@ mod tests {
         let u = s.register_user(Domain::It, 2.0);
         let mut used_user_model = false;
         for _ in 0..40 {
-            for o in s.send_batch(&[u]) {
+            for o in s.send_stream(&[u]) {
                 used_user_model |= o.used_user_model;
             }
         }
@@ -2029,26 +1396,20 @@ mod tests {
             ..SystemConfig::tiny()
         };
         let mut seq = SemanticEdgeSystem::build(config.clone(), 77);
-        let mut bat = SemanticEdgeSystem::build(config.clone(), 77);
         let mut stm = SemanticEdgeSystem::build(config, 77);
         let domains = [Domain::It, Domain::News];
         let us: Vec<UserId> = domains.iter().map(|&d| seq.register_user(d, 1.5)).collect();
-        let ub: Vec<UserId> = domains.iter().map(|&d| bat.register_user(d, 1.5)).collect();
         let ut: Vec<UserId> = domains.iter().map(|&d| stm.register_user(d, 1.5)).collect();
         for _ in 0..25 {
             let a: Vec<MessageOutcome> = us.iter().map(|&u| seq.send_message(u)).collect();
-            let b = bat.send_batch(&ub);
             let c = stm.send_stream(&ut);
-            for ((x, y), z) in a.iter().zip(&b).zip(&c) {
-                assert_eq!(x.sent, y.sent);
-                assert_eq!(x.decoded, y.decoded);
+            for (x, z) in a.iter().zip(&c) {
+                assert_eq!(x.sent, z.sent);
                 assert_eq!(x.decoded, z.decoded);
-                assert_eq!(x.symbols, y.symbols);
                 assert_eq!(x.symbols, z.symbols);
                 assert_eq!(x.trained, z.trained);
             }
         }
-        assert_eq!(seq.adapt_stats(), bat.adapt_stats());
         assert_eq!(seq.adapt_stats(), stm.adapt_stats());
         let (msgs, _) = seq.adapt_stats();
         assert_eq!(msgs, 50);

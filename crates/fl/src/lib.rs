@@ -57,8 +57,8 @@ pub use buffer::{BufferSample, DomainBuffer};
 pub use gradient::{GradientError, QuantizedGradient, SparseGradient};
 pub use sync::{DecoderSync, SyncProtocol, SyncUpdate};
 pub use transport::{
-    param_digest, run_sync_round, run_sync_round_observed, run_sync_round_traced, ArqLink,
-    PerfectLink, ReceiverStats, RoundOutcome, SyncFrame, SyncLink, SyncReceiver, SyncReject,
-    SyncSender, SyncVerdict, TransportConfig, TransportStats, FRAME_HEADER_BYTES, FRAME_MAGIC,
+    param_digest, run_sync_round, ArqLink, PerfectLink, ReceiverStats, RoundOutcome, SyncFrame,
+    SyncLink, SyncReceiver, SyncReject, SyncSender, SyncVerdict, TransportConfig, TransportStats,
+    FRAME_HEADER_BYTES, FRAME_MAGIC,
 };
 pub use wire::WireError;

@@ -558,7 +558,19 @@ pub enum RoundOutcome {
 /// detected desync or retry exhaustion degrade gracefully to a full-model
 /// resync.
 ///
-/// Equivalent to [`run_sync_round_observed`] with a disabled recorder.
+/// The whole round is timed into the recorder's `sync_round` histogram,
+/// every per-frame rejection (and stale drop) is journaled as
+/// [`Event::SyncRejected`] with its cause, and every full-model escalation
+/// as [`Event::Resync`]; `session` labels the journal entries (a user id
+/// inside a full system, any harness-chosen id for standalone sessions). A
+/// disabled recorder costs one branch per site.
+///
+/// With `trace = Some((parent, ordinal))` and a trace buffer on the
+/// recorder, the round becomes span `parent.child(ordinal)` (named
+/// `sync_round`) with one `attempt` child per delivery attempt and a
+/// zero-duration `resync` marker child when the round degrades to a
+/// full-model resync. `ordinal` must be unique among the parent's sync
+/// children (a migration uses the domain index, a harness its round index).
 #[allow(clippy::too_many_arguments)]
 pub fn run_sync_round(
     sender: &mut SyncSender,
@@ -569,122 +581,13 @@ pub fn run_sync_round(
     rng: &mut dyn RngCore,
     config: &TransportConfig,
     stats: &mut TransportStats,
-) -> RoundOutcome {
-    run_sync_round_observed(
-        sender,
-        receiver,
-        receiver_params,
-        after,
-        link,
-        rng,
-        config,
-        stats,
-        &Recorder::disabled(),
-        0,
-    )
-}
-
-/// [`run_sync_round`] with observability: the whole round is timed into the
-/// recorder's `sync_round` histogram, every per-frame rejection (and stale
-/// drop) is journaled as [`Event::SyncRejected`] with its cause, and every
-/// full-model escalation is journaled as [`Event::Resync`]. `session`
-/// labels the journal entries (a user id inside a full system, or any
-/// harness-chosen id for standalone sessions).
-#[allow(clippy::too_many_arguments)]
-pub fn run_sync_round_observed(
-    sender: &mut SyncSender,
-    receiver: &mut SyncReceiver,
-    receiver_params: &mut ParamVec,
-    after: &ParamVec,
-    link: &mut dyn SyncLink,
-    rng: &mut dyn RngCore,
-    config: &TransportConfig,
-    stats: &mut TransportStats,
     recorder: &Recorder,
     session: u64,
+    trace: Option<(SpanContext, u64)>,
 ) -> RoundOutcome {
-    run_sync_round_inner(
-        sender,
-        receiver,
-        receiver_params,
-        after,
-        link,
-        rng,
-        config,
-        stats,
-        recorder,
-        session,
-        None,
-    )
-}
-
-/// [`run_sync_round_observed`] with a causal trace: when `parent` is set
-/// and the recorder has a trace buffer attached, the round becomes span
-/// `parent.child(ordinal)` (named `sync_round`) with one `attempt` child
-/// per delivery attempt and a zero-duration `resync` marker child when the
-/// round degrades to a full-model resync. `ordinal` is caller-chosen and
-/// must be unique among the parent's sync children (a migration uses the
-/// domain index, a harness its round index).
-#[allow(clippy::too_many_arguments)]
-pub fn run_sync_round_traced(
-    sender: &mut SyncSender,
-    receiver: &mut SyncReceiver,
-    receiver_params: &mut ParamVec,
-    after: &ParamVec,
-    link: &mut dyn SyncLink,
-    rng: &mut dyn RngCore,
-    config: &TransportConfig,
-    stats: &mut TransportStats,
-    recorder: &Recorder,
-    session: u64,
-    parent: Option<SpanContext>,
-    ordinal: u64,
-) -> RoundOutcome {
-    let traced = parent.filter(|_| recorder.tracing_enabled());
-    let ctx = traced.map(|p| p.child(ordinal));
+    let traced = trace.filter(|_| recorder.tracing_enabled());
+    let ctx = traced.map(|(parent, ordinal)| parent.child(ordinal));
     let t0 = ctx.map(|_| recorder.now_ns());
-    let outcome = run_sync_round_inner(
-        sender,
-        receiver,
-        receiver_params,
-        after,
-        link,
-        rng,
-        config,
-        stats,
-        recorder,
-        session,
-        ctx,
-    );
-    if let (Some(ctx), Some(parent), Some(t0)) = (ctx, traced, t0) {
-        let dur = recorder.now_ns().saturating_sub(t0);
-        recorder.trace_span(TraceSpan::new(
-            ctx,
-            Some(parent.span),
-            "sync_round",
-            t0,
-            dur,
-        ));
-    }
-    outcome
-}
-
-/// The shared round body. `trace` is the round's own span context (already
-/// `parent.child(ordinal)`); delivery attempts hang off it.
-#[allow(clippy::too_many_arguments)]
-fn run_sync_round_inner(
-    sender: &mut SyncSender,
-    receiver: &mut SyncReceiver,
-    receiver_params: &mut ParamVec,
-    after: &ParamVec,
-    link: &mut dyn SyncLink,
-    rng: &mut dyn RngCore,
-    config: &TransportConfig,
-    stats: &mut TransportStats,
-    recorder: &Recorder,
-    session: u64,
-    trace: Option<SpanContext>,
-) -> RoundOutcome {
     let span = recorder.span(Stage::SyncRound);
     stats.rounds += 1;
     let forced_resync = sender.needs_resync();
@@ -703,82 +606,87 @@ fn run_sync_round_inner(
     } else {
         config.update_attempts
     };
-    match deliver_with_retries(
-        &frame,
-        receiver,
-        receiver_params,
-        link,
-        rng,
-        budget,
-        stats,
-        recorder,
-        session,
-        trace,
-        0,
-    ) {
-        DeliveryResult::Applied => {
-            sender.confirm();
-            span.finish();
-            return RoundOutcome::Synced {
-                seq: frame.seq,
-                resynced: forced_resync,
-            };
-        }
-        DeliveryResult::Exhausted if forced_resync => {
-            // The forced resync itself never landed.
-            sender.mark_failed();
-            stats.failures += 1;
-            span.finish();
-            return RoundOutcome::Failed;
-        }
-        DeliveryResult::Desynced | DeliveryResult::Exhausted => {}
-    }
-    // Graceful degradation: the update could not be confirmed (lost,
-    // persistently corrupted, or the receiver flagged a gap) — fall back
-    // to shipping the full model.
-    stats.resyncs += 1;
-    let resync = sender.resync_frame(after);
-    recorder.emit(Event::Resync {
-        user: session,
-        seq: resync.seq,
-    });
-    if let Some(ctx) = trace {
-        // Zero-duration marker: the round escalated to a full resync.
-        let now = recorder.now_ns();
-        recorder.trace_span(TraceSpan::new(
-            ctx.child(RESYNC_ORDINAL_BASE),
-            Some(ctx.span),
-            "resync",
-            now,
+    // `(committed seq, needed a resync)`, or `None` when the round failed.
+    let synced = 'round: {
+        match deliver_with_retries(
+            &frame,
+            receiver,
+            receiver_params,
+            link,
+            rng,
+            budget,
+            stats,
+            recorder,
+            session,
+            ctx,
             0,
-        ));
-    }
-    match deliver_with_retries(
-        &resync,
-        receiver,
-        receiver_params,
-        link,
-        rng,
-        config.resync_attempts,
-        stats,
-        recorder,
-        session,
-        trace,
-        RESYNC_ORDINAL_BASE,
-    ) {
-        DeliveryResult::Applied => {
-            sender.confirm();
-            RoundOutcome::Synced {
-                seq: resync.seq,
-                resynced: true,
-            }
+        ) {
+            DeliveryResult::Applied => break 'round Some((frame.seq, forced_resync)),
+            // The forced resync itself never landed.
+            DeliveryResult::Exhausted if forced_resync => break 'round None,
+            DeliveryResult::Desynced | DeliveryResult::Exhausted => {}
         }
-        _ => {
+        // Graceful degradation: the update could not be confirmed (lost,
+        // persistently corrupted, or the receiver flagged a gap) — fall
+        // back to shipping the full model.
+        stats.resyncs += 1;
+        let resync = sender.resync_frame(after);
+        recorder.emit(Event::Resync {
+            user: session,
+            seq: resync.seq,
+        });
+        if let Some(ctx) = ctx {
+            // Zero-duration marker: the round escalated to a full resync.
+            let now = recorder.now_ns();
+            recorder.trace_span(TraceSpan::new(
+                ctx.child(RESYNC_ORDINAL_BASE),
+                Some(ctx.span),
+                "resync",
+                now,
+                0,
+            ));
+        }
+        match deliver_with_retries(
+            &resync,
+            receiver,
+            receiver_params,
+            link,
+            rng,
+            config.resync_attempts,
+            stats,
+            recorder,
+            session,
+            ctx,
+            RESYNC_ORDINAL_BASE,
+        ) {
+            DeliveryResult::Applied => Some((resync.seq, true)),
+            _ => None,
+        }
+    };
+    let outcome = match synced {
+        Some((seq, resynced)) => {
+            sender.confirm();
+            RoundOutcome::Synced { seq, resynced }
+        }
+        None => {
+            // The session is marked for a forced resync next round.
             sender.mark_failed();
             stats.failures += 1;
             RoundOutcome::Failed
         }
+    };
+    span.finish();
+    if let (Some(ctx), Some((parent, _)), Some(t0)) = (ctx, traced, t0) {
+        let dur = recorder.now_ns().saturating_sub(t0);
+        recorder.trace_span(TraceSpan::new(
+            ctx,
+            Some(parent.span),
+            "sync_round",
+            t0,
+            dur,
+        ));
     }
+    outcome
 }
 
 /// The journal cause for a receiver rejection.
@@ -947,6 +855,9 @@ mod tests {
                     &mut rng,
                     &cfg,
                     &mut stats,
+                    &Recorder::disabled(),
+                    0,
+                    None,
                 );
                 assert!(matches!(
                     out,
@@ -1078,6 +989,9 @@ mod tests {
                 &mut rng,
                 &cfg,
                 &mut stats,
+                &Recorder::disabled(),
+                0,
+                None,
             );
             if matches!(out, RoundOutcome::Synced { .. }) {
                 synced_rounds += 1;
@@ -1126,6 +1040,9 @@ mod tests {
             &mut rng,
             &cfg,
             &mut stats,
+            &Recorder::disabled(),
+            0,
+            None,
         );
         assert!(matches!(
             out,
@@ -1167,7 +1084,7 @@ mod tests {
         };
         let mut stats = TransportStats::default();
         let after = shifted(&initial, 1.0);
-        let out = run_sync_round_observed(
+        let out = run_sync_round(
             &mut sender,
             &mut receiver,
             &mut rx_params,
@@ -1178,6 +1095,7 @@ mod tests {
             &mut stats,
             &rec,
             42,
+            None,
         );
         assert!(matches!(out, RoundOutcome::Synced { resynced: true, .. }));
         let snap = rec.snapshot();
@@ -1222,6 +1140,9 @@ mod tests {
             &mut rng,
             &cfg,
             &mut stats,
+            &Recorder::disabled(),
+            0,
+            None,
         );
         assert_eq!(out, RoundOutcome::Failed);
         assert!(sender.needs_resync());
@@ -1238,6 +1159,9 @@ mod tests {
             &mut rng,
             &cfg,
             &mut stats,
+            &Recorder::disabled(),
+            0,
+            None,
         );
         assert!(matches!(
             healed,

@@ -36,16 +36,18 @@ pub enum Stage {
     TrainRound,
     /// One §II-D decoder-sync round (build → deliver → verify → commit).
     SyncRound,
-    /// One end-to-end message (`SemanticEdgeSystem::send_sentence`).
+    /// One end-to-end message (`SemanticEdgeSystem::send_message` /
+    /// `send_stream`): its ingress + encode + channel + decode + commit.
     Message,
-    /// Pipeline ingress: compose + select + model capture for one message
-    /// (`SemanticEdgeSystem::send_stream`).
+    /// Serving ingress: compose + link step + select + model capture for
+    /// one message.
     Ingress,
     /// Semantic NN encode, packed per worker chunk (per-message share).
     SemanticEncode,
     /// Semantic NN decode, packed per worker chunk (per-message share).
     SemanticDecode,
-    /// Pipeline commit: cache/metrics/sync effects applied in ticket order.
+    /// Serving commit: buffer/training/sync/metrics effects and the
+    /// message's trace tree, applied in ticket order.
     Commit,
 }
 

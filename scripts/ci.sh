@@ -64,123 +64,61 @@ echo "=== wire fuzz (decode-never-panics) ==="
 # gate: the sync wire decoder must stay a total function (PR 4).
 cargo test -q -p semcom-fl --test wire_fuzz
 
-echo "=== determinism goldens ==="
-# The packed channel hot path and the O(log n)/O(1) cache engine must stay
-# byte-identical to the recorded figures. Goldens were recorded at
-# SEMCOM_THREADS=1 (F2's semantic-leg columns are thread-count-dependent;
-# see CHANGES.md for PR 1; F4 is worker-count-invariant by construction
-# and additionally asserted by crates/bench/tests/f4_workers.rs; T7 keeps
-# the trainer out of the loop and is thread-count-invariant by design).
-for fig in f2_snr_sweep f6_channel_ablation f4_cache_sweep t7_fault_sweep; do
-    SEMCOM_THREADS=1 "./target/release/$fig" | diff -u "tests/goldens/$fig.stdout" - || {
-        echo "ci: harness $fig (crates/bench/src/bin/$fig.rs) diverged from tests/goldens/$fig.stdout." >&2
-        echo "ci: if the change is intentional, regenerate with:" >&2
-        echo "ci:   SEMCOM_THREADS=1 ./target/release/$fig > tests/goldens/$fig.stdout" >&2
-        exit 1
-    }
-    echo "$fig matches golden"
-done
-
-echo "=== fine-tune digest (training numerics pinned to the bit) ==="
+echo "=== fine-tune + serving digests (numerics pinned to the bit) ==="
 # Redundant with `cargo test --workspace` above at the host's worker count;
-# run here at 1 and 4 so a training kernel that moves one parameter bit, or
-# starts to depend on the worker count, fails next to the goldens it would
-# otherwise only reach through F2 and benchmark/expected/.
+# run here at 1 and 4 so a training kernel that moves one parameter bit, a
+# serving change that moves one decoded concept or counter, or either
+# starting to depend on the worker count, fails next to the goldens it
+# would otherwise only reach through F2 and benchmark/expected/.
 for threads in 1 4; do
-    SEMCOM_THREADS=$threads cargo test -q --test finetune_digest
+    SEMCOM_THREADS=$threads cargo test -q --test finetune_digest --test serving_digest
 done
 
-echo "=== observability golden (T8) + thread invariance ==="
-# T8's stdout (including the deterministic snapshot section: counters,
-# gauges, histogram counts, journal without timestamps) must match the
-# golden AND stay byte-identical across worker counts — the semcom-obs
-# determinism contract. The full timed snapshot goes to stderr, outside
-# the golden.
-for threads in 1 4; do
-    SEMCOM_THREADS=$threads ./target/release/t8_observability 2>/dev/null \
-        | diff -u tests/goldens/t8_observability.stdout - || {
-        echo "ci: harness t8_observability (crates/bench/src/bin/t8_observability.rs) diverged from tests/goldens/t8_observability.stdout at SEMCOM_THREADS=$threads." >&2
-        echo "ci: if the change is intentional, regenerate with:" >&2
-        echo "ci:   SEMCOM_THREADS=1 ./target/release/t8_observability 2>/dev/null > tests/goldens/t8_observability.stdout" >&2
-        echo "ci: then re-run this script — the golden must hold at every worker count." >&2
-        exit 1
-    }
-    echo "t8_observability matches golden at SEMCOM_THREADS=$threads"
-done
-
-echo "=== causal tracing golden (T11) + thread invariance ==="
-# T11 drives per-message tracing end-to-end: span-tree equality across the
-# three send paths, the faulty-link sync transport's attempt/resync spans,
-# a flash-crowd fleet with a Perfetto-export fingerprint + parse
-# round-trip, the time-series table, asserted slo_breach events, the
-# sharded merge, and a migration trace. Span ids are content-derived, so
-# the stdout must be byte-identical at 1 AND 4 workers; wall-clock section
-# timings go to stderr, outside the golden.
-for threads in 1 4; do
-    SEMCOM_THREADS=$threads ./target/release/t11_tracing 2>/dev/null \
-        | diff -u tests/goldens/t11_tracing.stdout - || {
-        echo "ci: harness t11_tracing (crates/bench/src/bin/t11_tracing.rs) diverged from tests/goldens/t11_tracing.stdout at SEMCOM_THREADS=$threads." >&2
-        echo "ci: if the change is intentional, regenerate with:" >&2
-        echo "ci:   SEMCOM_THREADS=1 ./target/release/t11_tracing 2>/dev/null > tests/goldens/t11_tracing.stdout" >&2
-        echo "ci: then re-run this script — divergence at only SOME worker counts means span identity or the shard merge order broke determinism, not the golden." >&2
-        exit 1
-    }
-    echo "t11_tracing matches golden at SEMCOM_THREADS=$threads"
-done
-
-echo "=== staged pipeline golden (T10) + thread invariance ==="
-# T10 serves a mixed trace through send_stream (asserting bit-identity to
-# send_message inside the harness) and replays the fleet DES dispatch loop
-# through it. Its stdout — ending in the deterministic snapshot — must match
-# the golden byte-for-byte at 1, 2, 3 AND 4 workers (3 splits a window into
-# uneven chunks): the PR 7 contract that serving messages in parallel never
-# changes what any user receives.
-for threads in 1 2 3 4; do
-    SEMCOM_THREADS=$threads ./target/release/t10_pipeline 2>/dev/null \
-        | diff -u tests/goldens/t10_pipeline.stdout - || {
-        echo "ci: harness t10_pipeline (crates/bench/src/bin/t10_pipeline.rs) diverged from tests/goldens/t10_pipeline.stdout at SEMCOM_THREADS=$threads." >&2
-        echo "ci: if the change is intentional, regenerate with:" >&2
-        echo "ci:   SEMCOM_THREADS=1 ./target/release/t10_pipeline 2>/dev/null > tests/goldens/t10_pipeline.stdout" >&2
-        echo "ci: then re-run this script — divergence at only SOME worker counts means send_stream's window rules broke determinism, not the golden." >&2
-        exit 1
-    }
-    echo "t10_pipeline matches golden at SEMCOM_THREADS=$threads"
-done
-
-echo "=== sharded fleet golden (F13) + thread invariance ==="
-# F13 plans, replays, and merges the two-level sharded fleet — including a
-# 1M-user / 10M-request streaming trace — and asserts sharded == reference
-# inside the harness. Its stdout must match the golden byte-for-byte at 1
-# AND 4 workers: the PR 8 contract that shard fan-out never changes any
-# report. Wall-clock timings go to stderr, outside the golden.
-for threads in 1 4; do
-    SEMCOM_THREADS=$threads ./target/release/f13_fleet_scale 2>/dev/null \
-        | diff -u tests/goldens/f13_fleet_scale.stdout - || {
-        echo "ci: harness f13_fleet_scale (crates/bench/src/bin/f13_fleet_scale.rs) diverged from tests/goldens/f13_fleet_scale.stdout at SEMCOM_THREADS=$threads." >&2
-        echo "ci: if the change is intentional, regenerate with:" >&2
-        echo "ci:   SEMCOM_THREADS=1 ./target/release/f13_fleet_scale 2>/dev/null > tests/goldens/f13_fleet_scale.stdout" >&2
-        echo "ci: then re-run this script — divergence at only SOME worker counts means the shard fan-out or merge order broke determinism, not the golden." >&2
-        exit 1
-    }
-    echo "f13_fleet_scale matches golden at SEMCOM_THREADS=$threads"
-done
-
-echo "=== link-adaptive serving + offloading golden (F14) + thread invariance ==="
-# F14 drives the adaptation policy, adaptive serving accuracy, user
-# migration over the sync transport, and the flash-crowd offloading grid.
-# Its SLO percentiles are simulated seconds (wall-clock goes to stderr),
-# so the stdout must be byte-identical at 1 AND 4 workers; the harness
-# also asserts adaptive-beats-fixed and offload-rescues-the-tail inline.
-for threads in 1 4; do
-    SEMCOM_THREADS=$threads ./target/release/f14_adaptive 2>/dev/null \
-        | diff -u tests/goldens/f14_adaptive.stdout - || {
-        echo "ci: harness f14_adaptive (crates/bench/src/bin/f14_adaptive.rs) diverged from tests/goldens/f14_adaptive.stdout at SEMCOM_THREADS=$threads." >&2
-        echo "ci: if the change is intentional, regenerate with:" >&2
-        echo "ci:   SEMCOM_THREADS=1 ./target/release/f14_adaptive 2>/dev/null > tests/goldens/f14_adaptive.stdout" >&2
-        echo "ci: then re-run this script — divergence at only SOME worker counts means per-user link streams or the pipelined ingress broke determinism, not the golden." >&2
-        exit 1
-    }
-    echo "f14_adaptive matches golden at SEMCOM_THREADS=$threads"
-done
+echo "=== determinism goldens ==="
+# check_golden <harness> <threads...>: the harness's stdout (stderr carries
+# wall-clock timings and full snapshots, outside the golden) must match
+# tests/goldens/<harness>.stdout byte for byte at every listed worker count.
+check_golden() {
+    local fig=$1 threads
+    shift
+    for threads in "$@"; do
+        SEMCOM_THREADS=$threads "./target/release/$fig" 2>/dev/null \
+            | diff -u "tests/goldens/$fig.stdout" - || {
+            echo "ci: harness $fig (crates/bench/src/bin/$fig.rs) diverged from tests/goldens/$fig.stdout at SEMCOM_THREADS=$threads." >&2
+            echo "ci: if the change is intentional, regenerate with SEMCOM_THREADS=1 ./target/release/$fig 2>/dev/null > tests/goldens/$fig.stdout" >&2
+            echo "ci: and re-run: divergence at only SOME worker counts is a determinism bug, not a stale golden." >&2
+            exit 1
+        }
+        echo "$fig matches golden at SEMCOM_THREADS=$threads"
+    done
+}
+# Manifest, `harnesses: worker counts`.
+while IFS=: read -r figs threads; do
+    case $figs in '' | '#'*) continue ;; esac
+    for fig in $figs; do
+        # shellcheck disable=SC2086
+        check_golden "$fig" $threads
+    done
+done <<'MANIFEST'
+# Packed channel hot path and the O(log n)/O(1) cache engine. Recorded at 1
+# worker: F2's semantic-leg columns depend on the thread count (CHANGES.md,
+# PR 1); F4 is worker-count-invariant by construction (also asserted by
+# crates/bench/tests/f4_workers.rs); T7 keeps the trainer out of the loop.
+f2_snr_sweep f6_channel_ablation f4_cache_sweep t7_fault_sweep: 1
+# Byte-identical at 1 AND 4 workers. T8: the deterministic snapshot
+# (counters, gauges, histogram counts, journal without timestamps), the
+# semcom-obs determinism contract. T11: span-tree equality across window
+# widths, faulty-link attempt/resync spans, the flash-crowd Perfetto
+# fingerprint, slo_breach events, the sharded merge, a migration trace —
+# span ids are content-derived. F13: plans, replays and merges the sharded
+# fleet (1M users / 10M requests), asserting sharded == reference inside.
+# F14: adaptation policy, adaptive serving accuracy, migration over the
+# sync transport, flash-crowd offloading; SLO percentiles are simulated.
+t8_observability t11_tracing f13_fleet_scale f14_adaptive: 1 4
+# T10: a mixed trace through send_stream (bit-identity to send_message is
+# asserted inside) and the fleet DES dispatch loop; 3 workers split a
+# window into uneven chunks.
+t10_pipeline: 1 2 3 4
+MANIFEST
 
 echo "ci: all gates passed"

@@ -14,6 +14,7 @@ use semcom_fl::{
 };
 use semcom_nn::params::ParamVec;
 use semcom_nn::rng::seeded_rng;
+use semcom_obs::Recorder;
 use semcom_text::{CorpusGenerator, Domain, LanguageConfig, Rendering};
 
 /// Builds a small trained sender/receiver pair and one pending update.
@@ -169,6 +170,9 @@ fn hardened_transport_syncs_a_trained_decoder_over_faults() {
             &mut rng,
             &config,
             &mut stats,
+            &Recorder::disabled(),
+            0,
+            None,
         );
         if matches!(out, RoundOutcome::Synced { .. }) {
             synced += 1;
@@ -193,6 +197,9 @@ fn hardened_transport_syncs_a_trained_decoder_over_faults() {
             &mut rng,
             &config,
             &mut stats,
+            &Recorder::disabled(),
+            0,
+            None,
         );
         assert!(matches!(out, RoundOutcome::Synced { .. }));
     }
