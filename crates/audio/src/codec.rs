@@ -371,8 +371,8 @@ impl AudioKb {
 }
 
 /// Int8 post-training-quantized twin of [`AudioKb`] for inference: all
-/// four linear layers stored as quantized weights with i32 accumulation,
-/// power normalization kept f32.
+/// four linear layers stored as quantized weights with exact integer
+/// accumulation, power normalization kept f32.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct QuantizedAudioKb {
     enc: QuantizedModel,

@@ -4,8 +4,8 @@
 //! (or [`KnowledgeBase::quantize`]) into a [`QuantizedKb`]: embedding table
 //! and linear weights stored as `i8` with per-row affine parameters
 //! (~4x smaller — the quantity the semantic cache and the cloud→edge fetch
-//! pay for), forward passes accumulating in `i32` (see
-//! [`semcom_nn::quant`]). Quantized KBs are inference-only: they have no
+//! pay for), forward passes accumulating the integer code products exactly
+//! (see [`semcom_nn::quant`]). Quantized KBs are inference-only: they have no
 //! backward pass and no trainable parameters, which matches how the edge
 //! serves messages — training happens on the f32 model, and re-quantization
 //! after a sync round is a cheap one-shot conversion.
@@ -99,10 +99,10 @@ impl QuantizedEncoder {
         tokens: &[usize],
         scratch: &'a mut EncodeScratch,
     ) -> &'a [f32] {
-        // The embedding rows are already i8 codes: the fused kernel reads
-        // them in place — no dequantize-to-f32, no dynamic re-quantization,
-        // no gather copy; the whole hot path stays integer until the single
-        // per-output dequantization.
+        // The embedding rows are already i8 codes: the gather hands them to
+        // the kernel as they are — no dequantize-to-f32, no dynamic
+        // re-quantization; the whole hot path stays integer-valued until the
+        // single per-output dequantization.
         self.proj
             .forward_gathered_into(&self.table, tokens, &mut scratch.quant, &mut scratch.feat);
         self.norm.normalize_rows(&mut scratch.feat);

@@ -344,31 +344,39 @@ fn run_decode(chunk: &mut [StreamSlot], obs: &Recorder) {
     let t0 = obs.now_ns();
     let models = group_slots(chunk, |s| s.dec.as_ref());
     let mut scratch = DecodeScratch::new();
-    let mut members = Vec::new();
+    let (mut members, mut packed) = (Vec::new(), Vec::new());
     let mut concepts: Vec<ConceptId> = Vec::new();
     for dec in &models {
         gather_members(chunk, |s| s.dec.as_ref(), dec, &mut members);
         let features = |i: usize| chunk[i].features.as_ref().expect("encoded before decode");
-        // A lone member's tensor is the packed input as it stands.
-        let packed;
-        let received = match members[..] {
-            [i] => features(i),
+        // A lone member's rows are the packed input as they stand.
+        let lone = match members[..] {
+            [i] => Some(features(i)),
             _ => {
-                let dim = features(members[0]).cols();
-                let mut rows = Vec::new();
+                packed.clear();
                 for &i in &members {
-                    rows.extend_from_slice(features(i).as_slice());
+                    packed.extend_from_slice(features(i).as_slice());
                 }
-                packed = Tensor::from_vec(rows.len() / dim, dim, rows)
-                    .expect("whole feature rows were packed");
-                &packed
+                None
             }
         };
         match dec {
-            StreamModel::F32(kb) => concepts = kb.decoder.predict(received),
+            StreamModel::F32(kb) => match lone {
+                Some(received) => concepts = kb.decoder.predict(received),
+                None => {
+                    // The tensor borrows `packed`'s buffer for the call.
+                    let dim = features(members[0]).cols();
+                    let rows = std::mem::take(&mut packed);
+                    let received = Tensor::from_vec(rows.len() / dim, dim, rows)
+                        .expect("whole feature rows were packed");
+                    concepts = kb.decoder.predict(&received);
+                    packed = received.into_vec();
+                }
+            },
             StreamModel::Int8(qd) => {
-                let rows = received.rows();
-                qd.predict_into(received.as_slice(), rows, &mut scratch, &mut concepts);
+                let flat = lone.map_or(&packed[..], Tensor::as_slice);
+                let rows = flat.len() / qd.feature_dim();
+                qd.predict_into(flat, rows, &mut scratch, &mut concepts);
             }
         }
         let mut row = 0;

@@ -4,22 +4,36 @@
 //! knowledge bases: training happens in `Trainer`/sync rounds, but every
 //! message forward pass uses fixed weights. That makes the codec hot path a
 //! textbook candidate for post-training quantization — store weights as
-//! `i8` with affine row parameters (4x smaller), accumulate dot products in
-//! `i32` (exact: integer addition is associative, so lane-grouped SIMD
-//! accumulation cannot change results), and dequantize once per output
-//! channel.
+//! `i8` with affine row parameters (4x smaller), accumulate the integer
+//! code products exactly, and dequantize once per output channel.
+//!
+//! The exact integer arithmetic runs on the floating-point units. Codes lie
+//! in [−128, 127], so a product of two is at most 2¹⁴ in magnitude and
+//! every partial sum over up to 1024 of them is an integer of magnitude at
+//! most 2²⁴ — which `f32` represents exactly, so a multiply-add on them
+//! does not round, fused or not. The kernel therefore holds both sides'
+//! codes as `f32`, accumulates `k` in blocks of [`K_BLOCK`] with the
+//! hardware FMA where the build has one ([`mul_add_exact`]), converts each
+//! block's sums to `i32` and adds them there. Integer addition is
+//! associative, so tile shapes and lane grouping cannot change a result:
+//! the output equals a naive `i32` triple loop bit for bit (pinned by
+//! this crate's `tests/simd_equivalence.rs`, with and without the FMA feature).
 //!
 //! Layout and math, for `y = x · W + b` with `W` as `[in, out]` f32:
 //!
-//! * Weights keep the f32 `[in, out]` row-major layout so the integer
-//!   kernel has the same axpy shape as the f32 SIMD microkernel — for each
-//!   input position the activation code broadcasts against a contiguous
-//!   row of output channels, which the compiler turns into wide integer
-//!   multiply-accumulates. Quantization is still per **output channel**
-//!   (per column): scale `s_w`, zero point `z_w`, precomputed quantized
-//!   column sum `Σq_w`.
+//! * The stored weights are `i8` in the f32 `[in, out]` row-major layout.
+//!   The kernel reads a runtime-only `f32` copy of them, cut into the
+//!   column panels its register tiles walk (32, 16 and 8 wide, the last
+//!   one zero-padded; each panel `[in, width]` row-major), so a tile
+//!   streams its weights front to
+//!   back: for each input position the activation codes of up to four rows
+//!   broadcast against one contiguous run of output channels
+//!   ([`dot_tile`]). Quantization is per **output channel** (per column):
+//!   scale `s_w`, zero point `z_w`, quantized column sum `Σq_w`.
 //! * Activations are quantized dynamically per input row (asymmetric,
-//!   range always includes zero so ReLU zeros and padding stay exact).
+//!   range always includes zero so ReLU zeros and padding stay exact),
+//!   straight to `f32` codes; embedding-table rows are stored as `i8` codes
+//!   and converted as they are gathered.
 //! * With `x = s_x (q_x − z_x)` and `w = s_w (q_w − z_w)`:
 //!
 //!   ```text
@@ -27,7 +41,8 @@
 //!   ```
 //!
 //!   where only `Σ q_x q_w` touches the `K`-length inner loop — everything
-//!   else is O(1) per output using the precomputed sums.
+//!   else is O(1) per output using the precomputed sums, applied, with the
+//!   bias and the ReLU between layers, as a tile leaves its registers.
 //!
 //! Quantized models are conversions of trained f32 layers (see
 //! [`QuantizedLinear::from_linear`]); they deliberately have no backward
@@ -37,10 +52,12 @@ use crate::layers::Linear;
 use crate::Tensor;
 use serde::{Deserialize, Serialize};
 
-/// Lane width of the i8 dot kernel (mirrors the f32 matmul microkernel's
-/// lane grouping; exact here regardless of grouping because i32 addition
-/// is associative).
-const LANES: usize = 8;
+/// Longest run of `k` the kernel accumulates in `f32` before it converts
+/// the partial sums to `i32`: a product of two codes is at most 2¹⁴ in
+/// magnitude, so every partial sum of a block is an integer of magnitude
+/// ≤ 1024·2¹⁴ = 2²⁴ — the largest range in which `f32` holds every
+/// integer, and so the largest block whose multiply-adds cannot round.
+const K_BLOCK: usize = 1024;
 
 /// Affine quantization parameters for one row (one output channel or one
 /// activation row): `value = scale * (q - zero_point)`.
@@ -61,12 +78,20 @@ pub struct RowQuantParams {
 /// Asymmetric min/max quantization over `[min(lo, 0), max(hi, 0)]` — the
 /// range is widened to include `0.0` so exact zeros (ReLU output, padding)
 /// map to the zero point exactly, and constant rows survive round-trips.
-/// Non-finite values quantize to the zero point.
+/// Non-finite values are left out of the range and quantize to the zero
+/// point.
 ///
 /// # Panics
 ///
 /// Panics if `dst.len() != src.len()`.
 pub fn quantize_row(src: &[f32], dst: &mut [i8]) -> RowQuantParams {
+    quantize_codes(src, dst, |q| q as i8)
+}
+
+/// [`quantize_row`] for any code type: the kernel's activation side takes
+/// its codes as integer-valued `f32` (`cast = |q| q as f32`), the stored
+/// tables as `i8`. Both loops are branch-free so that they vectorize.
+fn quantize_codes<T>(src: &[f32], dst: &mut [T], cast: impl Fn(i32) -> T) -> RowQuantParams {
     assert_eq!(
         src.len(),
         dst.len(),
@@ -74,20 +99,34 @@ pub fn quantize_row(src: &[f32], dst: &mut [i8]) -> RowQuantParams {
         src.len(),
         dst.len()
     );
-    let mut lo = 0.0f32;
-    let mut hi = 0.0f32;
-    for &v in src {
-        if v < lo {
-            lo = v;
+    // Min/max in lane arrays (exact in any order); a non-finite value
+    // counts as 0.0, which the range includes anyway.
+    const LANES: usize = 16;
+    let widen = |lo: &mut f32, hi: &mut f32, v: f32| {
+        let v = if v.is_finite() { v } else { 0.0 };
+        *lo = if v < *lo { v } else { *lo };
+        *hi = if v > *hi { v } else { *hi };
+    };
+    let chunks = src.chunks_exact(LANES);
+    let (mut lo, mut hi) = (0.0f32, 0.0f32);
+    for &v in chunks.remainder() {
+        widen(&mut lo, &mut hi, v);
+    }
+    let mut los = [0.0f32; LANES];
+    let mut his = [0.0f32; LANES];
+    for chunk in chunks {
+        for l in 0..LANES {
+            widen(&mut los[l], &mut his[l], chunk[l]);
         }
-        if v > hi {
-            hi = v;
-        }
+    }
+    for l in 0..LANES {
+        widen(&mut lo, &mut hi, los[l]);
+        widen(&mut lo, &mut hi, his[l]);
     }
     let scale = (hi - lo) / 255.0;
     if scale <= 0.0 || !scale.is_finite() {
         // All-zero (or degenerate) row: every code is the zero point.
-        dst.fill(0);
+        dst.fill_with(|| cast(0));
         return RowQuantParams {
             scale: 1.0,
             zero_point: 0,
@@ -97,14 +136,16 @@ pub fn quantize_row(src: &[f32], dst: &mut [i8]) -> RowQuantParams {
     // lo maps to -128, hi to 127; lo <= 0 <= hi keeps this in i8 range.
     let zero_point = (-128.0 - lo / scale).round() as i32;
     let inv_scale = 1.0 / scale;
+    let zero = zero_point as f32;
     let mut qsum = 0i32;
     for (d, &v) in dst.iter_mut().zip(src) {
-        let q = if v.is_finite() {
-            ((v * inv_scale).round() as i32 + zero_point).clamp(-128, 127)
-        } else {
-            zero_point
-        };
-        *d = q as i8;
+        // Clamped as a float (compare-and-select: one instruction each)
+        // so that the integer conversion needs no range checks.
+        let t = v * inv_scale;
+        let q = if t.is_finite() { t.round() } else { 0.0 } + zero;
+        let q = if q < -128.0 { -128.0 } else { q };
+        let q = small_i32(if q > 127.0 { 127.0 } else { q });
+        *d = cast(q);
         qsum += q;
     }
     RowQuantParams {
@@ -114,89 +155,136 @@ pub fn quantize_row(src: &[f32], dst: &mut [i8]) -> RowQuantParams {
     }
 }
 
-/// Integer matmul `a (rows×k, i8) · b (k×n, i32-widened i8 codes) ->
-/// out (rows×n, i32)`, mirroring the f32 SIMD microkernel's structure:
-/// 4-row register quads with [`LANES`]-wide column tiles, a 1-row tile for
-/// the remainder rows, and scalar columns for `n % LANES`. Unlike the f32
-/// kernel the grouping needs no order discipline — i32 addition is
-/// associative, so any accumulation order is exact.
-///
-/// `b` is the weight matrix's **pre-widened compute copy** (each i8 code
-/// sign-extended to i32 once at conversion time): widening inside the
-/// inner loop defeats the compiler's vectorizer and costs ~3x on this
-/// kernel, while widening the streamed activation side is a cheap scalar
-/// broadcast.
-fn mm_i8(a: &[i8], b: &[i32], out: &mut [i32], k_dim: usize, n: usize) {
-    debug_assert_eq!(a.len() % k_dim.max(1), 0);
-    debug_assert_eq!(b.len(), k_dim * n);
-    debug_assert_eq!(out.len() % n.max(1), 0);
-    let mut quads = out.chunks_exact_mut(4 * n);
-    let mut i = 0;
-    for quad in &mut quads {
-        let (o0, r123) = quad.split_at_mut(n);
-        let (o1, r23) = r123.split_at_mut(n);
-        let (o2, o3) = r23.split_at_mut(n);
-        mm_tile4_i8(
-            [
-                &a[i * k_dim..(i + 1) * k_dim],
-                &a[(i + 1) * k_dim..(i + 2) * k_dim],
-                &a[(i + 2) * k_dim..(i + 3) * k_dim],
-                &a[(i + 3) * k_dim..(i + 4) * k_dim],
-            ],
-            b,
-            n,
-            [o0, o1, o2, o3],
-        );
-        i += 4;
-    }
-    for orow in quads.into_remainder().chunks_exact_mut(n) {
-        mm_tile1_i8(&a[i * k_dim..(i + 1) * k_dim], b, n, orow);
-        i += 1;
+/// `a · b + c` on integer-valued operands whose result stays within ±2²⁴:
+/// exact whether or not the multiply-add is fused, so the hardware FMA is
+/// used wherever the build has one and both forms give the same bits (the
+/// fp32 kernels may not do this: there the unfused rounding is part of the
+/// determinism contract). Without the target feature `mul_add` would be a
+/// libm call.
+#[inline(always)]
+fn mul_add_exact(a: f32, b: f32, c: f32) -> f32 {
+    if cfg!(any(target_feature = "fma", target_arch = "aarch64")) {
+        a.mul_add(b, c)
+    } else {
+        a * b + c
     }
 }
 
-/// 4-row register tile of [`mm_i8`]: the partial sums for a 4×[`LANES`]
-/// output tile stay in `i32` lane arrays (registers) across the whole `k`
-/// loop, and each weight row load is shared by all four activation rows.
-fn mm_tile4_i8(a_rows: [&[i8]; 4], b: &[i32], n: usize, o: [&mut [i32]; 4]) {
-    let [a0, a1, a2, a3] = a_rows;
-    let [o0, o1, o2, o3] = o;
-    let k_dim = a0.len();
-    let mut j = 0;
-    while j + LANES <= n {
-        let mut c0 = [0i32; LANES];
-        let mut c1 = [0i32; LANES];
-        let mut c2 = [0i32; LANES];
-        let mut c3 = [0i32; LANES];
-        for k in 0..k_dim {
-            let bv: [i32; LANES] = b[k * n + j..k * n + j + LANES].try_into().unwrap();
-            let (av0, av1, av2, av3) = (a0[k] as i32, a1[k] as i32, a2[k] as i32, a3[k] as i32);
-            for l in 0..LANES {
-                c0[l] += av0 * bv[l];
-                c1[l] += av1 * bv[l];
-                c2[l] += av2 * bv[l];
-                c3[l] += av3 * bv[l];
+/// 1.5·2²³. Adding it to an integer `v` with |v| ≤ 2²² lands in
+/// [2²³, 2²⁴], where consecutive floats are consecutive integers *and*
+/// consecutive bit patterns, so the sum's bit pattern minus the constant's
+/// is `v`.
+const INT_MAGIC: f32 = 12_582_912.0;
+
+/// Exact `f32 → i32` for an integer-valued `v` with |v| ≤ 2²² (see
+/// [`INT_MAGIC`]). `v as i32` would do, but its saturation checks make the
+/// conversion scalar on x86; this form is one add and one integer subtract.
+#[inline(always)]
+fn small_i32(v: f32) -> i32 {
+    ((v + INT_MAGIC).to_bits() as i32).wrapping_sub(INT_MAGIC.to_bits() as i32)
+}
+
+/// [`small_i32`] for |x| ≤ 2²⁴, the range of a block sum: split into
+/// `q = x/4` rounded to an integer (by the same add) and the remainder
+/// `x − 4q`, which lies in [−2, 2]; every step is exact.
+#[inline(always)]
+fn block_sum_i32(x: f32) -> i32 {
+    let q = (x * 0.25 + INT_MAGIC) - INT_MAGIC;
+    4 * small_i32(q) + small_i32(x - 4.0 * q)
+}
+
+/// The kernel's register tile: the integer dot products of `R` activation
+/// rows with one `W`-column panel of the weight codes (`[k, W]` row-major,
+/// see [`pack_panels`]), both sides holding their `i8` codes as `f32`.
+///
+/// The `R × W` partial sums stay in lane arrays (vector registers) across
+/// a [`K_BLOCK`] of `k`, every weight row load is shared by the `R`
+/// activation rows, and each multiply-add is exact (see [`K_BLOCK`]), so
+/// the sums are the same integers in any order and under any lane
+/// grouping. Block sums are converted to `i32` and added there.
+#[inline(always)]
+fn dot_tile<const R: usize, const W: usize>(a: [&[f32]; R], panel: &[f32]) -> [[i32; W]; R] {
+    let k_dim = a[0].len();
+    let a = a.map(|row| &row[..k_dim]);
+    let panel = &panel[..k_dim * W];
+    let mut dot = [[0i32; W]; R];
+    let mut k0 = 0;
+    while k0 < k_dim {
+        let k1 = (k0 + K_BLOCK).min(k_dim);
+        let mut c = [[0.0f32; W]; R];
+        for k in k0..k1 {
+            let bv: [f32; W] = panel[k * W..(k + 1) * W].try_into().unwrap();
+            for r in 0..R {
+                let av = a[r][k];
+                for l in 0..W {
+                    c[r][l] = mul_add_exact(av, bv[l], c[r][l]);
+                }
             }
         }
-        o0[j..j + LANES].copy_from_slice(&c0);
-        o1[j..j + LANES].copy_from_slice(&c1);
-        o2[j..j + LANES].copy_from_slice(&c2);
-        o3[j..j + LANES].copy_from_slice(&c3);
-        j += LANES;
-    }
-    for jj in j..n {
-        let (mut s0, mut s1, mut s2, mut s3) = (0i32, 0i32, 0i32, 0i32);
-        for k in 0..k_dim {
-            let bv = b[k * n + jj];
-            s0 += a0[k] as i32 * bv;
-            s1 += a1[k] as i32 * bv;
-            s2 += a2[k] as i32 * bv;
-            s3 += a3[k] as i32 * bv;
+        for r in 0..R {
+            for l in 0..W {
+                dot[r][l] += block_sum_i32(c[r][l]);
+            }
         }
-        o0[jj] = s0;
-        o1[jj] = s1;
-        o2[jj] = s2;
-        o3[jj] = s3;
+        k0 = k1;
+    }
+    dot
+}
+
+/// One output from its integer dot product `dot = Σ q_x q_w`: the affine
+/// correction of the module docs with `wcorr = Σq_w − K·z_w` folded in
+/// (the same integer as the four-term form), scale, bias and the optional
+/// ReLU between layers.
+#[inline(always)]
+fn dequantize(
+    dot: i32,
+    px: RowQuantParams,
+    wscale: f32,
+    wzero: i32,
+    wcorr: i32,
+    bias: f32,
+    relu: bool,
+) -> f32 {
+    let corr = dot - wzero * px.qsum - px.zero_point * wcorr;
+    let v = px.scale * wscale * corr as f32 + bias;
+    if relu {
+        v.max(0.0)
+    } else {
+        v
+    }
+}
+
+/// Narrowest column tile of the kernel. A narrower remainder (`n` not a
+/// multiple of it) runs as one more tile of this width over zero-padded
+/// weights and per-channel parameters, and only its real columns are
+/// stored: a vector tile instead of up to seven scalar columns.
+const W_MIN: usize = 8;
+
+/// Appends every full `W`-column panel of the `[k, n]` codes `wq` from
+/// column `j` on to `packed`, as `f32`, each panel `[k, W]` row-major;
+/// returns the first column it did not cover. Called with the widths
+/// [`QuantizedLinear::row_tile`] walks, in its order, so the panel of the
+/// tile at column `j` starts at `j · k` and the kernel streams it front to
+/// back. At [`W_MIN`] a narrower remainder becomes one last, zero-padded
+/// panel.
+fn pack_panels<const W: usize>(wq: &[i8], n: usize, mut j: usize, packed: &mut Vec<f32>) -> usize {
+    while j + W <= n || (W == W_MIN && j < n) {
+        let real = W.min(n - j);
+        for row in wq.chunks_exact(n) {
+            packed.extend(row[j..j + real].iter().map(|&q| f32::from(q)));
+            packed.extend(std::iter::repeat_n(0.0, W - real));
+        }
+        j += real;
+    }
+    j
+}
+
+/// `dst = src as f32`; a function of its own so that the two slices are
+/// known not to overlap and the loop vectorizes.
+#[inline]
+fn codes_to_f32(src: &[i8], dst: &mut [f32]) {
+    for (d, &q) in dst.iter_mut().zip(src) {
+        *d = f32::from(q);
     }
 }
 
@@ -210,39 +298,14 @@ fn reset_len<T: Copy + Default>(buf: &mut Vec<T>, len: usize) {
     }
 }
 
-/// 1-row tile of [`mm_i8`] for the rows % 4 remainder.
-fn mm_tile1_i8(a_row: &[i8], b: &[i32], n: usize, o: &mut [i32]) {
-    let k_dim = a_row.len();
-    let mut j = 0;
-    while j + LANES <= n {
-        let mut c = [0i32; LANES];
-        for k in 0..k_dim {
-            let bv: [i32; LANES] = b[k * n + j..k * n + j + LANES].try_into().unwrap();
-            let av = a_row[k] as i32;
-            for l in 0..LANES {
-                c[l] += av * bv[l];
-            }
-        }
-        o[j..j + LANES].copy_from_slice(&c);
-        j += LANES;
-    }
-    for jj in j..n {
-        let mut s = 0i32;
-        for k in 0..k_dim {
-            s += a_row[k] as i32 * b[k * n + jj];
-        }
-        o[jj] = s;
-    }
-}
-
 /// Reusable buffers for dynamic activation quantization — the per-call
 /// state of [`QuantizedLinear::forward_into`]. Reusing one `QuantScratch`
 /// across calls keeps the warm quantized forward path allocation-free.
 #[derive(Debug, Default)]
 pub struct QuantScratch {
-    qx: Vec<i8>,
+    /// `[rows, in_dim]` activation codes, integer-valued.
+    qx: Vec<f32>,
     xq: Vec<RowQuantParams>,
-    acc: Vec<i32>,
 }
 
 impl QuantScratch {
@@ -261,18 +324,18 @@ pub struct QuantizedLinear {
     /// weight matrix) — the canonical serialized form counted by
     /// [`QuantizedLinear::size_bytes`].
     wq: Vec<i8>,
-    /// Runtime-only compute copy of `wq` sign-extended to `i32` (see
-    /// [`mm_i8`]); rebuilt from `wq` at conversion time, never serialized
-    /// or counted as model bytes.
-    wq_wide: Vec<i32>,
-    /// Per-output-channel affine parameters (scale, zero point, `Σq_w`
-    /// over the output channel's column).
-    wparams: Vec<RowQuantParams>,
-    /// Runtime-only per-channel correction `Σq_w − K·z_w`, folded at
-    /// conversion time so dequantization spends one multiply per element
-    /// instead of two (`corr = dot − z_w·Σq_x − z_x·(Σq_w − K·z_w)` is the
-    /// same integer as the four-term form). Rebuilt from `wparams`, never
-    /// counted as model bytes.
+    /// Runtime-only compute copy of `wq`, each code converted to `f32`, in
+    /// the kernel's column panels (see [`pack_panels`]); rebuilt from `wq`
+    /// at conversion time, never counted as model bytes.
+    wq_f32: Vec<f32>,
+    /// Per-output-channel scale `s_w`. This and the three vectors below are
+    /// zero-padded to a multiple of [`W_MIN`] channels.
+    wscale: Vec<f32>,
+    /// Per-output-channel zero point `z_w`.
+    wzero: Vec<i32>,
+    /// Per-output-channel correction `Σq_w − K·z_w`, folded at conversion
+    /// time so that [`dequantize`] spends one multiply per element
+    /// instead of two.
     wcorr: Vec<i32>,
     /// Bias kept in f32 (`out` values; negligible size, added after
     /// dequantization).
@@ -305,26 +368,39 @@ impl QuantizedLinear {
         let mut col = vec![0.0f32; in_dim];
         let mut qcol = vec![0i8; in_dim];
         let mut wq = vec![0i8; in_dim * out_dim];
-        let mut wparams = Vec::with_capacity(out_dim);
+        let mut wscale = Vec::with_capacity(out_dim);
+        let mut wzero = Vec::with_capacity(out_dim);
+        let mut wcorr = Vec::with_capacity(out_dim);
         for o in 0..out_dim {
             for (i, c) in col.iter_mut().enumerate() {
                 *c = weight.get(i, o);
             }
-            wparams.push(quantize_row(&col, &mut qcol));
+            let p = quantize_row(&col, &mut qcol);
+            wscale.push(p.scale);
+            wzero.push(p.zero_point);
+            wcorr.push(p.qsum - in_dim as i32 * p.zero_point);
             // Scatter the quantized column back into the [in, out] layout.
             for (i, &q) in qcol.iter().enumerate() {
                 wq[i * out_dim + o] = q;
             }
         }
-        let wq_wide = wq.iter().map(|&q| q as i32).collect();
-        let kf = in_dim as i32;
-        let wcorr = wparams.iter().map(|p| p.qsum - kf * p.zero_point).collect();
+        let padded = out_dim.next_multiple_of(W_MIN);
+        let mut wq_f32 = Vec::with_capacity(in_dim * padded);
+        let j = pack_panels::<32>(&wq, out_dim, 0, &mut wq_f32);
+        let j = pack_panels::<16>(&wq, out_dim, j, &mut wq_f32);
+        pack_panels::<W_MIN>(&wq, out_dim, j, &mut wq_f32);
+        let mut bias = bias.as_slice().to_vec();
+        wscale.resize(padded, 0.0);
+        wzero.resize(padded, 0);
+        wcorr.resize(padded, 0);
+        bias.resize(padded, 0.0);
         QuantizedLinear {
             wq,
-            wq_wide,
-            wparams,
+            wq_f32,
+            wscale,
+            wzero,
             wcorr,
-            bias: bias.as_slice().to_vec(),
+            bias,
             in_dim,
             out_dim,
         }
@@ -341,11 +417,12 @@ impl QuantizedLinear {
     }
 
     /// Serialized model size in bytes: i8 weights + per-channel affine
-    /// parameters + f32 bias. The f32 equivalent is `4·(in·out + out)`.
+    /// parameters (scale, zero point, code sum) + f32 bias. The f32
+    /// equivalent is `4·(in·out + out)`.
     pub fn size_bytes(&self) -> usize {
         self.wq.len()
-            + self.wparams.len() * (4 + 4 + 4)
-            + self.bias.len() * 4
+            + self.out_dim * (4 + 4 + 4)
+            + self.out_dim * 4
             + 2 * std::mem::size_of::<usize>()
     }
 
@@ -353,9 +430,9 @@ impl QuantizedLinear {
     /// writing `[rows, out_dim]` into `out` (resized and fully overwritten;
     /// no allocation once `out` and `scratch` have reached working-set size).
     ///
-    /// Activations are quantized per row, the inner loop accumulates in
-    /// `i32`, and each output channel dequantizes once via its precomputed
-    /// affine correction.
+    /// Activations are quantized per row, the inner loop accumulates the
+    /// integer code products exactly, and each output channel dequantizes
+    /// once via its precomputed affine correction.
     ///
     /// # Panics
     ///
@@ -367,6 +444,19 @@ impl QuantizedLinear {
         scratch: &mut QuantScratch,
         out: &mut Vec<f32>,
     ) {
+        self.forward_act_into(x, rows, scratch, out, false);
+    }
+
+    /// [`QuantizedLinear::forward_into`] with an optional ReLU fused into
+    /// the dequantization pass.
+    fn forward_act_into(
+        &self,
+        x: &[f32],
+        rows: usize,
+        scratch: &mut QuantScratch,
+        out: &mut Vec<f32>,
+        relu: bool,
+    ) {
         let k = self.in_dim;
         assert_eq!(
             x.len(),
@@ -376,54 +466,121 @@ impl QuantizedLinear {
         );
         reset_len(&mut scratch.qx, rows * k);
         scratch.xq.clear();
-        for (r, xrow) in x.chunks_exact(k).enumerate() {
-            let p = quantize_row(xrow, &mut scratch.qx[r * k..(r + 1) * k]);
-            scratch.xq.push(p);
+        for (xrow, qrow) in x.chunks_exact(k).zip(scratch.qx.chunks_exact_mut(k)) {
+            scratch.xq.push(quantize_codes(xrow, qrow, |q| q as f32));
         }
-        reset_len(&mut scratch.acc, rows * self.out_dim);
-        mm_i8(
-            &scratch.qx,
-            &self.wq_wide,
-            &mut scratch.acc,
-            k,
-            self.out_dim,
-        );
-        self.dequantize_acc(&scratch.acc, &scratch.xq, out);
+        self.project(scratch, out, relu);
     }
 
-    /// Applies the per-(row, output-channel) affine correction and bias to
-    /// raw `i32` dot products, producing the f32 output matrix.
-    fn dequantize_acc(&self, acc: &[i32], xparams: &[RowQuantParams], out: &mut Vec<f32>) {
-        reset_len(out, xparams.len() * self.out_dim);
-        for ((orow, arow), &px) in out
-            .chunks_exact_mut(self.out_dim)
-            .zip(acc.chunks_exact(self.out_dim))
-            .zip(xparams)
-        {
-            for (((y, &dot), (&pw, &wc)), &b) in orow
-                .iter_mut()
-                .zip(arow)
-                .zip(self.wparams.iter().zip(&self.wcorr))
-                .zip(&self.bias)
-            {
-                // `wc = Σq_w − K·z_w`, so this equals the four-term affine
-                // correction exactly (integer math, no rounding).
-                let corr = dot - pw.zero_point * px.qsum - px.zero_point * wc;
-                *y = px.scale * pw.scale * corr as f32 + b;
+    /// `out = dequantize(scratch.qx · wq)`, optionally through a ReLU: the
+    /// one matmul of this module. Rows go four at a time and the last one
+    /// to three in a tile of their own height, because every row tile
+    /// streams the whole weight copy once whatever its height; within a
+    /// row tile the columns go 32, 16 and 8 ([`W_MIN`]) at a time.
+    fn project(&self, scratch: &QuantScratch, out: &mut Vec<f32>, relu: bool) {
+        let (k, n) = (self.in_dim, self.out_dim);
+        let rows = scratch.xq.len();
+        reset_len(out, rows * n);
+        let mut i = 0;
+        while i < rows {
+            let height = (rows - i).min(4);
+            let a = &scratch.qx[i * k..];
+            let (xq, band) = (&scratch.xq[i..], &mut out[i * n..]);
+            match height {
+                1 => self.row_tile::<1>(a, xq, band, relu),
+                2 => self.row_tile::<2>(a, xq, band, relu),
+                3 => self.row_tile::<3>(a, xq, band, relu),
+                _ => self.row_tile::<4>(a, xq, band, relu),
+            }
+            i += height;
+        }
+    }
+
+    /// Projects the first `R` rows of `a` into the first `R` rows of `band`.
+    fn row_tile<const R: usize>(
+        &self,
+        a: &[f32],
+        xq: &[RowQuantParams],
+        band: &mut [f32],
+        relu: bool,
+    ) {
+        let k = self.in_dim;
+        let a: [&[f32]; R] = std::array::from_fn(|r| &a[r * k..(r + 1) * k]);
+        let xq: [RowQuantParams; R] = std::array::from_fn(|r| xq[r]);
+        let j = self.col_tiles::<R, 32>(a, xq, band, relu, 0);
+        let j = self.col_tiles::<R, 16>(a, xq, band, relu, j);
+        let j = self.col_tiles::<R, W_MIN>(a, xq, band, relu, j);
+        if j < self.out_dim {
+            self.tail_tile(a, xq, band, relu, j);
+        }
+    }
+
+    /// Every full `W`-column tile of an `R`-row band from column `j` on:
+    /// the integer dot products, then [`dequantize`] on the way out of the
+    /// registers. Returns the first column it did not cover.
+    #[inline(always)]
+    fn col_tiles<const R: usize, const W: usize>(
+        &self,
+        a: [&[f32]; R],
+        xq: [RowQuantParams; R],
+        band: &mut [f32],
+        relu: bool,
+        mut j: usize,
+    ) -> usize {
+        let n = self.out_dim;
+        while j + W <= n {
+            let dot = dot_tile::<R, W>(a, &self.wq_f32[j * self.in_dim..]);
+            let wscale: [f32; W] = self.wscale[j..j + W].try_into().unwrap();
+            let wzero: [i32; W] = self.wzero[j..j + W].try_into().unwrap();
+            let wcorr: [i32; W] = self.wcorr[j..j + W].try_into().unwrap();
+            let bias: [f32; W] = self.bias[j..j + W].try_into().unwrap();
+            for r in 0..R {
+                let y: &mut [f32; W] = (&mut band[r * n + j..r * n + j + W]).try_into().unwrap();
+                for l in 0..W {
+                    y[l] = dequantize(
+                        dot[r][l], xq[r], wscale[l], wzero[l], wcorr[l], bias[l], relu,
+                    );
+                }
+            }
+            j += W;
+        }
+        j
+    }
+
+    /// The last tile of a band whose width is not a multiple of [`W_MIN`]:
+    /// a whole tile over the zero-padded panel, of which the real columns
+    /// are stored. Kept out of line so that the code of the column tiles,
+    /// whose speed depends on how it is laid out, does not depend on it.
+    #[inline(never)]
+    fn tail_tile<const R: usize>(
+        &self,
+        a: [&[f32]; R],
+        xq: [RowQuantParams; R],
+        band: &mut [f32],
+        relu: bool,
+        j: usize,
+    ) {
+        let n = self.out_dim;
+        let dot = dot_tile::<R, W_MIN>(a, &self.wq_f32[j * self.in_dim..]);
+        for r in 0..R {
+            for (l, y) in band[r * n + j..(r + 1) * n].iter_mut().enumerate() {
+                let o = j + l;
+                let (wscale, wzero, wcorr) = (self.wscale[o], self.wzero[o], self.wcorr[o]);
+                *y = dequantize(dot[r][l], xq[r], wscale, wzero, wcorr, self.bias[o], relu);
             }
         }
     }
 
-    /// Fused embedding-gather + quantized forward: projects the
-    /// `table` rows selected by `ids` without materializing the gathered
-    /// activation matrix — the kernel's register tiles read each row's
-    /// `i8` codes in place. This is the text codec's batched-encode hot
-    /// path: it skips the dequantize-to-f32, the dynamic re-quantization,
-    /// *and* the per-token gather copy a f32 forward would pay.
+    /// Fused embedding-gather + quantized forward: projects the `table`
+    /// rows selected by `ids`. The rows are already `i8` codes with their
+    /// parameters, so the gather converts them straight into the kernel's
+    /// activation buffer: no dequantize-to-f32 and no dynamic
+    /// re-quantization, which a f32 forward would pay. This is the text
+    /// codec's batched-encode hot path.
     ///
     /// Writes `[ids.len(), out_dim]` into `out` (resized and fully
-    /// overwritten). `scratch` lends the integer accumulator and the
-    /// row-parameter gather buffer.
+    /// overwritten). `scratch` lends the activation-code and
+    /// row-parameter buffers.
     ///
     /// # Panics
     ///
@@ -442,37 +599,18 @@ impl QuantizedLinear {
             "gathered forward width mismatch: table rows of {} vs in_dim {k}",
             table.cols()
         );
-        let n = self.out_dim;
+        reset_len(&mut scratch.qx, ids.len() * k);
         scratch.xq.clear();
-        for &id in ids {
+        for (&id, qrow) in ids.iter().zip(scratch.qx.chunks_exact_mut(k)) {
             assert!(
                 id < table.rows,
                 "row {id} out of bounds for {} rows",
                 table.rows
             );
             scratch.xq.push(table.params[id]);
+            codes_to_f32(&table.q[id * k..(id + 1) * k], qrow);
         }
-        reset_len(&mut scratch.acc, ids.len() * n);
-        let row = |i: usize| &table.q[ids[i] * k..(ids[i] + 1) * k];
-        let mut quads = scratch.acc.chunks_exact_mut(4 * n);
-        let mut i = 0;
-        for quad in &mut quads {
-            let (o0, r123) = quad.split_at_mut(n);
-            let (o1, r23) = r123.split_at_mut(n);
-            let (o2, o3) = r23.split_at_mut(n);
-            mm_tile4_i8(
-                [row(i), row(i + 1), row(i + 2), row(i + 3)],
-                &self.wq_wide,
-                n,
-                [o0, o1, o2, o3],
-            );
-            i += 4;
-        }
-        for orow in quads.into_remainder().chunks_exact_mut(n) {
-            mm_tile1_i8(row(i), &self.wq_wide, n, orow);
-            i += 1;
-        }
-        self.dequantize_acc(&scratch.acc, &scratch.xq, out);
+        self.project(scratch, out, false);
     }
 
     /// Allocating convenience wrapper over [`QuantizedLinear::forward_into`].
@@ -645,23 +783,18 @@ impl QuantizedModel {
             act_a,
             act_b,
         } = scratch;
-        let n = self.layers.len();
-        if n == 1 {
+        let last = self.layers.len() - 1;
+        if last == 0 {
             self.layers[0].forward_into(x, rows, quant, out);
             return;
         }
-        self.layers[0].forward_into(x, rows, quant, act_a);
-        relu_in_place(act_a);
+        self.layers[0].forward_act_into(x, rows, quant, act_a, true);
         let (mut src, mut dst) = (act_a, act_b);
-        for (i, layer) in self.layers.iter().enumerate().skip(1) {
-            if i + 1 == n {
-                layer.forward_into(src, rows, quant, out);
-            } else {
-                layer.forward_into(src, rows, quant, dst);
-                relu_in_place(dst);
-                std::mem::swap(&mut src, &mut dst);
-            }
+        for layer in &self.layers[1..last] {
+            layer.forward_act_into(src, rows, quant, dst, true);
+            std::mem::swap(&mut src, &mut dst);
         }
+        self.layers[last].forward_into(src, rows, quant, out);
     }
 
     /// Allocating convenience wrapper over [`QuantizedModel::forward_into`].
@@ -670,12 +803,6 @@ impl QuantizedModel {
         let mut out = Vec::new();
         self.forward_into(x.as_slice(), x.rows(), &mut scratch, &mut out);
         Tensor::from_vec(x.rows(), self.out_dim(), out).expect("shape correct by construction")
-    }
-}
-
-fn relu_in_place(x: &mut [f32]) {
-    for v in x {
-        *v = v.max(0.0);
     }
 }
 
@@ -748,52 +875,48 @@ mod tests {
     }
 
     #[test]
-    fn integer_matmul_kernel_handles_remainders() {
-        // Row counts straddle the 4-row quads; widths straddle the 8-lane
-        // column groups.
-        for rows in [1usize, 3, 4, 5, 8] {
-            for out in [1usize, 7, 8, 9, 16, 31] {
-                let k = 13;
-                let a: Vec<i8> = (0..rows * k)
-                    .map(|i| (i as i32 % 251 - 125) as i8)
-                    .collect();
-                let b: Vec<i32> = (0..k * out).map(|i| i as i32 * 7 % 251 - 125).collect();
-                let mut acc = vec![0i32; rows * out];
-                mm_i8(&a, &b, &mut acc, k, out);
-                for r in 0..rows {
-                    for o in 0..out {
-                        let naive: i32 = (0..k).map(|i| a[r * k + i] as i32 * b[i * out + o]).sum();
-                        assert_eq!(acc[r * out + o], naive, "rows={rows} out={out} r={r} o={o}");
-                    }
-                }
-            }
+    fn one_non_finite_value_does_not_blank_the_row() {
+        let finite = [-3.0f32, 0.5, 5.0, 1.25, -0.75];
+        let mut want = vec![0i8; 5];
+        let p_want = quantize_row(&finite, &mut want);
+        for bad in [f32::INFINITY, f32::NEG_INFINITY, f32::NAN] {
+            let mut row = finite.to_vec();
+            row.insert(2, bad);
+            let mut q = vec![0i8; 6];
+            let p = quantize_row(&row, &mut q);
+            // The finite values keep the range they would have alone, and
+            // the non-finite one sits on the zero point.
+            assert_eq!((p.scale, p.zero_point), (p_want.scale, p_want.zero_point));
+            assert_eq!(q[2] as i32, p.zero_point, "bad={bad}");
+            q.remove(2);
+            assert_eq!(q, want, "bad={bad}");
+            assert_eq!(p.qsum, p_want.qsum + p.zero_point);
+        }
+        let mut q = vec![7i8; 3];
+        let p = quantize_row(&[f32::INFINITY, f32::NAN, f32::NEG_INFINITY], &mut q);
+        assert_eq!((q, p.qsum), (vec![0, 0, 0], 0));
+    }
+
+    #[test]
+    fn f32_codes_equal_i8_codes() {
+        let t = random_tensor(3, 133, 17);
+        for r in 0..3 {
+            let (mut qi, mut qf) = (vec![0i8; 133], vec![0.0f32; 133]);
+            let pi = quantize_row(t.row(r), &mut qi);
+            let pf = quantize_codes(t.row(r), &mut qf, |q| q as f32);
+            assert_eq!(pi, pf);
+            assert!(qi.iter().zip(&qf).all(|(&i, &f)| f32::from(i) == f));
         }
     }
 
     #[test]
-    fn gathered_forward_matches_materialized_gather() {
-        let layer = Linear::new(6, 10, 11);
-        let ql = QuantizedLinear::from_linear(&layer);
-        let table = QuantizedTable::from_tensor(&random_tensor(20, 6, 13));
-        // 7 ids: one 4-row quad plus 3 remainder rows, with a repeat.
-        let ids = [3usize, 19, 0, 7, 7, 12, 1];
-        let mut scratch = QuantScratch::new();
-        let mut out = Vec::new();
-        ql.forward_gathered_into(&table, &ids, &mut scratch, &mut out);
-
-        // Reference: materialize the gathered codes, run the plain integer
-        // kernel, dequantize. Identical integer math => exact equality.
-        let mut qx = Vec::new();
-        let mut xp = Vec::new();
-        for &id in &ids {
-            qx.extend_from_slice(&table.q[id * 6..(id + 1) * 6]);
-            xp.push(table.params[id]);
+    fn integer_conversions_are_exact_over_their_whole_range() {
+        for v in -(1i32 << 22)..=1 << 22 {
+            assert_eq!(small_i32(v as f32), v);
         }
-        let mut acc = vec![0i32; ids.len() * 10];
-        mm_i8(&qx, &ql.wq_wide, &mut acc, 6, 10);
-        let mut expect = Vec::new();
-        ql.dequantize_acc(&acc, &xp, &mut expect);
-        assert_eq!(out, expect);
+        for x in -(1i32 << 24)..=1 << 24 {
+            assert_eq!(block_sum_i32(x as f32), x);
+        }
     }
 
     #[test]
@@ -813,6 +936,26 @@ mod tests {
                 "exact={e} approx={a}"
             );
         }
+    }
+
+    #[test]
+    fn fused_relu_equals_relu_between_layer_forwards() {
+        // Three layers: both ping-pong buffers and both fused passes.
+        let layers = [
+            Linear::new(8, 40, 1),
+            Linear::new(40, 9, 2),
+            Linear::new(9, 5, 3),
+        ];
+        let qm = QuantizedModel::from_linears(&[&layers[0], &layers[1], &layers[2]]);
+        let x = random_tensor(7, 8, 9);
+        let mut want = x.clone();
+        for (i, layer) in layers.iter().enumerate() {
+            want = QuantizedLinear::from_linear(layer).forward(&want);
+            if i + 1 < layers.len() {
+                want = want.map(|v| v.max(0.0));
+            }
+        }
+        assert_eq!(qm.forward(&x).as_slice(), want.as_slice());
     }
 
     #[test]

@@ -5,11 +5,22 @@
 //! — at 1, 2, and 4 `semcom-par` workers, plus one exhaustive sweep over
 //! every `n mod 16` × `m mod 4`.
 //!
+//! The last section pins the int8 kernel ([`semcom_nn::quant`]), which does
+//! its integer arithmetic on `f32` lanes, to a naive `i32` triple loop over
+//! the same codes: exact equality at every row and column tile remainder,
+//! across the kernel's 1024-long `k` block, and with rows and columns
+//! saturated at −128, where a block sum reaches the 2²⁴ that `f32` can
+//! still count to. `scripts/ci.sh` runs this file a second time without
+//! the FMA target feature.
+//!
 //! Every assertion here holds at *any* worker count (that is the contract),
 //! so concurrently-running tests racing on the global worker override cannot
 //! cause flakes — they only vary which counts get exercised.
 
 use proptest::prelude::*;
+use semcom_nn::quant::{
+    quantize_row, QuantScratch, QuantizedLinear, QuantizedTable, RowQuantParams,
+};
 use semcom_nn::rng::seeded_rng;
 use semcom_nn::{Tensor, PAR_WORK};
 
@@ -141,6 +152,154 @@ fn banded_matmul_is_bit_identical_to_scalar_reference() {
                 want.as_slice(),
                 "banded {m}x{k}x{n} at {workers} workers"
             );
+        }
+    }
+}
+
+// ---------------- int8 kernel vs. a naive i32 product ----------------
+
+/// `k` values around the kernel's 1024-long block: below, on, just past it
+/// and two and a half blocks.
+const INT8_KS: [usize; 6] = [1, 13, 1023, 1024, 1025, 2500];
+/// Widths that run each column tile (32, 16, 8) alone and after the
+/// others, with and without a zero-padded remainder tile of 1, 4 or 7
+/// real columns; 57 = 32 + 16 + 8 + 1.
+const INT8_NS: [usize; 10] = [1, 7, 8, 9, 16, 28, 31, 32, 57, 65];
+/// Row counts 1–9: the 4-row tile once and twice, and each of the 3-, 2-
+/// and 1-row remainder tiles alone and after it.
+const INT8_ROWS: usize = 9;
+/// Values that fill a row or column of their own kind with the codes −128
+/// and 127: the first reaches the largest block sum there is, the second
+/// has odd products, which a sum past 2²⁴ would round.
+const SATURATED: [f32; 2] = [-1.0, 1.0];
+
+/// Per-row codes and parameters of a `[rows, k]` matrix.
+fn quantize_rows(x: &Tensor) -> (Vec<i8>, Vec<RowQuantParams>) {
+    let mut codes = vec![0i8; x.rows() * x.cols()];
+    let params = codes
+        .chunks_exact_mut(x.cols())
+        .enumerate()
+        .map(|(r, q)| quantize_row(x.row(r), q))
+        .collect();
+    (codes, params)
+}
+
+/// What a quantized layer over `weight`/`bias` must return for activation
+/// codes `qx` with parameters `xq`: weight codes per output channel from
+/// the public quantizer, a naive triple-loop `i32` product, then the affine
+/// correction of the `quant` module docs.
+fn int8_oracle(weight: &Tensor, bias: &[f32], qx: &[i8], xq: &[RowQuantParams]) -> Vec<f32> {
+    let (k, n) = weight.shape();
+    let (wq, wp) = quantize_rows(&weight.transpose());
+    let mut out = Vec::with_capacity(xq.len() * n);
+    for (qrow, px) in qx.chunks_exact(k).zip(xq) {
+        for (qcol, (pw, b)) in wq.chunks_exact(k).zip(wp.iter().zip(bias)) {
+            let dot: i32 = qrow
+                .iter()
+                .zip(qcol)
+                .map(|(&a, &w)| a as i32 * w as i32)
+                .sum();
+            let corr = dot - pw.zero_point * px.qsum - px.zero_point * pw.qsum
+                + k as i32 * px.zero_point * pw.zero_point;
+            out.push(px.scale * pw.scale * corr as f32 + b);
+        }
+    }
+    out
+}
+
+/// Seeded `[rows, cols]` values in ±0.5 whose first and last row, or
+/// column, hold the two [`SATURATED`] values.
+fn int8_matrix(rows: usize, cols: usize, seed: u64, saturate_rows: bool) -> Tensor {
+    let mut t = randn_like(rows, cols, seed);
+    let (last_r, last_c) = (rows - 1, cols - 1);
+    for r in 0..rows {
+        for c in 0..cols {
+            let (at, last) = if saturate_rows {
+                (r, last_r)
+            } else {
+                (c, last_c)
+            };
+            if at == 0 || at == last {
+                t.set(r, c, SATURATED[(at != 0) as usize]);
+            }
+        }
+    }
+    t
+}
+
+#[test]
+fn saturated_rows_and_columns_reach_the_block_sum_bound() {
+    let mut q = vec![0i8; 1024];
+    for (v, code) in SATURATED.into_iter().zip([-128i8, 127]) {
+        let p = quantize_row(&[v; 1024], &mut q);
+        assert!(q.iter().all(|&c| c == code));
+        assert_eq!(p.qsum, code as i32 * 1024);
+    }
+    // (−128)² · 1024 = 2²⁴, the end of the integers f32 can count.
+    assert_eq!(128 * 128 * 1024, 1 << 24);
+}
+
+#[test]
+fn int8_forward_equals_the_naive_integer_product() {
+    let mut scratch = QuantScratch::new();
+    let mut got = Vec::new();
+    for k in INT8_KS {
+        let x = int8_matrix(INT8_ROWS, k, 300 + k as u64, true);
+        let (qx, xq) = quantize_rows(&x);
+        for n in INT8_NS {
+            let weight = int8_matrix(k, n, 400 + (k * n) as u64, false);
+            let bias = randn_like(1, n, 500 + n as u64);
+            let layer = QuantizedLinear::from_weights(&weight, &bias);
+            let want = int8_oracle(&weight, bias.as_slice(), &qx, &xq);
+            // Rows are independent, so the first `rows` rows of the 9-row
+            // answer are the answer for a `rows`-row input; what changes
+            // with `rows` is which row tiles compute it. Taking the rows
+            // from the end as well puts both saturated rows in every tile.
+            for rows in 1..=INT8_ROWS {
+                layer.forward_into(&x.as_slice()[..rows * k], rows, &mut scratch, &mut got);
+                assert_eq!(got, want[..rows * n], "first {rows} rows, k={k} n={n}");
+            }
+            let mut flipped = Vec::new();
+            for r in (0..INT8_ROWS).rev() {
+                flipped.extend_from_slice(x.row(r));
+            }
+            layer.forward_into(&flipped, INT8_ROWS, &mut scratch, &mut got);
+            for (r, row) in got.chunks_exact(n).enumerate() {
+                let w = INT8_ROWS - 1 - r;
+                assert_eq!(
+                    row,
+                    &want[w * n..(w + 1) * n],
+                    "flipped row {r}, k={k} n={n}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn int8_gathered_forward_equals_the_naive_integer_product() {
+    // Repeated ids; table rows 0 and 19 are the saturated ones.
+    let ids = [3usize, 19, 7, 7, 0, 12, 3, 19, 1];
+    let mut scratch = QuantScratch::new();
+    let mut got = Vec::new();
+    for k in INT8_KS {
+        let rows = int8_matrix(20, k, 600 + k as u64, true);
+        let table = QuantizedTable::from_tensor(&rows);
+        for n in [1usize, 31, 57] {
+            let weight = int8_matrix(k, n, 700 + (k * n) as u64, false);
+            let bias = randn_like(1, n, 800 + n as u64);
+            let layer = QuantizedLinear::from_weights(&weight, &bias);
+            for len in 1..=ids.len() {
+                let picked: Vec<f32> = ids[..len]
+                    .iter()
+                    .flat_map(|&id| rows.row(id))
+                    .copied()
+                    .collect();
+                let (qx, xq) = quantize_rows(&take(&picked, len, k));
+                let want = int8_oracle(&weight, bias.as_slice(), &qx, &xq);
+                layer.forward_gathered_into(&table, &ids[..len], &mut scratch, &mut got);
+                assert_eq!(got, want, "{len} ids, k={k} n={n}");
+            }
         }
     }
 }

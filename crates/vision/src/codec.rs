@@ -400,8 +400,8 @@ impl ImageKb {
 
 /// Int8 post-training-quantized twin of [`ImageKb`] for inference: the
 /// projection and decoder linears (the bulk of the parameters) are stored
-/// as quantized weights with i32 accumulation; the conv front-end (40
-/// scalars) stays f32.
+/// as quantized weights with exact integer accumulation; the conv
+/// front-end (40 scalars) stays f32.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct QuantizedImageKb {
     conv: Conv2d,

@@ -64,15 +64,28 @@ echo "=== wire fuzz (decode-never-panics) ==="
 # gate: the sync wire decoder must stay a total function (PR 4).
 cargo test -q -p semcom-fl --test wire_fuzz
 
-echo "=== fine-tune + serving digests (numerics pinned to the bit) ==="
+echo "=== fine-tune, serving + int8 digests (numerics pinned to the bit) ==="
 # Redundant with `cargo test --workspace` above at the host's worker count;
 # run here at 1 and 4 so a training kernel that moves one parameter bit, a
-# serving change that moves one decoded concept or counter, or either
-# starting to depend on the worker count, fails next to the goldens it
-# would otherwise only reach through F2 and benchmark/expected/.
+# serving change that moves one decoded concept or counter, an int8 kernel
+# that moves one logit bit, or any of them starting to depend on the worker
+# count, fails next to the goldens it would otherwise only reach through F2
+# and benchmark/expected/.
 for threads in 1 4; do
-    SEMCOM_THREADS=$threads cargo test -q --test finetune_digest --test serving_digest
+    SEMCOM_THREADS=$threads cargo test -q \
+        --test finetune_digest --test serving_digest --test quant_digest
 done
+
+echo "=== int8 kernel without the FMA target feature ==="
+# .cargo/config.toml builds for the host CPU, so everything above took the
+# fused branch of the int8 kernel's multiply-add wherever the host has FMA.
+# Baseline x86-64 has none: the same equivalence suite must find the same
+# integers through the unfused branch. Its own target directory, so the
+# flag change does not rebuild the main one. (aarch64 always fuses.)
+if [[ $(uname -m) == x86_64 ]]; then
+    RUSTFLAGS='-C target-cpu=x86-64' CARGO_TARGET_DIR=target/baseline-cpu \
+        cargo test -q -p semcom-nn --test simd_equivalence
+fi
 
 echo "=== determinism goldens ==="
 # check_golden <harness> <threads...>: the harness's stdout (stderr carries
