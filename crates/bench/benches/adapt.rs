@@ -11,7 +11,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use semcom_channel::adapt::{AdaptSpec, LinkState};
-use semcom_edge::{FleetAdapt, FleetConfig, FleetSim, OffloadConfig, Topology};
+use semcom_edge::{FleetAdapt, FleetConfig, FleetSim, OffloadConfig, RunOptions, Topology};
 
 fn bench_policy_step(c: &mut Criterion) {
     let spec = AdaptSpec::standard(64);
@@ -51,7 +51,15 @@ fn bench_fleet_overhead(c: &mut Criterion) {
     ];
     for (name, config) in cases {
         let sim = FleetSim::new(config, Topology::default());
-        c.bench_function(name, |b| b.iter(|| std::hint::black_box(sim.run_hist(14))));
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                let opts = RunOptions {
+                    hist: true,
+                    ..RunOptions::default()
+                };
+                std::hint::black_box(sim.run_with(14, opts).expect("no series").report)
+            })
+        });
     }
 }
 

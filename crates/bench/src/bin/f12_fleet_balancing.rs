@@ -8,7 +8,7 @@
 use semcom_bench::banner;
 use semcom_cache::policy::SemanticCost;
 use semcom_edge::placement::MessageCost;
-use semcom_edge::{Assignment, FleetConfig, FleetSim, Topology};
+use semcom_edge::{Assignment, FleetConfig, FleetSim, RunOptions, Topology};
 use semcom_nn::rng::derive_seed;
 
 fn fleet_cells() -> Vec<(usize, Assignment)> {
@@ -89,6 +89,10 @@ fn main() {
         .flat_map(|&n| Assignment::ALL.map(|a| (n, a)))
         .collect();
     for line in semcom_par::par_map_indexed(&scale_cells, |i, &(n_edges, a)| {
+        let cost_aware = RunOptions {
+            policy: &|| Box::new(SemanticCost::new()),
+            ..RunOptions::default()
+        };
         let r = FleetSim::new(
             FleetConfig {
                 n_edges,
@@ -102,7 +106,9 @@ fn main() {
             },
             Topology::default(),
         )
-        .run_with_policy(derive_seed(12, i as u64), SemanticCost::new);
+        .run_with(derive_seed(12, i as u64), cost_aware)
+        .expect("no series")
+        .report;
         format!(
             "{n_edges},{},{:.4},{:.2},{:.2}",
             a.name(),

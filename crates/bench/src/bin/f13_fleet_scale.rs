@@ -1,13 +1,12 @@
 //! F13 — two-level sharded fleet orchestration at a million users.
 //!
-//! The single-loop `FleetSim` materializes its whole arrival trace and
-//! keeps every latency sample: memory grows linearly in requests and one
-//! event heap serializes all work. F13 exercises the sharded engine that
-//! removes both limits — an orchestrator tier partitions the model
-//! universe and the edge fleet into shards (derived seeds, disjoint edge
-//! ranges), each shard replays a *streaming* trace through its own event
-//! loop with constant-memory latency histograms, shards fan out over
-//! `semcom-par`, and reports merge in fixed shard order.
+//! One `FleetSim` event heap serializes all of a fleet's work. F13
+//! exercises the sharded simulator that removes the limit — an
+//! orchestrator tier partitions the model universe and the edge fleet
+//! into shards (derived seeds, disjoint edge ranges), each shard runs the
+//! same streaming replay loop a `FleetSim` does, with constant-memory
+//! latency histograms, shards fan out over `semcom-par`, and reports merge
+//! in fixed shard order.
 //!
 //! Everything printed to stdout is byte-identical at any `SEMCOM_THREADS`
 //! (the CI golden holds at 1 and 4 workers); wall-clock timings go to
@@ -15,8 +14,8 @@
 
 use semcom_bench::banner;
 use semcom_edge::{
-    Assignment, FleetConfig, FleetSim, SessionPlacement, ShardedFleetConfig, ShardedFleetSim,
-    Topology,
+    merge_reports, Assignment, FleetConfig, FleetReport, FleetSim, SessionPlacement,
+    ShardedFleetConfig, ShardedFleetSim, Topology,
 };
 
 fn sharded(fleet: &FleetConfig, n_shards: usize, placement: SessionPlacement) -> ShardedFleetSim {
@@ -72,21 +71,28 @@ fn main() {
         let t0 = std::time::Instant::now();
         let s = sim.run(13);
         let t_sharded = t0.elapsed();
+        // The reference: every shard's plan through its own `FleetSim`,
+        // one after the other, merged the same way.
         let t0 = std::time::Instant::now();
-        let r = sim.run_reference(13);
-        let t_reference = t0.elapsed();
+        let serial: Vec<FleetReport> = sim
+            .plan(13)
+            .into_iter()
+            .map(|p| FleetSim::new(p.config, Topology::default()).run_hist(p.seed))
+            .collect();
+        let merged = merge_reports(&serial);
+        let t_serial = t0.elapsed();
         assert_eq!(
             s.shards,
-            r.shards,
-            "sharded engine diverged from the reference for {}",
+            serial,
+            "sharded fan-out diverged from serial FleetSim replays for {}",
             a.name()
         );
-        assert_eq!(s.merged, r.merged);
+        assert_eq!(s.merged, merged);
         eprintln!(
-            "[timing] {}: sharded {:?} vs reference {:?}",
+            "[timing] {}: sharded {:?} vs serial {:?}",
             a.name(),
             t_sharded,
-            t_reference
+            t_serial
         );
         println!(
             "{},{:.4},{:.3},{:.3},{}",
@@ -94,7 +100,7 @@ fn main() {
             s.merged.hit_rate,
             s.merged.latency.mean * 1e3,
             s.merged.latency.p95 * 1e3,
-            s.shards == r.shards && s.merged == r.merged
+            s.shards == serial && s.merged == merged
         );
     }
 

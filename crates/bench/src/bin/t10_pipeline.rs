@@ -15,9 +15,9 @@
 //!   system; the harness asserts outcome-by-outcome equality and prints
 //!   the shared metrics. Run once in fp32 and once with int8 quantized
 //!   serving enabled.
-//! * **B — fleet-driven rounds**: [`FleetSim::run_served`] replays the
+//! * **B — fleet-driven rounds**: [`FleetSim::run_with`] routes the
 //!   batched discrete-event dispatch loop of F12 through a
-//!   [`BatchServer`] backend that maps each model id to a registered user
+//!   [`BatchServer`] backend ([`RunOptions::server`]) that maps each model id to a registered user
 //!   and serves every dispatched round with one `send_stream` call — the
 //!   paper's edge serving loop (Fig. 1) driven end to end by the DES.
 //!
@@ -32,7 +32,7 @@
 use semcom::{MessageOutcome, SemanticEdgeSystem, SystemConfig, UserId};
 use semcom_bench::banner;
 use semcom_edge::placement::MessageCost;
-use semcom_edge::{BatchServer, FleetConfig, FleetSim, Topology};
+use semcom_edge::{BatchServer, FleetConfig, FleetSim, RunOptions, Topology};
 use semcom_obs::Recorder;
 use semcom_text::Domain;
 use std::collections::HashMap;
@@ -179,7 +179,11 @@ fn main() {
         Topology::default(),
     );
     let mut backend = PipelineBackend::new(402);
-    let report = fleet.run_served(13, &mut backend);
+    let opts = RunOptions {
+        server: Some(&mut backend),
+        ..RunOptions::default()
+    };
+    let report = fleet.run_with(13, opts).expect("no series").report;
     let m = backend.system.metrics();
     println!("metric,value");
     println!("des_requests,400");

@@ -17,7 +17,7 @@
 //!   (virtual-time timestamps), the series turns the crowd into curves,
 //!   and the watchdog emits typed `slo_breach` journal events.
 //! * **D — sharded trace merge**: the same crowd through
-//!   [`ShardedFleetSim::run_traced`] — per-shard buffers merge in fixed
+//!   [`ShardedFleetSim::run_observed`] — per-shard buffers merge in fixed
 //!   shard order with `(shard+1) << 48` trace-id offsets.
 //! * **E — migration trace**: a decoder-copy migration recorded as a
 //!   `migration` root with per-domain `sync_round` children, plus the
@@ -37,7 +37,7 @@ use semcom_channel::adapt::{AdaptEntry, AdaptSpec};
 use semcom_channel::{FaultConfig, FaultyLink, LinkConfig, Modulation};
 use semcom_edge::placement::MessageCost;
 use semcom_edge::{
-    Assignment, FleetAdapt, FleetConfig, FleetSim, OffloadConfig, SessionPlacement,
+    Assignment, FleetAdapt, FleetConfig, FleetSim, OffloadConfig, RunOptions, SessionPlacement,
     ShardedFleetConfig, ShardedFleetSim, Topology,
 };
 use semcom_fl::{
@@ -291,9 +291,16 @@ fn section_c() {
     let rec = Recorder::with_ticks_and_trace();
     let sim = FleetSim::new(flash_config(), Topology::default());
     let t0 = std::time::Instant::now();
-    let (report, series, slo_eval) = sim.run_observed(14, &rec, 0.5, Some(slo()));
-    eprintln!("[timing] flash crowd run_observed: {:?}", t0.elapsed());
-    let slo_eval = slo_eval.expect("slo armed");
+    let opts = RunOptions {
+        hist: true,
+        recorder: rec.clone(),
+        series: Some((0.5, Some(slo()))),
+        ..RunOptions::default()
+    };
+    let run = sim.run_with(14, opts).expect("valid interval");
+    eprintln!("[timing] flash crowd run_with: {:?}", t0.elapsed());
+    let (report, series) = (run.report, run.series.expect("series requested"));
+    let slo_eval = run.slo.expect("slo armed");
 
     println!("requests,{}", report.latency.count);
     println!("hit_rate,{:.4}", report.hit_rate);
@@ -409,7 +416,7 @@ fn section_d() {
         },
         Topology::default(),
     );
-    let r = sim.run_traced(14, &rec);
+    let r = sim.run_observed(14, &rec);
     let buf = rec.trace_buffer().expect("tracing enabled");
     let traces = assert_well_formed(&buf);
     println!("requests,{}", r.merged.latency.count);

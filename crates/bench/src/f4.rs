@@ -10,7 +10,7 @@
 
 use semcom_cache::policy::{Fifo, Gdsf, Lfu, Lru, SLru, SemanticCost};
 use semcom_cache::workload::{ReplayReport, Workload};
-use semcom_edge::{EdgeWorkloadSim, Topology, WorkloadConfig};
+use semcom_edge::{FleetConfig, FleetSim, RunOptions, Topology};
 use semcom_nn::rng::{derive_seed, seeded_rng};
 
 /// Policy column order of the F4 grids.
@@ -90,18 +90,25 @@ pub fn latency_rows(n_requests: usize) -> Vec<String> {
         .flat_map(|&c| [(c, 0), (c, 1)])
         .collect();
     semcom_par::par_map_indexed(&cells, |_, &(capacity, p)| {
-        let sim = EdgeWorkloadSim::new(
-            WorkloadConfig {
+        let sim = FleetSim::new(
+            FleetConfig {
+                n_edges: 1,
                 n_requests,
+                arrival_rate_hz: 20.0,
                 capacity_bytes: capacity,
-                ..WorkloadConfig::default()
+                ..FleetConfig::default()
             },
             Topology::default(),
         );
         let (name, r) = if p == 0 {
-            ("lru", sim.run(Lru::new(), 3))
+            ("lru", sim.run(3))
         } else {
-            ("semantic_cost", sim.run(SemanticCost::new(), 3))
+            let cost_aware = RunOptions {
+                policy: &|| Box::new(SemanticCost::new()),
+                ..RunOptions::default()
+            };
+            let run = sim.run_with(3, cost_aware).expect("no series");
+            ("semantic_cost", run.report)
         };
         format!(
             "{:.1},{name},{:.4},{:.2},{:.2}",

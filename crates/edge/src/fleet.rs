@@ -8,19 +8,22 @@
 //! load-oriented strategies spread queueing delay but duplicate models
 //! across caches.
 //!
-//! [`FleetSim`] here is the **single-loop reference engine**: it
-//! materializes the whole arrival trace and pre-schedules every request
-//! into one event heap. The million-user scale path lives in
-//! [`crate::orchestrator`], which shards this exact per-request logic
-//! (the [`World`] internals are shared) across `semcom-par` workers over
-//! streaming traces; `FleetSim` is retained — like `policy::reference`
-//! and `matmul_reference` before it — as the ground truth the sharded
-//! engine is property-pinned against.
+//! There is **one engine**: [`replay`] draws arrivals from a
+//! constant-memory [`semcom_cache::workload::ArrivalStream`] and injects
+//! them one at a time between strict [`Sim::run_while_before`] drains, so
+//! the event heap only ever holds in-flight fetch/dispatch events.
+//! [`FleetSim`] runs it over the whole fleet; [`crate::orchestrator`]
+//! runs it once per shard on `semcom-par` workers. Everything a run can
+//! vary — cache policy, latency sink, recorder, series + SLO, serving
+//! backend — is a [`RunOptions`] value, not another entry point. The
+//! driver this replaced (materialise the trace, pre-schedule every arrival
+//! as a boxed event) survives only as the `replay_prescheduled` test
+//! oracle below, which the streaming loop is property-pinned against.
 
 use crate::engine::Sim;
 use crate::metrics::{LatencyHist, LatencySummary};
 use crate::placement::MessageCost;
-use crate::topology::Topology;
+use crate::topology::{Link, Topology};
 use rand::rngs::StdRng;
 use rand::Rng;
 use semcom_cache::policy::{EvictionPolicy, Lru};
@@ -82,6 +85,11 @@ pub enum ConfigError {
     BadArrivalRate(f64),
     /// `zipf_alpha` non-finite or negative.
     BadZipf(f64),
+    /// `n_domains == 0 && n_users == 0`: there is no model to request.
+    EmptyUniverse,
+    /// [`RunOptions::series`] interval non-finite or not positive (a window
+    /// would close every simulated instant and the replay never advance).
+    BadSeriesInterval(f64),
     /// The orchestrator was asked for zero shards.
     ZeroShards,
     /// More shards than edges: a shard must own at least one node.
@@ -138,6 +146,12 @@ impl std::fmt::Display for ConfigError {
             }
             ConfigError::BadZipf(a) => {
                 write!(f, "zipf_alpha must be finite and non-negative (got {a})")
+            }
+            ConfigError::EmptyUniverse => {
+                write!(f, "fleet needs at least one model (n_domains + n_users > 0)")
+            }
+            ConfigError::BadSeriesInterval(i) => {
+                write!(f, "series interval must be finite and positive (got {i} s)")
             }
             ConfigError::ZeroShards => write!(f, "orchestrator needs at least one shard"),
             ConfigError::MoreShardsThanEdges { shards, edges } => write!(
@@ -357,6 +371,9 @@ impl FleetConfig {
         if !self.zipf_alpha.is_finite() || self.zipf_alpha < 0.0 {
             return Err(ConfigError::BadZipf(self.zipf_alpha));
         }
+        if self.n_domains == 0 && self.n_users == 0 {
+            return Err(ConfigError::EmptyUniverse);
+        }
         if let Some(adapt) = &self.adapt {
             adapt.validate()?;
         }
@@ -388,35 +405,107 @@ pub struct FleetReport {
     pub duration: f64,
 }
 
-/// A real serving backend that [`FleetSim::run_served`] routes dispatched
+/// A real serving backend that [`RunOptions::server`] routes dispatched
 /// service rounds through: the DES decides *which* requests coalesce into
 /// a round on *which* edge and *when*; the backend actually serves them.
 /// The T10 harness implements this by mapping model ids to registered
 /// users and calling `SemanticEdgeSystem::send_stream`, so the fleet's
-/// dispatch loop drives the staged serving pipeline end to end.
+/// dispatch loop drives the serving path end to end.
 pub trait BatchServer {
     /// Serves one dispatched round on `edge`; `model_ids` are in queue
     /// (FIFO) order.
     fn serve_round(&mut self, edge: usize, model_ids: &[u64]);
 }
 
-/// Where per-request latencies go: the reference engine keeps the exact
-/// sample vector (O(n) memory, exact percentiles); the sharded engine and
-/// [`FleetSim::run_hist`] use the constant-size [`LatencyHist`].
-pub(crate) enum LatencySink {
+/// Everything a replay can vary besides its [`FleetConfig`] and seed. The
+/// default — per-edge LRU caches, exact latency samples, no recorder, no
+/// series, no backend — is what [`FleetSim::run`] uses; none of the fields
+/// perturbs the simulated timeline.
+pub struct RunOptions<'a> {
+    /// Builds one fresh eviction policy per edge.
+    pub policy: &'a dyn Fn() -> Box<dyn EvictionPolicy<u64> + Send>,
+    /// Record latencies into the constant-size [`LatencyHist`] instead of
+    /// the exact sample vector: `count`, `mean` and `max` stay exact,
+    /// percentiles become bucket lower bounds (≤ 1/16 low).
+    pub hist: bool,
+    /// Observability sink: fleet counters, the per-request `message`
+    /// latency histogram (virtual-time ns) and — when it carries a trace
+    /// buffer — one causal span tree per request. Every timestamp is
+    /// virtual, so exports are byte-identical at any `SEMCOM_THREADS`.
+    pub recorder: Recorder,
+    /// Close a [`TimeSeriesSampler`] window over `recorder` every `.0`
+    /// simulated seconds (plus one final partial window at drain),
+    /// optionally evaluating an SLO watchdog on the same cadence, which
+    /// emits `slo_breach` journal events into `recorder`.
+    pub series: Option<(f64, Option<SloSpec>)>,
+    /// Serve every dispatched round `(edge, model ids)` through a real
+    /// backend, in simulation-time order.
+    pub server: Option<&'a mut dyn BatchServer>,
+}
+
+impl Default for RunOptions<'_> {
+    fn default() -> Self {
+        RunOptions {
+            policy: &|| Box::new(Lru::new()),
+            hist: false,
+            recorder: Recorder::disabled(),
+            series: None,
+            server: None,
+        }
+    }
+}
+
+/// Execution statistics of one replay loop, reported alongside its
+/// [`FleetReport`].
+///
+/// Everything except `wall_ns` is a pure function of the DES and
+/// therefore identical at any `SEMCOM_THREADS`; `wall_ns` is wall-clock
+/// and scheduling-dependent, so exports prefix it `sched_` (excluded from
+/// the deterministic snapshot, like PR 7's queue-depth gauges).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct ShardStats {
+    /// Arrivals injected plus derived events fired by this loop.
+    pub events_total: u64,
+    /// Deepest any node queue grew (0 for `max_batch <= 1`).
+    pub queue_depth_peak: usize,
+    /// Cache hits summed over the loop's nodes.
+    pub hits: u64,
+    /// Cache lookups summed over the loop's nodes.
+    pub lookups: u64,
+    /// Wall-clock nanoseconds the replay took (scheduling-dependent;
+    /// never golden-checked).
+    pub wall_ns: u64,
+}
+
+/// What [`FleetSim::run_with`] returns.
+#[derive(Debug)]
+pub struct FleetRun {
+    /// The simulated results.
+    pub report: FleetReport,
+    /// Execution statistics of the loop.
+    pub stats: ShardStats,
+    /// The closed series windows, when [`RunOptions::series`] was set.
+    pub series: Option<TimeSeriesSampler>,
+    /// The SLO watchdog's tallies, when one was armed.
+    pub slo: Option<SloEvaluator>,
+}
+
+/// Where per-request latencies go: the exact sample vector (O(n) memory,
+/// exact percentiles) or the constant-size [`LatencyHist`].
+enum LatencySink {
     Exact(Vec<f64>),
     Hist(LatencyHist),
 }
 
 impl LatencySink {
-    pub(crate) fn record(&mut self, latency: f64) {
+    fn record(&mut self, latency: f64) {
         match self {
             LatencySink::Exact(v) => v.push(latency),
             LatencySink::Hist(h) => h.record(latency),
         }
     }
 
-    pub(crate) fn summary(&self) -> LatencySummary {
+    fn summary(&self) -> LatencySummary {
         match self {
             LatencySink::Exact(v) => LatencySummary::from_samples(v),
             LatencySink::Hist(h) => h.summary(),
@@ -441,7 +530,9 @@ pub(crate) enum Picker {
         cum: Vec<f64>,
     },
     /// Argmin over the *last published* per-node busy-seconds gauges in
-    /// `rec` — stale between dispatch completions, like real telemetry.
+    /// `rec` — the dispatch path publishes each node's accumulated busy
+    /// seconds there after every service round, so the picker reads load
+    /// that is stale between completions, like real telemetry.
     LoadAware {
         rec: Recorder,
         names: Vec<String>,
@@ -471,7 +562,6 @@ impl Picker {
                     if e.free_at < edges[best].free_at {
                         best = i;
                     }
-                    let _ = i;
                 }
                 best
             }
@@ -499,129 +589,120 @@ impl Picker {
     }
 }
 
-/// Per-node telemetry hook: the dispatch loop publishes each node's
-/// accumulated busy seconds to a gauge after every service round, which
-/// is what a [`Picker::LoadAware`] reads back.
-pub(crate) struct NodeTelemetry {
-    pub(crate) rec: Recorder,
-    pub(crate) names: Vec<String>,
-}
-
-impl NodeTelemetry {
-    fn publish(&self, node: usize, busy_s: f64) {
-        self.rec.set_gauge(&self.names[node], busy_s);
-    }
-}
-
-pub(crate) struct EdgeState {
-    pub(crate) cache: ModelCache<u64, ModelSpec>,
-    pub(crate) free_at: f64,
-    pub(crate) busy_time: f64,
+struct EdgeState {
+    cache: ModelCache<u64, ModelSpec>,
+    free_at: f64,
+    busy_time: f64,
     /// Ready requests awaiting a batched service round, FIFO by ready
     /// time: `(ready_at, arrive_at, model_id, request_seq)`. Only used
     /// when `max_batch > 1`; `request_seq` is the fleet-wide arrival
     /// sequence number a traced request's spans are keyed by.
-    pub(crate) queue: std::collections::VecDeque<(f64, f64, u64, u64)>,
+    queue: std::collections::VecDeque<(f64, f64, u64, u64)>,
 }
 
 /// Per-cell adaptation runtime carried by the [`World`]: one seeded
 /// [`LinkState`] per edge plus the airtime parameters.
-pub(crate) struct AdaptRuntime {
+struct AdaptRuntime {
     links: Vec<LinkState>,
     payload_bits: f64,
     full_feature_dim: usize,
     symbol_rate_hz: f64,
-    pub(crate) switches: u64,
     /// Precomputed per-entry counter names (`fleet_adapt_<label>`), so
     /// the hot arrival path never formats strings.
     counter_names: Vec<String>,
 }
 
 /// Precomputed offload parameters (derived from [`OffloadConfig`]).
-pub(crate) struct OffloadRuntime {
+struct OffloadRuntime {
     threshold: f64,
     latency_s: f64,
     transfer_s: f64,
 }
 
-pub(crate) struct World {
-    pub(crate) edges: Vec<EdgeState>,
-    pub(crate) sink: LatencySink,
-    pub(crate) fetch_time_total: f64,
-    pub(crate) service_time: f64,
+struct World<'a> {
+    edges: Vec<EdgeState>,
+    sink: LatencySink,
+    fetch_time_total: f64,
+    service_time: f64,
     /// The encode half of `service_time` (same first summand, so the
     /// non-offload path still adds the precomputed sum and stays
     /// bit-identical to the pre-offload engine).
-    pub(crate) encode_time: f64,
+    encode_time: f64,
     /// Decode compute time on the cloud tier, for offloaded rounds.
-    pub(crate) cloud_decode_time: f64,
-    pub(crate) dispatch_time: f64,
-    pub(crate) max_batch: usize,
-    pub(crate) batches: u64,
-    pub(crate) served: u64,
-    pub(crate) offloaded: u64,
-    pub(crate) adapt: Option<AdaptRuntime>,
-    pub(crate) offload: Option<OffloadRuntime>,
-    pub(crate) fetch_time_for: Box<dyn Fn(usize) -> f64>,
-    pub(crate) picker: Picker,
+    cloud_decode_time: f64,
+    dispatch_time: f64,
+    max_batch: usize,
+    batches: u64,
+    served: u64,
+    offloaded: u64,
+    adapt: Option<AdaptRuntime>,
+    offload: Option<OffloadRuntime>,
+    /// The link a missed model is fetched over.
+    edge_cloud: Link,
+    picker: Picker,
     /// Deepest any node's service queue has grown (0 when `max_batch <= 1`
     /// — the classic pipeline never queues).
-    pub(crate) queue_peak: usize,
-    /// Per-node busy-gauge publisher, when telemetry is on.
-    pub(crate) telemetry: Option<NodeTelemetry>,
-    /// Dispatched service rounds `(edge, model ids in service order)` in
-    /// simulation-time order; recorded only for [`FleetSim::run_served`].
-    pub(crate) rounds: Option<Vec<(usize, Vec<u64>)>>,
-    /// Observability sink: fleet counters, the `message` latency
-    /// histogram (virtual-time ns), and — when a trace buffer is attached
-    /// — per-request causal spans. Disabled by default; a disabled
-    /// recorder makes every call a single branch.
-    pub(crate) obs: Recorder,
+    queue_peak: usize,
+    /// Backend every dispatched round is served through, when attached.
+    server: Option<&'a mut dyn BatchServer>,
+    /// Observability sink; a disabled recorder makes every call a single
+    /// branch.
+    obs: Recorder,
     /// Fleet-wide arrival sequence number; a traced request's trace id.
-    pub(crate) seq: u64,
+    seq: u64,
     /// Virtual-time series sampling + SLO watchdog, when attached.
-    pub(crate) series: Option<SeriesRuntime>,
+    series: Option<SeriesRuntime>,
+    /// Wall-clock start of the replay, for [`ShardStats::wall_ns`].
+    started: std::time::Instant,
 }
 
 /// Time-series sampling state for an instrumented replay: windows close
 /// on virtual-time interval boundaries (checked at each arrival), so the
 /// exported curves are a pure function of the simulated workload.
-pub(crate) struct SeriesRuntime {
+struct SeriesRuntime {
     interval_s: f64,
     next_tick: u64,
-    pub(crate) sampler: TimeSeriesSampler,
-    pub(crate) slo: Option<SloEvaluator>,
+    sampler: TimeSeriesSampler,
+    slo: Option<SloEvaluator>,
 }
 
-impl World {
-    /// Builds a fleet world over `n_edges` fresh caches with the classic
-    /// latency/picker setup derived from `cfg` and `topology`.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new<P, F>(
+impl<'a> World<'a> {
+    /// Builds a fleet world over `n_edges` fresh caches with the latency
+    /// setup derived from `cfg` and `topology`.
+    fn new(
         cfg: &FleetConfig,
         topology: &Topology,
-        make_policy: F,
-        sink: LatencySink,
-        picker: Picker,
-        telemetry: Option<NodeTelemetry>,
-        record_rounds: bool,
         seed: u64,
-    ) -> Self
-    where
-        P: EvictionPolicy<u64> + Send + 'static,
-        F: Fn() -> P,
-    {
-        let edge_cloud = topology.edge_cloud;
-        World {
+        picker: Picker,
+        opts: RunOptions<'a>,
+    ) -> Result<Self, ConfigError> {
+        let started = std::time::Instant::now();
+        let series = match opts.series {
+            Some((interval_s, _)) if !(interval_s.is_finite() && interval_s > 0.0) => {
+                return Err(ConfigError::BadSeriesInterval(interval_s));
+            }
+            Some((interval_s, slo)) => Some(SeriesRuntime {
+                interval_s,
+                next_tick: 0,
+                sampler: TimeSeriesSampler::new(&opts.recorder),
+                slo: slo.map(SloEvaluator::new),
+            }),
+            None => None,
+        };
+        Ok(World {
             edges: (0..cfg.n_edges)
                 .map(|_| EdgeState {
-                    cache: ModelCache::new(cfg.capacity_bytes, Box::new(make_policy())),
+                    cache: ModelCache::new(cfg.capacity_bytes, (opts.policy)()),
                     free_at: 0.0,
                     busy_time: 0.0,
                     queue: std::collections::VecDeque::new(),
                 })
                 .collect(),
-            sink,
+            sink: if opts.hist {
+                LatencySink::Hist(LatencyHist::new())
+            } else {
+                LatencySink::Exact(Vec::with_capacity(cfg.n_requests))
+            },
             fetch_time_total: 0.0,
             service_time: topology.edge.compute_time(cfg.message.encode_ops)
                 + topology.edge.compute_time(cfg.message.decode_ops),
@@ -639,7 +720,6 @@ impl World {
                 payload_bits: a.payload_bits,
                 full_feature_dim: a.full_feature_dim.max(1),
                 symbol_rate_hz: a.symbol_rate_hz,
-                switches: 0,
                 counter_names: a
                     .spec
                     .entries
@@ -652,50 +732,30 @@ impl World {
                 latency_s: o.backhaul_latency_s,
                 transfer_s: o.request_bytes as f64 / o.backhaul_bytes_per_sec,
             }),
-            fetch_time_for: Box::new(move |bytes| edge_cloud.transfer_time(bytes)),
+            edge_cloud: topology.edge_cloud,
             picker,
             queue_peak: 0,
-            telemetry,
-            rounds: record_rounds.then(Vec::new),
-            obs: Recorder::disabled(),
+            server: opts.server,
+            obs: opts.recorder,
             seq: 0,
-            series: None,
-        }
-    }
-
-    /// Attaches an observability sink (and optionally a series sampler +
-    /// SLO watchdog) to this world. Pure telemetry: the DES timeline is
-    /// byte-identical with or without it.
-    pub(crate) fn attach_observability(
-        &mut self,
-        rec: Recorder,
-        series_interval_s: Option<f64>,
-        slo: Option<SloSpec>,
-    ) {
-        self.series = series_interval_s.map(|interval_s| SeriesRuntime {
-            interval_s: interval_s.max(1e-9),
-            next_tick: 0,
-            sampler: TimeSeriesSampler::new(&rec),
-            slo: slo.map(SloEvaluator::new),
-        });
-        self.obs = rec;
+            series,
+            started,
+        })
     }
 
     /// Closes every series window whose virtual-time boundary has passed.
     /// Called at each arrival (and once at drain), so windows land on
     /// deterministic simulated-time boundaries regardless of host timing.
     fn tick_series(&mut self, now: f64) {
-        if self.series.is_none() {
+        let Some(s) = &mut self.series else {
             return;
-        }
+        };
         let depth: usize = self.edges.iter().map(|e| e.queue.len()).sum();
-        let obs = self.obs.clone();
-        let s = self.series.as_mut().expect("checked above");
         while (s.next_tick as f64 + 1.0) * s.interval_s <= now {
-            obs.set_gauge("fleet_queue_depth", depth as f64);
-            s.sampler.sample(s.next_tick, &obs);
+            self.obs.set_gauge("fleet_queue_depth", depth as f64);
+            s.sampler.sample(s.next_tick, &self.obs);
             if let Some(slo) = &mut s.slo {
-                slo.observe(&obs);
+                slo.observe(&self.obs);
             }
             s.next_tick += 1;
         }
@@ -705,18 +765,18 @@ impl World {
     /// SLO is armed and the report sink is a histogram, also publishes
     /// `fleet_over_slo` — the run-total count of requests whose latency
     /// exceeded the SLO target ([`LatencyHist::count_over`]).
-    pub(crate) fn flush_series(&mut self, now: f64) {
+    fn flush_series(&mut self, now: f64) {
         self.tick_series(now);
-        let obs = self.obs.clone();
         if let Some(s) = &mut self.series {
-            obs.set_gauge("fleet_queue_depth", 0.0);
-            s.sampler.sample(s.next_tick, &obs);
+            self.obs.set_gauge("fleet_queue_depth", 0.0);
+            s.sampler.sample(s.next_tick, &self.obs);
             if let Some(slo) = &mut s.slo {
-                slo.observe(&obs);
+                slo.observe(&self.obs);
             }
             if let (LatencySink::Hist(h), Some(slo)) = (&self.sink, &s.slo) {
                 let target_s = slo.spec().target_p99_ns as f64 / 1e9;
-                obs.set_counter("fleet_over_slo", h.count_over(target_s));
+                self.obs
+                    .set_counter("fleet_over_slo", h.count_over(target_s));
             }
         }
     }
@@ -789,7 +849,6 @@ impl World {
         };
         let d = a.links[e].step();
         if d.switched {
-            a.switches += 1;
             self.obs.add("fleet_adapt_switches", 1);
         }
         self.obs.add(&a.counter_names[d.index], 1);
@@ -814,10 +873,12 @@ impl World {
         self.picker.pick(&self.edges, model_id)
     }
 
+    /// Accounts `cost` busy seconds to edge `e` and publishes the node's
+    /// new total to the gauge a [`Picker::LoadAware`] reads back.
     fn note_busy(&mut self, e: usize, cost: f64) {
         self.edges[e].busy_time += cost;
-        if let Some(t) = &self.telemetry {
-            t.publish(e, self.edges[e].busy_time);
+        if let Picker::LoadAware { rec, names } = &self.picker {
+            rec.set_gauge(&names[e], self.edges[e].busy_time);
         }
     }
 
@@ -848,20 +909,17 @@ impl World {
             (cost, now + cost, None)
         };
         let free_at = now + cost;
-        let mut ids = Vec::with_capacity(if self.rounds.is_some() { k } else { 0 });
+        if let Some(server) = &mut self.server {
+            let ids: Vec<u64> = self.edges[e].queue.iter().take(k).map(|r| r.2).collect();
+            server.serve_round(e, &ids);
+        }
         for _ in 0..k {
-            let (_, arrive, id, seq) = self.edges[e]
+            let (_, arrive, _, seq) = self.edges[e]
                 .queue
                 .pop_front()
                 .expect("k bounded by queue length");
             self.record_latency(done - arrive);
             self.trace_request(seq, arrive, now, cost, done, offload_durs);
-            if self.rounds.is_some() {
-                ids.push(id);
-            }
-        }
-        if let Some(rounds) = &mut self.rounds {
-            rounds.push((e, ids));
         }
         self.edges[e].free_at = free_at;
         self.note_busy(e, cost);
@@ -876,15 +934,15 @@ impl World {
         Some(free_at)
     }
 
-    /// Folds the world into a report once the simulation has drained.
-    pub(crate) fn finish(&self, duration: f64) -> FleetReport {
-        let duration = duration.max(1e-9);
-        let (mut hits, mut lookups) = (0u64, 0u64);
-        for e in &self.edges {
-            hits += e.cache.stats().hits;
-            lookups += e.cache.stats().lookups();
-        }
-        FleetReport {
+    /// Drains the event heap and folds the world into its results.
+    /// `injected` counts arrivals that entered the loop without being
+    /// events themselves.
+    fn finish(mut self, mut sim: Sim<Self>, injected: u64) -> FleetRun {
+        sim.run(&mut self);
+        self.flush_series(sim.now());
+        let duration = sim.now().max(1e-9);
+        let (hits, lookups) = self.cache_totals();
+        let report = FleetReport {
             latency: self.sink.summary(),
             hit_rate: if lookups == 0 {
                 0.0
@@ -900,11 +958,28 @@ impl World {
             },
             offloaded: self.offloaded,
             duration,
+        };
+        let stats = ShardStats {
+            events_total: injected + sim.processed(),
+            queue_depth_peak: self.queue_peak,
+            hits,
+            lookups,
+            wall_ns: self.started.elapsed().as_nanos() as u64,
+        };
+        let (series, slo) = match self.series {
+            Some(s) => (Some(s.sampler), s.slo),
+            None => (None, None),
+        };
+        FleetRun {
+            report,
+            stats,
+            series,
+            slo,
         }
     }
 
     /// Aggregate cache hit / lookup counts across the fleet's nodes.
-    pub(crate) fn cache_totals(&self) -> (u64, u64) {
+    fn cache_totals(&self) -> (u64, u64) {
         let (mut hits, mut lookups) = (0u64, 0u64);
         for e in &self.edges {
             hits += e.cache.stats().hits;
@@ -917,7 +992,7 @@ impl World {
 /// Drains edge `e` one round at a time: each completed round schedules the
 /// next drain at its completion time, so batches form from whatever has
 /// queued while the edge was busy.
-fn dispatch_loop(sim: &mut Sim<World>, w: &mut World, e: usize) {
+fn dispatch_loop<'a>(sim: &mut Sim<World<'a>>, w: &mut World<'a>, e: usize) {
     if let Some(done) = w.try_dispatch(e, sim.now()) {
         sim.schedule_at(
             done,
@@ -926,13 +1001,9 @@ fn dispatch_loop(sim: &mut Sim<World>, w: &mut World, e: usize) {
     }
 }
 
-/// Handles one request arrival at `sim.now()`. This is the *entire*
-/// per-request fleet logic, shared verbatim by the materialized reference
-/// engine ([`FleetSim`], which fires it from pre-scheduled events) and
-/// the streaming sharded engine ([`crate::orchestrator`], which injects
-/// it between strict event drains) — the engines cannot drift apart in
-/// semantics because there is only one arrival body.
-pub(crate) fn on_arrival(sim: &mut Sim<World>, w: &mut World, spec: ModelSpec) {
+/// Handles one request arrival at `sim.now()`: the *entire* per-request
+/// fleet logic.
+fn on_arrival<'a>(sim: &mut Sim<World<'a>>, w: &mut World<'a>, spec: ModelSpec) {
     let now = sim.now();
     w.tick_series(now);
     let seq = w.seq;
@@ -944,7 +1015,7 @@ pub(crate) fn on_arrival(sim: &mut Sim<World>, w: &mut World, spec: ModelSpec) {
         0.0
     } else {
         w.obs.add("fleet_cache_misses", 1);
-        let f = (w.fetch_time_for)(spec.size);
+        let f = w.edge_cloud.transfer_time(spec.size);
         w.fetch_time_total += f;
         w.edges[e].cache.insert(spec.id, spec, spec.size, spec.cost);
         f
@@ -995,8 +1066,8 @@ pub(crate) fn on_arrival(sim: &mut Sim<World>, w: &mut World, spec: ModelSpec) {
         w.served += 1;
         w.obs.add("fleet_served", 1);
         w.obs.add("fleet_batches", 1);
-        if let Some(rounds) = &mut w.rounds {
-            rounds.push((e, vec![spec.id]));
+        if let Some(server) = &mut w.server {
+            server.serve_round(e, &[spec.id]);
         }
     } else {
         // Batched mode: the request queues once its model is resident and
@@ -1018,6 +1089,63 @@ pub(crate) fn on_arrival(sim: &mut Sim<World>, w: &mut World, spec: ModelSpec) {
 /// byte-identically regardless of host scheduling.
 fn vns(t: f64) -> u64 {
     (t * 1e9).round() as u64
+}
+
+fn arrivals(cfg: &FleetConfig, seed: u64) -> semcom_cache::workload::ArrivalStream {
+    Workload::standard(cfg.n_domains, cfg.n_users, cfg.zipf_alpha)
+        .into_stream(cfg.arrival_rate_hz, seed)
+}
+
+/// Replays `cfg` to completion: the one fleet event loop. Called by
+/// [`FleetSim`] over a whole fleet and by the orchestrator's `semcom-par`
+/// fan-out once per shard; the result depends only on the arguments.
+///
+/// Arrivals are drawn lazily and injected one at a time: fire everything
+/// strictly earlier than the arrival, move the clock onto it, run the
+/// arrival body. The strict (`< t`) drain makes an arrival win a tie
+/// against a derived event at the same instant — the order a heap holding
+/// every arrival up front (lowest sequence numbers) would produce, which
+/// is what `replay_prescheduled` pins.
+pub(crate) fn replay(
+    cfg: &FleetConfig,
+    topology: &Topology,
+    seed: u64,
+    picker: Picker,
+    opts: RunOptions<'_>,
+) -> Result<FleetRun, ConfigError> {
+    let mut world = World::new(cfg, topology, seed, picker, opts)?;
+    let mut sim = Sim::new();
+    let mut stream = arrivals(cfg, seed);
+    for _ in 0..cfg.n_requests {
+        let (t, spec) = stream.next_arrival();
+        sim.run_while_before(&mut world, t);
+        sim.advance_to(t);
+        on_arrival(&mut sim, &mut world, spec);
+    }
+    Ok(world.finish(sim, cfg.n_requests as u64))
+}
+
+/// Test oracle for [`replay`]: the driver it replaced. Materialises the
+/// whole trace and pre-schedules every arrival as a boxed event
+/// (O(`n_requests`) memory) before the heap runs once.
+#[cfg(test)]
+fn replay_prescheduled(
+    cfg: &FleetConfig,
+    topology: &Topology,
+    seed: u64,
+    picker: Picker,
+    opts: RunOptions<'_>,
+) -> Result<FleetRun, ConfigError> {
+    let world = World::new(cfg, topology, seed, picker, opts)?;
+    let mut sim = Sim::new();
+    let trace: Vec<(f64, ModelSpec)> = arrivals(cfg, seed).take(cfg.n_requests).collect();
+    for (t, spec) in trace {
+        sim.schedule_at(
+            t,
+            Box::new(move |sim, w: &mut World| on_arrival(sim, w, spec)),
+        );
+    }
+    Ok(world.finish(sim, 0))
 }
 
 /// The multi-edge fleet simulator. See the module-level documentation.
@@ -1044,150 +1172,42 @@ impl FleetSim {
         Self::try_new(config, topology).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Replays the workload with per-edge LRU caches.
+    /// Replays the workload with the default [`RunOptions`]: per-edge LRU
+    /// caches, exact latency percentiles.
     pub fn run(&self, seed: u64) -> FleetReport {
-        self.run_with_policy(seed, Lru::new)
+        self.run_with(seed, RunOptions::default())
+            .expect("no series interval to reject")
+            .report
     }
 
-    /// Replays the workload with a caller-chosen eviction policy;
-    /// `make_policy` builds one fresh policy per edge. The arrival
-    /// process is identical to [`FleetSim::run`] for the same seed.
-    pub fn run_with_policy<P, F>(&self, seed: u64, make_policy: F) -> FleetReport
-    where
-        P: EvictionPolicy<u64> + Send + 'static,
-        F: Fn() -> P,
-    {
-        self.run_inner(seed, make_policy, false, false).0
-    }
-
-    /// Like [`FleetSim::run_hist`], but **instrumented**: fleet counters,
-    /// the per-request latency histogram (virtual-time ns, `message`
-    /// stage), and — when `rec` carries a trace buffer — one causal span
-    /// tree per request land on `rec`; a [`TimeSeriesSampler`] closes a
-    /// window every `series_interval_s` simulated seconds (plus one final
-    /// partial window at drain); `slo` optionally arms an SLO watchdog
-    /// evaluated on the same cadence, emitting `slo_breach` journal
-    /// events into `rec`.
-    ///
-    /// The DES timeline is identical to [`FleetSim::run_hist`] for the
-    /// same seed — instrumentation never perturbs the simulation — and
-    /// because every timestamp is virtual, the trace/series exports are
-    /// byte-identical at any `SEMCOM_THREADS`.
-    pub fn run_observed(
-        &self,
-        seed: u64,
-        rec: &Recorder,
-        series_interval_s: f64,
-        slo: Option<SloSpec>,
-    ) -> (FleetReport, TimeSeriesSampler, Option<SloEvaluator>) {
-        let (report, _, series) = self.run_instrumented(
-            seed,
-            Lru::new,
-            false,
-            true,
-            Some((rec.clone(), Some(series_interval_s), slo)),
-        );
-        let s = series.expect("observability attached");
-        (report, s.sampler, s.slo)
-    }
-
-    /// Like [`FleetSim::run`], but recording per-request latencies into
-    /// the bounded [`LatencyHist`] instead of the exact sample vector:
-    /// `count`, `mean`, and `max` match [`FleetSim::run`] exactly,
-    /// percentiles are bucket lower bounds (≤ 1/16 low). This is the
-    /// single-loop **reference summary** the sharded engine
-    /// (`ShardedFleetSim`) is property-pinned against — both sides must
-    /// quantize identically for byte-equality to be checkable.
+    /// [`FleetSim::run`] with [`RunOptions::hist`] set — the summary a
+    /// shard of `ShardedFleetSim` produces for the same config and seed.
     pub fn run_hist(&self, seed: u64) -> FleetReport {
-        self.run_inner(seed, Lru::new, false, true).0
-    }
-
-    /// Like [`FleetSim::run`], but additionally **routes every dispatched
-    /// service round through a real serving backend**: after the DES
-    /// resolves assignment, queueing, and batching, each round `(edge,
-    /// model ids)` is replayed in simulation-time order through
-    /// `server.serve_round`. The report is identical to [`FleetSim::run`]
-    /// for the same seed (recording rounds does not perturb the DES).
-    pub fn run_served<S: BatchServer>(&self, seed: u64, server: &mut S) -> FleetReport {
-        let (report, rounds) = self.run_inner(seed, Lru::new, true, false);
-        for (edge, ids) in &rounds {
-            server.serve_round(*edge, ids);
-        }
-        report
-    }
-
-    fn run_inner<P, F>(
-        &self,
-        seed: u64,
-        make_policy: F,
-        record_rounds: bool,
-        hist_latency: bool,
-    ) -> (FleetReport, Vec<(usize, Vec<u64>)>)
-    where
-        P: EvictionPolicy<u64> + Send + 'static,
-        F: Fn() -> P,
-    {
-        let (report, rounds, _) =
-            self.run_instrumented(seed, make_policy, record_rounds, hist_latency, None);
-        (report, rounds)
-    }
-
-    #[allow(clippy::type_complexity)]
-    fn run_instrumented<P, F>(
-        &self,
-        seed: u64,
-        make_policy: F,
-        record_rounds: bool,
-        hist_latency: bool,
-        obs: Option<(Recorder, Option<f64>, Option<SloSpec>)>,
-    ) -> (FleetReport, Vec<(usize, Vec<u64>)>, Option<SeriesRuntime>)
-    where
-        P: EvictionPolicy<u64> + Send + 'static,
-        F: Fn() -> P,
-    {
-        let cfg = &self.config;
-        let workload = Workload::standard(cfg.n_domains, cfg.n_users, cfg.zipf_alpha);
-        // Materialize the trace through the same streaming generator the
-        // sharded engine consumes lazily: identical draws by construction.
-        let arrivals: Vec<(f64, ModelSpec)> = workload
-            .into_stream(cfg.arrival_rate_hz, seed)
-            .take(cfg.n_requests)
-            .collect();
-
-        let sink = if hist_latency {
-            LatencySink::Hist(LatencyHist::new())
-        } else {
-            LatencySink::Exact(Vec::with_capacity(cfg.n_requests))
+        let opts = RunOptions {
+            hist: true,
+            ..RunOptions::default()
         };
-        let mut world = World::new(
-            cfg,
-            &self.topology,
-            make_policy,
-            sink,
-            Picker::from_assignment(cfg.assignment),
-            None,
-            record_rounds,
-            seed,
-        );
-        if let Some((rec, interval, slo)) = obs {
-            world.attach_observability(rec, interval, slo);
-        }
+        self.run_with(seed, opts)
+            .expect("no series interval to reject")
+            .report
+    }
 
-        let mut sim: Sim<World> = Sim::new();
-        for (arrive_at, spec) in arrivals {
-            sim.schedule_at(
-                arrive_at,
-                Box::new(move |sim, w: &mut World| on_arrival(sim, w, spec)),
-            );
-        }
-        sim.run(&mut world);
-        world.flush_series(sim.now());
-
-        let report = world.finish(sim.now());
-        let series = world.series.take();
-        (report, world.rounds.take().unwrap_or_default(), series)
+    /// Replays the workload under `opts`. The arrival process and the
+    /// simulated timeline are those of [`FleetSim::run`] for the same
+    /// seed, whatever the options.
+    ///
+    /// # Errors
+    ///
+    /// [`ConfigError::BadSeriesInterval`] when [`RunOptions::series`]
+    /// carries a non-finite or non-positive interval.
+    pub fn run_with(&self, seed: u64, opts: RunOptions<'_>) -> Result<FleetRun, ConfigError> {
+        let picker = Picker::from_assignment(self.config.assignment);
+        replay(&self.config, &self.topology, seed, picker, opts)
     }
 }
+
+#[cfg(test)]
+mod equivalence;
 
 #[cfg(test)]
 mod tests {
@@ -1272,10 +1292,23 @@ mod tests {
         assert_eq!(a, b);
     }
 
+    /// `run_with` under the given cache policy, everything else default.
+    fn run_policy(
+        sim: &FleetSim,
+        seed: u64,
+        policy: &dyn Fn() -> Box<dyn EvictionPolicy<u64> + Send>,
+    ) -> FleetReport {
+        let opts = RunOptions {
+            policy,
+            ..RunOptions::default()
+        };
+        sim.run_with(seed, opts).unwrap().report
+    }
+
     #[test]
-    fn run_with_policy_lru_matches_run() {
+    fn run_with_lru_policy_matches_run() {
         let a = sim(Assignment::Sticky).run(5);
-        let b = sim(Assignment::Sticky).run_with_policy(5, Lru::new);
+        let b = run_policy(&sim(Assignment::Sticky), 5, &|| Box::new(Lru::new()));
         assert_eq!(a, b);
     }
 
@@ -1298,7 +1331,9 @@ mod tests {
     #[test]
     fn cost_aware_fleet_runs() {
         use semcom_cache::policy::SemanticCost;
-        let r = sim(Assignment::Sticky).run_with_policy(5, SemanticCost::new);
+        let r = run_policy(&sim(Assignment::Sticky), 5, &|| {
+            Box::new(SemanticCost::new())
+        });
         assert!(
             r.hit_rate > 0.0 && r.hit_rate < 1.0,
             "hit rate {}",
@@ -1365,8 +1400,8 @@ mod tests {
         assert_eq!(overloaded(8), overloaded(8));
     }
 
-    /// Counts what a backend would serve; used to pin `run_served`'s
-    /// replay contract.
+    /// Counts what a backend would serve; used to pin the
+    /// [`RunOptions::server`] contract.
     #[derive(Default)]
     struct CountingServer {
         rounds: Vec<(usize, Vec<u64>)>,
@@ -1378,19 +1413,27 @@ mod tests {
         }
     }
 
+    fn run_serving(sim: &FleetSim, seed: u64, server: &mut CountingServer) -> FleetReport {
+        let opts = RunOptions {
+            server: Some(server),
+            ..RunOptions::default()
+        };
+        sim.run_with(seed, opts).unwrap().report
+    }
+
     #[test]
-    fn run_served_replays_every_request_and_matches_run() {
+    fn served_run_serves_every_request_and_matches_run() {
         let fleet = sim(Assignment::Sticky);
         let mut server = CountingServer::default();
-        let served = fleet.run_served(11, &mut server);
-        assert_eq!(served, fleet.run(11), "recording rounds perturbed the DES");
+        let served = run_serving(&fleet, 11, &mut server);
+        assert_eq!(served, fleet.run(11), "serving rounds perturbed the DES");
         let total: usize = server.rounds.iter().map(|(_, ids)| ids.len()).sum();
         assert_eq!(total, fleet.config.n_requests);
         assert!(server.rounds.iter().all(|&(e, _)| e < fleet.config.n_edges));
     }
 
     #[test]
-    fn run_served_rounds_coalesce_under_batching() {
+    fn served_rounds_coalesce_under_batching() {
         let fleet = FleetSim::new(
             FleetConfig {
                 n_edges: 1,
@@ -1408,7 +1451,7 @@ mod tests {
             Topology::default(),
         );
         let mut server = CountingServer::default();
-        let report = fleet.run_served(4, &mut server);
+        let report = run_serving(&fleet, 4, &mut server);
         assert_eq!(report, overloaded(16));
         let total: usize = server.rounds.iter().map(|(_, ids)| ids.len()).sum();
         assert_eq!(total, fleet.config.n_requests);
@@ -1486,6 +1529,15 @@ mod tests {
                     ..base()
                 },
                 ConfigError::BadZipf(-0.5),
+            ),
+            // Used to construct, then panic in `Workload::new` on `run`.
+            (
+                FleetConfig {
+                    n_domains: 0,
+                    n_users: 0,
+                    ..base()
+                },
+                ConfigError::EmptyUniverse,
             ),
         ];
         for (cfg, want) in cases {
@@ -1695,6 +1747,93 @@ mod tests {
                 ..OffloadConfig::default()
             }))
         );
+    }
+
+    /// A non-positive or non-finite series interval used to be clamped to
+    /// a nanosecond, closing ~10⁷ windows before the first arrival; it is
+    /// now refused before the loop starts.
+    #[test]
+    fn bad_series_interval_is_rejected_before_the_loop() {
+        let fleet = sim(Assignment::Sticky);
+        let observed = |interval_s: f64| {
+            let opts = RunOptions {
+                hist: true,
+                recorder: Recorder::with_ticks(),
+                series: Some((interval_s, None)),
+                ..RunOptions::default()
+            };
+            fleet.run_with(3, opts)
+        };
+        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let err = observed(bad).expect_err("interval should be rejected");
+            assert_eq!(
+                err.to_string(),
+                ConfigError::BadSeriesInterval(bad).to_string()
+            );
+        }
+        let run = observed(5.0).expect("a positive interval runs");
+        assert_eq!(run.report, fleet.run_hist(3), "series perturbed the DES");
+        // 3 000 requests at 60 Hz ≈ 50 s: about ten 5 s windows.
+        let windows = run.series.expect("series requested").len();
+        assert!((5..=20).contains(&windows), "{windows} windows");
+    }
+
+    /// The one-edge workload replay behind experiment F4's latency rows:
+    /// `n_edges: 1`, 20 Hz, one cache.
+    mod one_edge {
+        use super::*;
+        use semcom_cache::policy::SemanticCost;
+
+        fn sim(capacity: usize) -> FleetSim {
+            FleetSim::new(
+                FleetConfig {
+                    n_edges: 1,
+                    n_requests: 1500,
+                    arrival_rate_hz: 20.0,
+                    capacity_bytes: capacity,
+                    ..FleetConfig::default()
+                },
+                Topology::default(),
+            )
+        }
+
+        #[test]
+        fn larger_cache_improves_hit_rate_and_latency() {
+            let small = sim(1_000_000).run(1);
+            let large = sim(8_000_000).run(1);
+            assert!(large.hit_rate > small.hit_rate, "{large:?} vs {small:?}");
+            assert!(large.latency.mean < small.latency.mean);
+        }
+
+        #[test]
+        fn zero_capacity_cache_always_misses() {
+            let r = sim(1).run(2);
+            assert_eq!(r.hit_rate, 0.0);
+            assert!(r.fetch_time_total > 0.0);
+        }
+
+        #[test]
+        fn replay_is_deterministic() {
+            assert_eq!(sim(2_000_000).run(3), sim(2_000_000).run(3));
+        }
+
+        #[test]
+        fn latencies_are_at_least_service_time() {
+            let r = run_policy(&sim(4_000_000), 4, &|| Box::new(SemanticCost::new()));
+            let topo = Topology::default();
+            let msg = MessageCost::default();
+            let service =
+                topo.edge.compute_time(msg.encode_ops) + topo.edge.compute_time(msg.decode_ops);
+            assert!(r.latency.p50 >= service - 1e-12);
+            assert!(r.latency.count == 1500);
+        }
+
+        #[test]
+        fn duration_covers_all_arrivals() {
+            let r = sim(2_000_000).run(5);
+            // 1500 requests at 20 Hz ≈ 75 s expected.
+            assert!(r.duration > 30.0 && r.duration < 200.0, "{}", r.duration);
+        }
     }
 
     #[test]

@@ -13,17 +13,18 @@
 //!   bandwidth/latency parameters with 5G-flavored defaults;
 //! * [`placement`] — closed-form latency breakdowns for running the codec
 //!   on-device, at the edge, or in the cloud (experiment F5);
-//! * [`EdgeWorkloadSim`] — an event-driven workload replay combining
-//!   Poisson arrivals, per-edge FIFO service queues, the
-//!   [`semcom_cache::ModelCache`], and cloud model fetches on miss
-//!   (experiment F4's latency rows);
-//! * [`FleetSim`] — a multi-edge variant exposing the cache-locality vs
-//!   load-balance tradeoff of request [`Assignment`] (experiment F12);
-//! * [`orchestrator`] — the two-level sharded fleet engine scaling the
-//!   same per-request semantics to a million users over streaming traces
-//!   and `semcom-par` workers (experiment F13);
+//! * [`FleetSim`] — the event-driven workload replay: Poisson arrivals
+//!   drawn from a constant-memory stream, per-edge FIFO service queues,
+//!   one [`semcom_cache::ModelCache`] per edge, cloud model fetches on
+//!   miss, request [`Assignment`], batching, link adaptation and offload.
+//!   One edge gives experiment F4's latency rows; several expose the
+//!   cache-locality vs load-balance tradeoff (experiment F12). What a run
+//!   varies beyond its config is a [`RunOptions`] value;
+//! * [`orchestrator`] — [`ShardedFleetSim`] runs that same replay loop
+//!   once per shard on `semcom-par` workers, scaling it to a million
+//!   users (experiment F13);
 //! * [`LatencySummary`] — mean/percentile aggregation, plus the
-//!   bounded-memory [`LatencyHist`] the sharded engine aggregates with.
+//!   bounded-memory [`LatencyHist`] selected by [`RunOptions::hist`].
 //!
 //! # Example
 //!
@@ -42,8 +43,6 @@
 
 mod fleet;
 mod metrics;
-mod shard;
-mod sim;
 mod topology;
 
 pub mod engine;
@@ -51,13 +50,12 @@ pub mod orchestrator;
 pub mod placement;
 
 pub use fleet::{
-    Assignment, BatchServer, ConfigError, FleetAdapt, FleetConfig, FleetReport, FleetSim,
-    OffloadConfig,
+    Assignment, BatchServer, ConfigError, FleetAdapt, FleetConfig, FleetReport, FleetRun, FleetSim,
+    OffloadConfig, RunOptions, ShardStats,
 };
 pub use metrics::{LatencyHist, LatencySummary};
 pub use orchestrator::{
-    merge_reports, FleetScaleReport, Orchestrator, SessionPlacement, ShardPlan, ShardStats,
-    ShardedFleetConfig, ShardedFleetSim,
+    merge_reports, FleetScaleReport, SessionPlacement, ShardPlan, ShardedFleetConfig,
+    ShardedFleetSim,
 };
-pub use sim::{EdgeWorkloadSim, WorkloadConfig, WorkloadReport};
 pub use topology::{ComputeNode, Link, Topology};

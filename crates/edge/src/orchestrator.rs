@@ -1,13 +1,11 @@
 //! Two-level sharded fleet orchestration (experiment F13).
 //!
-//! The single-loop [`FleetSim`] tops out around 10⁵ users: it materializes
-//! the whole arrival trace and keeps every latency sample, so memory grows
-//! linearly in requests and one event heap serializes all work. This
-//! module scales the *same per-request semantics* to a million users with
-//! a two-tier design borrowed from edge orchestration practice:
+//! One event heap serializes all of a [`FleetSim`](crate::FleetSim)'s
+//! work. This module scales the *same replay loop* to a million users
+//! with a two-tier design borrowed from edge orchestration practice:
 //!
-//! * **Orchestrator tier** — [`Orchestrator::plan`] partitions the model
-//!   universe (domains + users) and the edge fleet into `n_shards`
+//! * **Orchestrator tier** — [`ShardedFleetSim::plan`] partitions the
+//!   model universe (domains + users) and the edge fleet into `n_shards`
 //!   disjoint sub-fleets, deriving each shard's RNG seed with the same
 //!   SplitMix64 stream-splitting (`derive_seed(seed, shard)`) the rest of
 //!   the workspace uses.
@@ -17,34 +15,38 @@
 //!   placement fed by per-node busy gauges published through a
 //!   `semcom-obs` [`Recorder`].
 //!
-//! Each shard replays its slice with the streaming engine in
-//! [`crate::shard`] (constant-memory [`ArrivalStream`] trace +
+//! Each shard replays its slice through the crate's one event loop
+//! (`fleet::replay`: constant-memory [`ArrivalStream`] trace, with
 //! [`LatencyHist`] aggregation), shards fan out over `semcom-par`
 //! workers, and per-shard reports merge in **fixed shard-index order** —
-//! so a run is byte-identical at `SEMCOM_THREADS` 1, 2, or 4, and the
-//! whole thing is property-pinned against serial [`FleetSim::run_hist`]
-//! replays of each shard's sub-config.
+//! so a run is byte-identical at `SEMCOM_THREADS` 1, 2, or 4, and equals a
+//! serial [`FleetSim::run_hist`](crate::FleetSim::run_hist) replay of each
+//! shard's sub-config merged the same way.
 //!
 //! [`ArrivalStream`]: semcom_cache::workload::ArrivalStream
 //! [`LatencyHist`]: crate::metrics::LatencyHist
 
-use crate::fleet::{Assignment, ConfigError, FleetConfig, FleetReport, FleetSim};
+use crate::fleet::{
+    replay, Assignment, ConfigError, FleetConfig, FleetReport, Picker, RunOptions, ShardStats,
+};
 use crate::metrics::LatencySummary;
-pub use crate::shard::ShardStats;
-use crate::shard::{run_shard, run_shard_traced};
 use crate::topology::Topology;
-use semcom_nn::rng::derive_seed;
+use semcom_nn::rng::{derive_seed, seeded_rng};
 use semcom_obs::Recorder;
 use semcom_par::par_map_indexed;
 use serde::{Deserialize, Serialize};
+
+/// Stream index for the placement RNG, so `RandomWeighted` draws never
+/// perturb the shard's trace RNG (`plan.seed` itself).
+const PLACEMENT_STREAM: u64 = 0x706c_6163; // "plac"
 
 /// The lower-tier session-to-node placement strategy used inside each
 /// shard.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum SessionPlacement {
-    /// One of the classic deterministic [`Assignment`] strategies; the
-    /// only placement the single-loop reference engine also speaks, and
-    /// therefore the one the equivalence proptest pins.
+    /// One of the classic deterministic [`Assignment`] strategies — the
+    /// placements a [`FleetSim`](crate::FleetSim) also speaks, so a shard
+    /// under them equals a `FleetSim` over its [`ShardPlan`].
     Assigned(Assignment),
     /// Seeded weighted-random spreading: node `i` drawn with probability
     /// `w[i] / Σw` from [`ShardedFleetConfig::node_weights`] (uniform when
@@ -75,7 +77,7 @@ impl SessionPlacement {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ShardedFleetConfig {
     /// Aggregate fleet: totals across all shards (edges, requests,
-    /// domains, users, rate). [`Orchestrator::plan`] splits these evenly.
+    /// domains, users, rate). [`ShardedFleetSim::plan`] splits these evenly.
     pub fleet: FleetConfig,
     /// Number of independent shards (each runs its own event loop).
     pub n_shards: usize,
@@ -124,8 +126,8 @@ impl ShardedFleetConfig {
 /// One shard's fully resolved work order: its slice of the fleet as a
 /// plain [`FleetConfig`] plus the derived seed. Because a shard's
 /// behavior depends only on the *counts* it owns (model ids are local
-/// ranks), the plan is itself a valid single-loop simulator input — which
-/// is exactly how the equivalence tests replay it.
+/// ranks), the plan is itself a valid [`FleetSim`](crate::FleetSim) input
+/// — which is exactly how the equivalence tests replay it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardPlan {
     /// Shard index (also the merge position).
@@ -143,6 +145,38 @@ pub struct ShardPlan {
     pub weights: Option<Vec<f64>>,
 }
 
+impl ShardPlan {
+    /// The node picker `placement` means for this shard.
+    fn picker(&self, placement: SessionPlacement) -> Picker {
+        match placement {
+            SessionPlacement::Assigned(a) => Picker::from_assignment(a),
+            SessionPlacement::RandomWeighted => {
+                // Running sums of the (default uniform) node weights.
+                let mut cum = match &self.weights {
+                    Some(w) => w.clone(),
+                    None => vec![1.0; self.config.n_edges],
+                };
+                for i in 1..cum.len() {
+                    cum[i] += cum[i - 1];
+                }
+                Picker::RandomWeighted {
+                    rng: seeded_rng(derive_seed(self.seed, PLACEMENT_STREAM)),
+                    cum,
+                }
+            }
+            // A shard-private recorder closes the telemetry loop: the
+            // dispatch path publishes per-node busy gauges, the picker
+            // polls them back. Deterministic because the DES is.
+            SessionPlacement::LoadAware => Picker::LoadAware {
+                rec: Recorder::with_ticks(),
+                names: (0..self.config.n_edges)
+                    .map(|j| format!("node{j}_busy_s"))
+                    .collect(),
+            },
+        }
+    }
+}
+
 /// Splits `total` into `parts` near-even counts, the first `total % parts`
 /// one larger — the same convention as `semcom-par`'s range partition, so
 /// shard layouts and worker layouts agree.
@@ -150,84 +184,6 @@ pub(crate) fn split_even(total: usize, parts: usize) -> Vec<usize> {
     let base = total / parts;
     let extra = total % parts;
     (0..parts).map(|p| base + usize::from(p < extra)).collect()
-}
-
-/// The upper orchestration tier: turns an aggregate [`ShardedFleetConfig`]
-/// into per-shard [`ShardPlan`]s.
-#[derive(Debug, Clone)]
-pub struct Orchestrator {
-    config: ShardedFleetConfig,
-    topology: Topology,
-}
-
-impl Orchestrator {
-    /// Creates an orchestrator, validating the configuration.
-    pub fn try_new(config: ShardedFleetConfig, topology: Topology) -> Result<Self, ConfigError> {
-        config.validate()?;
-        Ok(Orchestrator { config, topology })
-    }
-
-    /// The validated configuration.
-    pub fn config(&self) -> &ShardedFleetConfig {
-        &self.config
-    }
-
-    /// The shared topology.
-    pub fn topology(&self) -> &Topology {
-        &self.topology
-    }
-
-    /// Partitions the fleet into per-shard work orders for `seed`.
-    ///
-    /// Edges, requests, domains, and users split near-evenly (first
-    /// shards take the remainder); the aggregate arrival rate splits
-    /// exactly evenly so every shard sees the same process intensity per
-    /// request. Seeds derive per shard, so two shards never share an RNG
-    /// stream and a shard's replay is independent of how many siblings
-    /// exist.
-    pub fn plan(&self, seed: u64) -> Vec<ShardPlan> {
-        let fleet = &self.config.fleet;
-        let n = self.n_shards();
-        let edges = split_even(fleet.n_edges, n);
-        let requests = split_even(fleet.n_requests, n);
-        let domains = split_even(fleet.n_domains, n);
-        let users = split_even(fleet.n_users, n);
-        let assignment = match self.config.placement {
-            SessionPlacement::Assigned(a) => a,
-            _ => fleet.assignment,
-        };
-        let mut plans = Vec::with_capacity(n);
-        let mut edge_offset = 0;
-        for s in 0..n {
-            let config = FleetConfig {
-                n_edges: edges[s],
-                n_requests: requests[s],
-                arrival_rate_hz: fleet.arrival_rate_hz / n as f64,
-                n_domains: domains[s],
-                n_users: users[s],
-                assignment,
-                ..fleet.clone()
-            };
-            let weights = self
-                .config
-                .node_weights
-                .as_ref()
-                .map(|w| w[edge_offset..edge_offset + edges[s]].to_vec());
-            plans.push(ShardPlan {
-                shard: s,
-                seed: derive_seed(seed, s as u64),
-                config,
-                edge_offset,
-                weights,
-            });
-            edge_offset += edges[s];
-        }
-        plans
-    }
-
-    fn n_shards(&self) -> usize {
-        self.config.n_shards
-    }
 }
 
 /// Results of a sharded fleet replay.
@@ -302,15 +258,15 @@ pub fn merge_reports(reports: &[FleetReport]) -> FleetReport {
 /// The sharded two-level fleet simulator. See the module docs.
 #[derive(Debug, Clone)]
 pub struct ShardedFleetSim {
-    orch: Orchestrator,
+    config: ShardedFleetConfig,
+    topology: Topology,
 }
 
 impl ShardedFleetSim {
     /// Creates a sharded simulator, validating the configuration.
     pub fn try_new(config: ShardedFleetConfig, topology: Topology) -> Result<Self, ConfigError> {
-        Ok(ShardedFleetSim {
-            orch: Orchestrator::try_new(config, topology)?,
-        })
+        config.validate()?;
+        Ok(ShardedFleetSim { config, topology })
     }
 
     /// Creates a sharded simulator.
@@ -324,9 +280,53 @@ impl ShardedFleetSim {
         Self::try_new(config, topology).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// The per-shard work orders this run would execute.
+    /// The upper orchestration tier: partitions the fleet into per-shard
+    /// work orders for `seed`.
+    ///
+    /// Edges, requests, domains, and users split near-evenly (first
+    /// shards take the remainder); the aggregate arrival rate splits
+    /// exactly evenly so every shard sees the same process intensity per
+    /// request. Seeds derive per shard, so two shards never share an RNG
+    /// stream and a shard's replay is independent of how many siblings
+    /// exist.
     pub fn plan(&self, seed: u64) -> Vec<ShardPlan> {
-        self.orch.plan(seed)
+        let fleet = &self.config.fleet;
+        let n = self.config.n_shards;
+        let edges = split_even(fleet.n_edges, n);
+        let requests = split_even(fleet.n_requests, n);
+        let domains = split_even(fleet.n_domains, n);
+        let users = split_even(fleet.n_users, n);
+        let assignment = match self.config.placement {
+            SessionPlacement::Assigned(a) => a,
+            _ => fleet.assignment,
+        };
+        let mut plans = Vec::with_capacity(n);
+        let mut edge_offset = 0;
+        for s in 0..n {
+            let config = FleetConfig {
+                n_edges: edges[s],
+                n_requests: requests[s],
+                arrival_rate_hz: fleet.arrival_rate_hz / n as f64,
+                n_domains: domains[s],
+                n_users: users[s],
+                assignment,
+                ..fleet.clone()
+            };
+            let weights = self
+                .config
+                .node_weights
+                .as_ref()
+                .map(|w| w[edge_offset..edge_offset + edges[s]].to_vec());
+            plans.push(ShardPlan {
+                shard: s,
+                seed: derive_seed(seed, s as u64),
+                config,
+                edge_offset,
+                weights,
+            });
+            edge_offset += edges[s];
+        }
+        plans
     }
 
     /// Replays all shards — fanned out over `semcom-par` workers — and
@@ -335,51 +335,7 @@ impl ShardedFleetSim {
     /// both the fan-out ([`par_map_indexed`]) and the merge preserve
     /// shard-index order.
     pub fn run(&self, seed: u64) -> FleetScaleReport {
-        let plans = self.orch.plan(seed);
-        let placement = self.orch.config.placement;
-        let topology = self.orch.topology;
-        let results = par_map_indexed(&plans, |_, plan| run_shard(plan, &topology, &placement));
-        Self::collect(results)
-    }
-
-    /// Serial ground truth: replays every shard's plan through the
-    /// single-loop reference engine ([`FleetSim::run_hist`] — materialized
-    /// trace, one pre-scheduled event heap) and merges identically.
-    /// Execution stats are zeroed (the reference engine does not track
-    /// them).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the placement is [`SessionPlacement::Assigned`] —
-    /// the reference engine only speaks the classic assignments.
-    pub fn run_reference(&self, seed: u64) -> FleetScaleReport {
-        assert!(
-            matches!(self.orch.config.placement, SessionPlacement::Assigned(_)),
-            "reference engine only supports Assigned placement"
-        );
-        let results: Vec<(FleetReport, ShardStats)> = self
-            .orch
-            .plan(seed)
-            .into_iter()
-            .map(|plan| {
-                let report = FleetSim::new(plan.config, self.orch.topology).run_hist(plan.seed);
-                (report, ShardStats::default())
-            })
-            .collect();
-        Self::collect(results)
-    }
-
-    /// Like [`ShardedFleetSim::run`], but publishing per-shard telemetry
-    /// through `rec`: `shard{s}_events_total` counters,
-    /// `shard{s}_queue_depth` and `shard{s}_node{j}_busy_frac` gauges
-    /// (global node index), fleet-wide totals, and — prefixed `sched_` so
-    /// the deterministic snapshot export drops them, like the stage
-    /// queue-depth gauges before them — per-shard wall times.
-    pub fn run_observed(&self, seed: u64, rec: &Recorder) -> FleetScaleReport {
-        let plans = self.orch.plan(seed);
-        let out = self.run(seed);
-        Self::publish_shard_telemetry(&plans, &out, rec);
-        out
+        self.run_observed(seed, &Recorder::disabled())
     }
 
     /// Bit to isolate a shard's local request sequence inside a merged
@@ -389,34 +345,59 @@ impl ShardedFleetSim {
     /// request sequence).
     pub const TRACE_SHARD_SHIFT: u32 = 48;
 
-    /// Like [`ShardedFleetSim::run`], but with causal request tracing:
-    /// each shard records `request`/`edge`/`backhaul`/`cloud` spans into
-    /// a shard-private buffer, and the buffers merge into `rec`'s trace
-    /// buffer in **fixed shard-index order**, remapping only the trace id
-    /// by `(shard + 1) << 48` (span ids stay content-derived from the
-    /// local sequence, so parent links survive the merge untouched).
-    /// Byte-identical at any `SEMCOM_THREADS` for the same reason
-    /// [`ShardedFleetSim::run`] is. Also publishes the same per-shard
-    /// telemetry as [`ShardedFleetSim::run_observed`].
-    pub fn run_traced(&self, seed: u64, rec: &Recorder) -> FleetScaleReport {
-        let plans = self.orch.plan(seed);
-        let placement = self.orch.config.placement;
-        let topology = self.orch.topology;
-        let results = par_map_indexed(&plans, |_, plan| {
-            run_shard_traced(plan, &topology, &placement)
+    /// Like [`ShardedFleetSim::run`], but publishing per-shard telemetry
+    /// through `rec`: `shard{s}_events_total` counters,
+    /// `shard{s}_queue_depth` and `shard{s}_node{j}_busy_frac` gauges
+    /// (global node index), fleet-wide totals, and — prefixed `sched_` so
+    /// the deterministic snapshot export drops them, like the stage
+    /// queue-depth gauges before them — per-shard wall times.
+    ///
+    /// When `rec` carries a trace buffer, each shard also records
+    /// `request`/`edge`/`backhaul`/`cloud` spans into a shard-private
+    /// buffer, and the buffers merge into `rec`'s in **fixed shard-index
+    /// order**, remapping only the trace id by `(shard + 1) << 48` (span
+    /// ids stay content-derived from the local sequence, so parent links
+    /// survive the merge untouched) — byte-identical at any
+    /// `SEMCOM_THREADS` for the same reason the reports are.
+    pub fn run_observed(&self, seed: u64, rec: &Recorder) -> FleetScaleReport {
+        let plans = self.plan(seed);
+        let traced = rec.tracing_enabled();
+        let runs = par_map_indexed(&plans, |_, plan| {
+            let shard_rec = if traced {
+                Recorder::with_ticks_and_trace()
+            } else {
+                Recorder::disabled()
+            };
+            let opts = RunOptions {
+                hist: true,
+                recorder: shard_rec.clone(),
+                ..RunOptions::default()
+            };
+            let picker = plan.picker(self.config.placement);
+            let run = replay(&plan.config, &self.topology, plan.seed, picker, opts)
+                .expect("no series interval to reject");
+            let spans = shard_rec.trace_buffer().map(|b| b.spans());
+            (run.report, run.stats, spans.unwrap_or_default())
         });
-        let mut shard_results = Vec::with_capacity(results.len());
-        for (s, (report, stats, spans)) in results.into_iter().enumerate() {
+        let (mut shards, mut stats) = (Vec::new(), Vec::new());
+        for (s, (report, stat, spans)) in runs.into_iter().enumerate() {
             let offset = (s as u64 + 1) << Self::TRACE_SHARD_SHIFT;
             for mut span in spans {
                 debug_assert!(span.trace < (1 << Self::TRACE_SHARD_SHIFT));
                 span.trace |= offset;
                 rec.trace_span(span);
             }
-            shard_results.push((report, stats));
+            shards.push(report);
+            stats.push(stat);
         }
-        let out = Self::collect(shard_results);
-        Self::publish_shard_telemetry(&plans, &out, rec);
+        let out = FleetScaleReport {
+            merged: merge_reports(&shards),
+            shards,
+            stats,
+        };
+        if rec.is_enabled() {
+            Self::publish_shard_telemetry(&plans, &out, rec);
+        }
         out
     }
 
@@ -440,16 +421,6 @@ impl ShardedFleetSim {
         rec.set_counter("fleet_shards", out.shards.len() as u64);
         rec.set_counter("fleet_requests_total", requests_total);
         rec.set_counter("fleet_hits_total", hits_total);
-    }
-
-    fn collect(results: Vec<(FleetReport, ShardStats)>) -> FleetScaleReport {
-        let (shards, stats): (Vec<FleetReport>, Vec<ShardStats>) = results.into_iter().unzip();
-        let merged = merge_reports(&shards);
-        FleetScaleReport {
-            shards,
-            stats,
-            merged,
-        }
     }
 }
 
@@ -503,15 +474,19 @@ mod tests {
     }
 
     #[test]
-    fn sharded_run_matches_reference_engine() {
+    fn sharded_run_matches_serial_fleet_sims_over_its_plans() {
         let sim = ShardedFleetSim::new(
             cfg(3, SessionPlacement::Assigned(Assignment::Sticky)),
             Topology::default(),
         );
         let sharded = sim.run(7);
-        let reference = sim.run_reference(7);
-        assert_eq!(sharded.shards, reference.shards);
-        assert_eq!(sharded.merged, reference.merged);
+        let serial: Vec<FleetReport> = sim
+            .plan(7)
+            .into_iter()
+            .map(|p| crate::FleetSim::new(p.config, Topology::default()).run_hist(p.seed))
+            .collect();
+        assert_eq!(sharded.shards, serial);
+        assert_eq!(sharded.merged, merge_reports(&serial));
     }
 
     #[test]
@@ -713,18 +688,20 @@ mod tests {
         // Node gauges use global node indices: shard 1 owns nodes 2..4.
         assert!(rec.gauge("shard1_node2_busy_frac").is_some());
         assert!(rec.gauge("shard1_node0_busy_frac").is_none());
-        // Telemetry does not perturb the replay.
+        // Telemetry does not perturb the replay, and an untraced recorder
+        // collects no spans.
         assert_eq!(r.merged, sim.run(7).merged);
+        assert!(rec.trace_buffer().is_none());
     }
 
     #[test]
-    fn run_traced_merges_disjoint_shard_traces_in_order() {
+    fn run_observed_merges_disjoint_shard_traces_in_order() {
         let rec = Recorder::with_ticks_and_trace();
         let sim = ShardedFleetSim::new(
             cfg(3, SessionPlacement::Assigned(Assignment::Sticky)),
             Topology::default(),
         );
-        let r = sim.run_traced(7, &rec);
+        let r = sim.run_observed(7, &rec);
         // Tracing never perturbs the replay.
         assert_eq!(r.merged, sim.run(7).merged);
         let buf = rec.trace_buffer().unwrap();
@@ -740,7 +717,7 @@ mod tests {
         assert_eq!(shards.into_iter().collect::<Vec<_>>(), vec![0, 1, 2]);
         // Fixed merge order: a re-run exports byte-identically.
         let rec2 = Recorder::with_ticks_and_trace();
-        sim.run_traced(7, &rec2);
+        sim.run_observed(7, &rec2);
         assert_eq!(
             buf.to_perfetto_json(),
             rec2.trace_buffer().unwrap().to_perfetto_json()

@@ -6,9 +6,11 @@
 //! modeled backhaul. Both must preserve the engine's two standing
 //! contracts:
 //!
-//! 1. **Worker-count invariance**: the streaming sharded engine replays
+//! 1. **Worker-count invariance**: the sharded fan-out replays
 //!    byte-identically at `SEMCOM_THREADS` 1, 2, and 4, and matches the
-//!    materialized single-loop reference shard for shard.
+//!    serial `plan` → `FleetSim::run_hist` → `merge_reports` composition
+//!    shard for shard. (Streaming vs. the pre-scheduled oracle, over the
+//!    same shapes, lives in `src/fleet/equivalence.rs`.)
 //! 2. **Degenerate anchor**: a single-entry fixed-SNR table with zero
 //!    payload (`FleetAdapt::degenerate()`) and no offload reproduces the
 //!    `adapt: None` reports bit for bit — the adaptive machinery itself
@@ -17,12 +19,24 @@
 use proptest::prelude::*;
 use semcom_channel::adapt::AdaptSpec;
 use semcom_edge::{
-    Assignment, FleetAdapt, FleetConfig, OffloadConfig, SessionPlacement, ShardedFleetConfig,
-    ShardedFleetSim, Topology,
+    merge_reports, Assignment, FleetAdapt, FleetConfig, FleetReport, FleetSim, OffloadConfig,
+    SessionPlacement, ShardedFleetConfig, ShardedFleetSim, Topology,
 };
 use std::sync::Mutex;
 
 static WORKER_LOCK: Mutex<()> = Mutex::new(());
+
+/// The serial composition the fan-out must equal: every shard's plan
+/// through its own `FleetSim`, one after the other, merged in shard order.
+fn serial(sim: &ShardedFleetSim, seed: u64) -> (Vec<FleetReport>, FleetReport) {
+    let shards: Vec<FleetReport> = sim
+        .plan(seed)
+        .into_iter()
+        .map(|p| FleetSim::new(p.config, Topology::default()).run_hist(p.seed))
+        .collect();
+    let merged = merge_reports(&shards);
+    (shards, merged)
+}
 
 #[allow(clippy::too_many_arguments)]
 fn adaptive_fleet(
@@ -60,7 +74,8 @@ fn adaptive_fleet(
 
 proptest! {
     /// Adaptive airtime and offload routing are pure functions of the
-    /// shard plan: sharded == reference, byte for byte, at 1/2/4 workers.
+    /// shard plan: fan-out == serial composition, byte for byte, at 1/2/4
+    /// workers.
     #[test]
     fn adaptive_offloading_fleet_is_worker_count_invariant(
         seed in any::<u64>(),
@@ -89,21 +104,21 @@ proptest! {
             },
             Topology::default(),
         );
-        let reference = sim.run_reference(seed);
+        let (shards, merged) = serial(&sim, seed);
 
         let _guard = WORKER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         for workers in [1usize, 2, 4] {
             semcom_par::set_workers(workers);
             let sharded = sim.run(seed);
-            prop_assert_eq!(&sharded.shards, &reference.shards, "{} workers", workers);
-            prop_assert_eq!(&sharded.merged, &reference.merged, "{} workers", workers);
+            prop_assert_eq!(&sharded.shards, &shards, "{} workers", workers);
+            prop_assert_eq!(&sharded.merged, &merged, "{} workers", workers);
         }
         semcom_par::reset_workers();
     }
 
     /// The degenerate adaptation (fixed single-entry table, zero payload,
-    /// no offload) leaves no trace: the sharded run equals the plain
-    /// `adapt: None` run of the same shape, shard for shard.
+    /// no offload) leaves no trace: the serial replay equals the plain
+    /// `adapt: None` replay of the same shape, shard for shard.
     #[test]
     fn degenerate_adaptation_reproduces_plain_fleet_reports(
         seed in any::<u64>(),
@@ -137,11 +152,11 @@ proptest! {
                 Topology::default(),
             )
         };
-        let a = sharded(plain).run_reference(seed);
-        let b = sharded(degen).run_reference(seed);
-        prop_assert_eq!(&a.shards, &b.shards);
-        prop_assert_eq!(&a.merged.latency, &b.merged.latency);
-        prop_assert_eq!(a.merged.hit_rate, b.merged.hit_rate);
-        prop_assert_eq!(b.merged.offloaded, 0);
+        let (a_shards, a_merged) = serial(&sharded(plain), seed);
+        let (b_shards, b_merged) = serial(&sharded(degen), seed);
+        prop_assert_eq!(&a_shards, &b_shards);
+        prop_assert_eq!(&a_merged.latency, &b_merged.latency);
+        prop_assert_eq!(a_merged.hit_rate, b_merged.hit_rate);
+        prop_assert_eq!(b_merged.offloaded, 0);
     }
 }

@@ -1,21 +1,36 @@
-//! Sharded-engine vs. single-loop-reference equivalence (experiment F13).
+//! Sharded fan-out vs. serial composition (experiment F13).
 //!
-//! The streaming sharded engine (`ShardedFleetSim::run`: constant-memory
-//! arrival streams, strict-before event drains, `semcom-par` fan-out)
+//! `ShardedFleetSim::run` (plan, `semcom-par` fan-out, fixed-order merge)
 //! must produce **identical** per-shard `FleetReport`s — and therefore an
-//! identical merged report — to serial replays of each shard's plan
-//! through the materialized single-loop engine (`FleetSim::run_hist`),
-//! across randomized fleet shapes and at 1, 2, and 4 workers. The worker
-//! count is process-global, so tests serialize on a lock and restore the
-//! default before releasing it (the `tests/f4_workers.rs` pattern).
+//! identical merged report — to the same thing spelled out serially from
+//! the public API: `plan` → `FleetSim::run_hist` per shard →
+//! `merge_reports`, across randomized fleet shapes and at 1, 2, and 4
+//! workers. (That the streaming replay loop both sides share equals the
+//! pre-scheduled driver it replaced is pinned inside the crate, next to
+//! the oracle: `src/fleet/equivalence.rs`.) The worker count is
+//! process-global, so tests serialize on a lock and restore the default
+//! before releasing it (the `tests/f4_workers.rs` pattern).
 
 use proptest::prelude::*;
 use semcom_edge::{
-    Assignment, FleetConfig, SessionPlacement, ShardedFleetConfig, ShardedFleetSim, Topology,
+    merge_reports, Assignment, FleetConfig, FleetReport, FleetSim, SessionPlacement,
+    ShardedFleetConfig, ShardedFleetSim, Topology,
 };
 use std::sync::Mutex;
 
 static WORKER_LOCK: Mutex<()> = Mutex::new(());
+
+/// The serial composition the fan-out must equal: every shard's plan
+/// through its own `FleetSim`, one after the other, merged in shard order.
+fn serial(sim: &ShardedFleetSim, seed: u64) -> (Vec<FleetReport>, FleetReport) {
+    let shards: Vec<FleetReport> = sim
+        .plan(seed)
+        .into_iter()
+        .map(|p| FleetSim::new(p.config, Topology::default()).run_hist(p.seed))
+        .collect();
+    let merged = merge_reports(&shards);
+    (shards, merged)
+}
 
 /// Projects the deterministic fields of per-shard stats (`wall_ns` is
 /// wall-clock and legitimately varies run to run).
@@ -53,10 +68,10 @@ fn fleet(
 }
 
 proptest! {
-    /// The headline pin: for any valid fleet shape and classic assignment,
-    /// sharded == reference, byte for byte, at every worker count.
+    /// For any valid fleet shape and classic assignment, fan-out ==
+    /// serial composition, byte for byte, at every worker count.
     #[test]
-    fn sharded_engine_matches_reference_at_1_2_4_workers(
+    fn sharded_fan_out_matches_serial_fleet_sims_at_1_2_4_workers(
         seed in any::<u64>(),
         n_shards in 1usize..=4,
         extra_edges in 0usize..=4,
@@ -86,19 +101,19 @@ proptest! {
             },
             Topology::default(),
         );
-        let reference = sim.run_reference(seed);
+        let (shards, merged) = serial(&sim, seed);
 
         let _guard = WORKER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         for workers in [1usize, 2, 4] {
             semcom_par::set_workers(workers);
             let sharded = sim.run(seed);
-            prop_assert_eq!(&sharded.shards, &reference.shards, "{} workers", workers);
-            prop_assert_eq!(&sharded.merged, &reference.merged, "{} workers", workers);
+            prop_assert_eq!(&sharded.shards, &shards, "{} workers", workers);
+            prop_assert_eq!(&sharded.merged, &merged, "{} workers", workers);
         }
         semcom_par::reset_workers();
     }
 
-    /// The placements the reference engine cannot speak must still be
+    /// The placements a `FleetSim` cannot speak must still be
     /// worker-count invariant: weighted-random draws come from per-shard
     /// stream-split RNGs and load-aware reads from shard-private gauges,
     /// so 1, 2, and 4 workers replay identically.

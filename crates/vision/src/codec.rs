@@ -548,38 +548,35 @@ mod tests {
         assert!(after > 0.85, "accuracy {after}");
     }
 
+    /// Paired like the audio twin: per training seed, both models are
+    /// scored on the same 1 000 evaluation draws. Ignored because the
+    /// claim does not hold for this deliberately tiny CNN — it is too small
+    /// for the regularization benefit to overcome the extra gradient noise;
+    /// the audio MLP equivalent passes and covers the train-SNR plumbing.
     #[test]
-    // Ignored: whether noise-injected training beats clean training for
-    // this deliberately tiny CNN depends on the exact PRNG stream. Under
-    // upstream rand's ChaCha12 `StdRng` the property held at this seed;
-    // under the vendored offline xoshiro `StdRng` (see vendor/README.md) a
-    // sweep over seeds {1,3,6,9,12,21}, epochs {6,10}, train SNR
-    // {2,0,-2,-4} dB and eval SNR {0,-2,-4,-6} dB found no configuration
-    // where it does — the model is too small for the regularization benefit
-    // to overcome the extra gradient noise. The audio MLP equivalent still
-    // passes and covers the train-SNR plumbing.
-    #[ignore = "PRNG-stream-dependent: tiny CNN does not benefit from noise injection under the vendored StdRng"]
+    #[ignore = "paired, 1 000 samples at 0 dB, clean vs noise-trained per train seed: 6: 0.893 vs 0.887, 7: 0.883 vs 0.883, 8: 0.882 vs 0.889, 9: 0.884 vs 0.881 — no effect to assert"]
     fn noisy_channel_degrades_but_noise_trained_model_resists() {
         let g = GlyphSet::new(6, 2);
-        let mut clean = ImageKb::new(&g, 8, 3);
-        clean.train(&g, &quick(), 6);
-        let mut robust = ImageKb::new(&g, 8, 3);
-        robust.train(
-            &g,
-            &ImageTrainConfig {
-                train_snr_db: Some(2.0),
-                ..quick()
-            },
-            6,
-        );
-        let mut rng = seeded_rng(7);
         let harsh = AwgnChannel::new(0.0);
-        let acc_clean = clean.accuracy(&g, &harsh, 150, &mut rng);
-        let acc_robust = robust.accuracy(&g, &harsh, 150, &mut rng);
-        assert!(
-            acc_robust > acc_clean,
-            "noise-injected training should be more robust: {acc_clean} vs {acc_robust}"
-        );
+        for train_seed in 6..10 {
+            let mut clean = ImageKb::new(&g, 8, 3);
+            clean.train(&g, &quick(), train_seed);
+            let mut robust = ImageKb::new(&g, 8, 3);
+            robust.train(
+                &g,
+                &ImageTrainConfig {
+                    train_snr_db: Some(2.0),
+                    ..quick()
+                },
+                train_seed,
+            );
+            let acc_clean = clean.accuracy(&g, &harsh, 1_000, &mut seeded_rng(7));
+            let acc_robust = robust.accuracy(&g, &harsh, 1_000, &mut seeded_rng(7));
+            assert!(
+                acc_robust > acc_clean,
+                "noise-injected training should be more robust (train seed {train_seed}): {acc_clean} vs {acc_robust}"
+            );
+        }
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //! cargo run --release --example edge_placement
 //! ```
 
-use semcom_cache::policy::{Lru, SemanticCost};
+use semcom_cache::policy::SemanticCost;
 use semcom_edge::placement::{message_latency, MessageCost, Placement};
-use semcom_edge::{EdgeWorkloadSim, Topology, WorkloadConfig};
+use semcom_edge::{FleetConfig, FleetSim, RunOptions, Topology};
 
 fn main() {
     let topo = Topology::default();
@@ -45,15 +45,22 @@ fn main() {
     println!("  capacity | policy        | hit rate | mean lat | p95 lat");
     println!("  ---------+---------------+----------+----------+---------");
     for capacity in [1_000_000usize, 2_000_000, 4_000_000] {
-        let sim = EdgeWorkloadSim::new(
-            WorkloadConfig {
+        let sim = FleetSim::new(
+            FleetConfig {
+                n_edges: 1,
+                n_requests: 2_000,
+                arrival_rate_hz: 20.0,
                 capacity_bytes: capacity,
-                ..WorkloadConfig::default()
+                ..FleetConfig::default()
             },
             Topology::default(),
         );
-        let lru = sim.run(Lru::new(), 9);
-        let sem = sim.run(SemanticCost::new(), 9);
+        let lru = sim.run(9);
+        let cost_aware = RunOptions {
+            policy: &|| Box::new(SemanticCost::new()),
+            ..RunOptions::default()
+        };
+        let sem = sim.run_with(9, cost_aware).expect("no series").report;
         for (name, r) in [("lru", lru), ("semantic_cost", sem)] {
             println!(
                 "  {:>7}k | {:<13} | {:>7.1}% | {:>6.1}ms | {:>6.1}ms",

@@ -40,9 +40,6 @@ cargo bench -p semcom-bench --bench codec -- --test
 # send_stream routines (sequential vs send_stream at 1 and 4 workers, paced
 # airtime; routine names as recorded in BENCH_pr7.json).
 cargo bench -p semcom-bench --bench pipeline -- --test
-# Sharded fleet routines (single-loop reference vs 4-shard streaming
-# engine at 1 worker and at the natural count; see BENCH_pr8.json).
-cargo bench -p semcom-bench --bench fleet -- --test
 # The F14 adaptation loop sits on every serving ingress and fleet arrival:
 # the policy step and the adaptive/offload fleet replays must keep running.
 cargo bench -p semcom-bench --bench adapt -- --test
@@ -64,16 +61,18 @@ echo "=== wire fuzz (decode-never-panics) ==="
 # gate: the sync wire decoder must stay a total function (PR 4).
 cargo test -q -p semcom-fl --test wire_fuzz
 
-echo "=== fine-tune, serving + int8 digests (numerics pinned to the bit) ==="
+echo "=== fine-tune, serving, int8 + fleet digests (numerics pinned to the bit) ==="
 # Redundant with `cargo test --workspace` above at the host's worker count;
 # run here at 1 and 4 so a training kernel that moves one parameter bit, a
 # serving change that moves one decoded concept or counter, an int8 kernel
-# that moves one logit bit, or any of them starting to depend on the worker
-# count, fails next to the goldens it would otherwise only reach through F2
-# and benchmark/expected/.
+# that moves one logit bit, a fleet replay that moves one report bit, round
+# or span, or any of them starting to depend on the worker count, fails
+# next to the goldens it would otherwise only reach through F2, F12 (which
+# has no golden) and benchmark/expected/.
 for threads in 1 4; do
     SEMCOM_THREADS=$threads cargo test -q \
-        --test finetune_digest --test serving_digest --test quant_digest
+        --test finetune_digest --test serving_digest --test quant_digest \
+        --test fleet_digest
 done
 
 echo "=== int8 kernel without the FMA target feature ==="

@@ -4,7 +4,7 @@
 use semcom_cache::policy::{Gdsf, Lru, SemanticCost};
 use semcom_cache::workload::Workload;
 use semcom_edge::placement::{message_latency, MessageCost, Placement};
-use semcom_edge::{EdgeWorkloadSim, Topology, WorkloadConfig};
+use semcom_edge::{FleetConfig, FleetSim, Topology};
 use semcom_nn::rng::seeded_rng;
 
 #[test]
@@ -104,15 +104,17 @@ fn device_placement_only_wins_for_featherweight_codecs() {
 #[test]
 fn event_sim_latency_tracks_hit_rate() {
     let mk = |cap: usize| {
-        EdgeWorkloadSim::new(
-            WorkloadConfig {
+        FleetSim::new(
+            FleetConfig {
+                n_edges: 1,
                 n_requests: 2_000,
+                arrival_rate_hz: 20.0,
                 capacity_bytes: cap,
-                ..WorkloadConfig::default()
+                ..FleetConfig::default()
             },
             Topology::default(),
         )
-        .run(Lru::new(), 7)
+        .run(7)
     };
     let small = mk(500_000);
     let large = mk(16_000_000);

@@ -18,8 +18,8 @@ use proptest::collection::vec;
 use proptest::{Strategy, TestRng};
 use semcom::{ChannelModel, SemanticEdgeSystem, SystemConfig, UserId};
 use semcom_edge::{
-    Assignment, FleetConfig, FleetSim, SessionPlacement, ShardedFleetConfig, ShardedFleetSim,
-    Topology,
+    Assignment, FleetConfig, FleetSim, RunOptions, SessionPlacement, ShardedFleetConfig,
+    ShardedFleetSim, Topology,
 };
 use semcom_obs::{Recorder, SloSpec, Stage, TraceBuffer};
 use semcom_text::Domain;
@@ -137,7 +137,13 @@ fn every_fleet_dispatch_carries_exactly_one_root_trace() {
             budget_milli: 100,
         };
         let sim = FleetSim::new(config.clone(), Topology::default());
-        let (report, _series, _slo) = sim.run_observed(seed, &rec, 0.25, Some(slo));
+        let opts = RunOptions {
+            hist: true,
+            recorder: rec.clone(),
+            series: Some((0.25, Some(slo))),
+            ..RunOptions::default()
+        };
+        let report = sim.run_with(seed, opts).expect("valid interval").report;
         let buf = rec.trace_buffer().expect("tracing enabled");
         assert_eq!(buf.dropped(), 0, "case {case}: buffer overflowed");
         assert_one_root_per_trace(&buf, report.latency.count, "single-loop fleet");
@@ -155,7 +161,7 @@ fn every_fleet_dispatch_carries_exactly_one_root_trace() {
             },
             Topology::default(),
         );
-        let r = sharded.run_traced(seed, &sharded_rec);
+        let r = sharded.run_observed(seed, &sharded_rec);
         let buf = sharded_rec.trace_buffer().expect("tracing enabled");
         assert_one_root_per_trace(&buf, r.merged.latency.count, "sharded fleet");
         for t in buf.roots_per_trace().keys() {
