@@ -120,10 +120,13 @@ impl ToneSet {
     /// Panics if `concept` is out of range.
     pub fn render(&self, concept: usize, rng: &mut dyn RngCore) -> Vec<f32> {
         let amp = 0.8 + 0.4 * rng.gen::<f32>();
-        self.prototypes[concept]
-            .iter()
-            .map(|&s| amp * s + self.acoustic_noise * semcom_nn::rng::standard_normal(rng))
-            .collect()
+        let prototype = &self.prototypes[concept];
+        let mut wave = vec![0.0; prototype.len()];
+        semcom_nn::rng::fill_standard_normal(rng, &mut wave);
+        for (w, &s) in wave.iter_mut().zip(prototype) {
+            *w = amp * s + self.acoustic_noise * *w;
+        }
+        wave
     }
 }
 

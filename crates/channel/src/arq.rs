@@ -34,6 +34,22 @@ pub struct ArqOutcome {
     pub symbols: usize,
 }
 
+/// Outcome of one ARQ delivery of a whole-byte payload
+/// ([`ArqPipeline::transmit_bytes`]): [`ArqOutcome`] with the payload
+/// packed.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ArqByteOutcome {
+    /// The delivered payload bytes (the last attempt's output, whether or
+    /// not it verified).
+    pub bytes: Vec<u8>,
+    /// Transmission attempts used (1 = no retransmission).
+    pub attempts: u32,
+    /// Whether the final attempt passed the CRC check.
+    pub delivered: bool,
+    /// Total channel symbols spent across all attempts.
+    pub symbols: usize,
+}
+
 /// Stop-and-wait automatic repeat request over a [`BitPipeline`], with a
 /// CRC-16 frame check — the reliability mechanism of the paper's §III-C
 /// ("transmission errors … can be addressed and mitigated through effective
@@ -88,44 +104,82 @@ impl ArqPipeline {
     ) -> ArqOutcome {
         ARQ_SCRATCH.with(|cell| {
             let s = &mut *cell.borrow_mut();
-            // Frame = payload padded to a byte boundary ‖ CRC16 of the
-            // padded payload bytes (padding lets the receiver re-derive
-            // the CRC input exactly).
             s.frame.clear();
             s.frame.extend_from_u8_bits(bits);
-            let pad = (8 - s.frame.len() % 8) % 8;
-            s.frame.push_bits(0, pad);
-            s.frame.write_bytes_into(&mut s.bytes);
-            let crc = crc16(&s.bytes);
-            s.frame.push_bits(crc as u64, 16);
-            let frame_payload_bits = s.frame.len() - 16;
-
-            let symbols_per_attempt = self.pipeline.symbols_for(s.frame.len());
-            let mut attempts = 0;
-            let mut delivered = false;
-            while attempts < self.max_attempts {
-                attempts += 1;
-                let received =
-                    self.pipeline
-                        .transmit_packed(&s.frame, channel, rng, &mut s.transmit);
-                let rx_crc = received.get_bits(frame_payload_bits, 16) as u16;
-                s.payload.copy_from(received);
-                s.payload.truncate(frame_payload_bits);
-                s.payload.write_bytes_into(&mut s.bytes);
-                let ok = crc16(&s.bytes) == rx_crc;
-                s.payload.truncate(bits.len());
-                if ok {
-                    delivered = true;
-                    break;
-                }
-            }
+            let (attempts, delivered, symbols) = self.deliver(s, channel, rng);
             ArqOutcome {
                 bits: s.payload.to_u8_bits(),
                 attempts,
                 delivered,
-                symbols: symbols_per_attempt * attempts as usize,
+                symbols,
             }
         })
+    }
+
+    /// [`Self::transmit`] for a payload of whole bytes, packed in and out:
+    /// the same frame, symbols and RNG draws as transmitting
+    /// `bytes_to_bits(payload)`, without the one-`u8`-per-bit copies on
+    /// either side (a migrated model is a 50 KB frame).
+    pub fn transmit_bytes(
+        &self,
+        payload: &[u8],
+        channel: &dyn Channel,
+        rng: &mut dyn RngCore,
+    ) -> ArqByteOutcome {
+        ARQ_SCRATCH.with(|cell| {
+            let s = &mut *cell.borrow_mut();
+            s.frame.clear();
+            s.frame.extend_from_bytes(payload);
+            let (attempts, delivered, symbols) = self.deliver(s, channel, rng);
+            ArqByteOutcome {
+                bytes: s.payload.to_bytes(),
+                attempts,
+                delivered,
+                symbols,
+            }
+        })
+    }
+
+    /// Frames the payload bits in `s.frame`, transmits until the CRC
+    /// verifies or the attempts run out, and leaves the last attempt's
+    /// payload in `s.payload`. Returns `(attempts, delivered, symbols)`.
+    fn deliver(
+        &self,
+        s: &mut ArqScratch,
+        channel: &dyn Channel,
+        rng: &mut dyn RngCore,
+    ) -> (u32, bool, usize) {
+        // Frame = payload padded to a byte boundary ‖ CRC16 of the
+        // padded payload bytes (padding lets the receiver re-derive
+        // the CRC input exactly).
+        let payload_bits = s.frame.len();
+        let pad = (8 - payload_bits % 8) % 8;
+        s.frame.push_bits(0, pad);
+        s.frame.write_bytes_into(&mut s.bytes);
+        let crc = crc16(&s.bytes);
+        s.frame.push_bits(crc as u64, 16);
+        let frame_payload_bits = s.frame.len() - 16;
+
+        let symbols_per_attempt = self.pipeline.symbols_for(s.frame.len());
+        let mut attempts = 0;
+        let mut delivered = false;
+        while attempts < self.max_attempts {
+            attempts += 1;
+            let received = self
+                .pipeline
+                .transmit_packed(&s.frame, channel, rng, &mut s.transmit);
+            let rx_crc = received.get_bits(frame_payload_bits, 16) as u16;
+            s.payload.copy_from(received);
+            s.payload.truncate(frame_payload_bits);
+            s.payload.write_bytes_into(&mut s.bytes);
+            let ok = crc16(&s.bytes) == rx_crc;
+            s.payload.truncate(payload_bits);
+            if ok {
+                delivered = true;
+                break;
+            }
+        }
+        (attempts, delivered, symbols_per_attempt * attempts as usize)
     }
 }
 
@@ -224,6 +278,33 @@ mod tests {
         let out = a.transmit(&bits(200), &channel, &mut rng);
         assert!(!out.delivered);
         assert_eq!(out.attempts, 3);
+    }
+
+    #[test]
+    fn byte_payloads_match_their_bit_expansion() {
+        use crate::bits::{bits_to_bytes, bytes_to_bits};
+        use rand::Rng;
+        // 3 dB without FEC: most frames need retransmissions, some fail.
+        let (a, channel) = (arq(false, 3), AwgnChannel::new(3.0));
+        let (mut rng_bits, mut rng_bytes) = (seeded_rng(6), seeded_rng(6));
+        let mut failed = 0;
+        for len in [0usize, 1, 7, 64, 300] {
+            let payload: Vec<u8> = (0..len).map(|i| (i * 37 + len) as u8).collect();
+            let by_bit = a.transmit(&bytes_to_bits(&payload), &channel, &mut rng_bits);
+            let by_byte = a.transmit_bytes(&payload, &channel, &mut rng_bytes);
+            assert_eq!(by_byte.bytes, bits_to_bytes(&by_bit.bits), "len {len}");
+            assert_eq!(
+                (by_byte.attempts, by_byte.delivered, by_byte.symbols),
+                (by_bit.attempts, by_bit.delivered, by_bit.symbols),
+                "len {len}"
+            );
+            failed += usize::from(!by_byte.delivered);
+        }
+        assert!(
+            failed > 0,
+            "every frame verified: retransmission not covered"
+        );
+        assert_eq!(rng_bits.gen::<u64>(), rng_bytes.gen::<u64>());
     }
 
     #[test]

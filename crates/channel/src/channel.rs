@@ -2,7 +2,7 @@ use crate::bits::BitVec;
 use crate::complex::Complex;
 use crate::snr_db_to_noise_sigma;
 use rand::{Rng, RngCore};
-use semcom_nn::rng::standard_normal;
+use semcom_nn::rng::fill_standard_normal;
 use serde::{Deserialize, Serialize};
 
 /// A physical channel acting on complex baseband symbols.
@@ -225,6 +225,11 @@ impl AwgnChannel {
     }
 }
 
+/// Normal samples drawn per [`fill_standard_normal`] call by the analog
+/// channels, from a buffer on the stack: a whole number of the sampler's
+/// blocks, and of the two (AWGN) or four (Rayleigh) samples a symbol takes.
+const NOISE_BLOCK: usize = 128;
+
 impl Channel for AwgnChannel {
     fn transmit(&self, symbols: &[Complex], rng: &mut dyn RngCore) -> Vec<Complex> {
         let mut out = Vec::new();
@@ -236,13 +241,34 @@ impl Channel for AwgnChannel {
         let sigma = snr_db_to_noise_sigma(self.snr_db);
         out.clear();
         out.reserve(symbols.len());
-        for &s in symbols {
-            out.push(
-                s + Complex::new(
-                    sigma * standard_normal(rng) as f64,
-                    sigma * standard_normal(rng) as f64,
-                ),
-            );
+        let mut noise = [0.0f32; NOISE_BLOCK];
+        for block in symbols.chunks(NOISE_BLOCK / 2) {
+            let noise = &mut noise[..2 * block.len()];
+            fill_standard_normal(rng, noise);
+            for (&s, z) in block.iter().zip(noise.chunks_exact(2)) {
+                out.push(s + Complex::new(sigma * z[0] as f64, sigma * z[1] as f64));
+            }
+        }
+    }
+
+    /// Adds the noise to the features where they lie: feature `2i` is the
+    /// real and `2i + 1` the imaginary part of symbol `i`, and a complex
+    /// add is componentwise, so no symbol has to be built. An odd tail
+    /// still draws the imaginary sample of its zero-padded symbol.
+    fn transmit_f32_in_place(
+        &self,
+        features: &mut [f32],
+        _scratch: &mut FeatureScratch,
+        rng: &mut dyn RngCore,
+    ) {
+        let sigma = snr_db_to_noise_sigma(self.snr_db);
+        let mut noise = [0.0f32; NOISE_BLOCK];
+        for block in features.chunks_mut(NOISE_BLOCK) {
+            let noise = &mut noise[..block.len().next_multiple_of(2)];
+            fill_standard_normal(rng, noise);
+            for (f, &z) in block.iter_mut().zip(noise.iter()) {
+                *f = (*f as f64 + sigma * z as f64) as f32;
+            }
         }
     }
 }
@@ -293,23 +319,25 @@ impl Channel for RayleighChannel {
         let sigma = snr_db_to_noise_sigma(self.snr_db);
         out.clear();
         out.reserve(symbols.len());
-        for &s in symbols {
-            let h = Complex::new(
-                standard_normal(rng) as f64 * std::f64::consts::FRAC_1_SQRT_2,
-                standard_normal(rng) as f64 * std::f64::consts::FRAC_1_SQRT_2,
-            );
-            // Deep fades would divide by ~0; floor |h| to keep the
-            // equalized noise finite (receiver would declare an outage).
-            let h = if h.norm_sq() < 1e-6 {
-                Complex::new(1e-3, 0.0)
-            } else {
-                h
-            };
-            let n = Complex::new(
-                sigma * standard_normal(rng) as f64,
-                sigma * standard_normal(rng) as f64,
-            );
-            out.push((h * s + n) / h);
+        let mut noise = [0.0f32; NOISE_BLOCK];
+        for block in symbols.chunks(NOISE_BLOCK / 4) {
+            let noise = &mut noise[..4 * block.len()];
+            fill_standard_normal(rng, noise);
+            for (&s, z) in block.iter().zip(noise.chunks_exact(4)) {
+                let h = Complex::new(
+                    z[0] as f64 * std::f64::consts::FRAC_1_SQRT_2,
+                    z[1] as f64 * std::f64::consts::FRAC_1_SQRT_2,
+                );
+                // Deep fades would divide by ~0; floor |h| to keep the
+                // equalized noise finite (receiver would declare an outage).
+                let h = if h.norm_sq() < 1e-6 {
+                    Complex::new(1e-3, 0.0)
+                } else {
+                    h
+                };
+                let n = Complex::new(sigma * z[2] as f64, sigma * z[3] as f64);
+                out.push((h * s + n) / h);
+            }
         }
     }
 }

@@ -61,7 +61,7 @@ pub use adapt::{
     AdaptEntry, AdaptError, AdaptSpec, AdaptivePolicy, LinkConfig, LinkDecision, LinkState,
     MarkovSnrModel, MarkovSnrTrace, SnrEstimator,
 };
-pub use arq::{ArqOutcome, ArqPipeline};
+pub use arq::{ArqByteOutcome, ArqOutcome, ArqPipeline};
 pub use bits::{bits_to_bytes, bytes_to_bits, hamming_distance, BitVec, Bits};
 pub use channel::{
     AwgnChannel, BinarySymmetricChannel, Channel, ChannelError, ErasureChannel, FeatureScratch,

@@ -25,7 +25,8 @@ pub struct EdgeServer {
     /// Models are stored behind [`Arc`] so the staged serving pipeline can
     /// hand frozen snapshots to encode/decode workers without cloning
     /// parameters; mutation goes through [`Arc::make_mut`] (copy-on-write,
-    /// a no-op while no pipeline slot holds a reference).
+    /// a no-op while no pipeline slot holds a reference). The general KBs
+    /// are never mutated: every edge of a system holds the same `Arc`.
     general: HashMap<Domain, Arc<KnowledgeBase>>,
     /// Sender role: cached user-specific KBs under a byte budget.
     user_kbs: ModelCache<UserKey, Arc<KnowledgeBase>>,
@@ -57,13 +58,16 @@ impl std::fmt::Debug for EdgeServer {
 impl EdgeServer {
     /// Creates a server holding the given pre-trained general KBs, with a
     /// cost-aware ([`SemanticCost`]) user-model cache of `cache_bytes`.
-    pub fn new(id: usize, general: HashMap<Domain, KnowledgeBase>, cache_bytes: usize) -> Self {
+    /// The general KBs are frozen, so a fleet's servers share one `Arc`
+    /// per domain.
+    pub fn new(
+        id: usize,
+        general: HashMap<Domain, Arc<KnowledgeBase>>,
+        cache_bytes: usize,
+    ) -> Self {
         EdgeServer {
             id,
-            general: general
-                .into_iter()
-                .map(|(d, kb)| (d, Arc::new(kb)))
-                .collect(),
+            general,
             user_kbs: ModelCache::new(cache_bytes, Box::new(SemanticCost::new())),
             user_decoders: HashMap::new(),
             buffers: HashMap::new(),

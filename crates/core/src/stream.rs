@@ -829,26 +829,36 @@ mod tests {
         }
     }
 
-    /// A chunk that mixes decoders (users spread over the domains) and has
-    /// an empty message in the middle: every slot's share of a packed
-    /// decode equals `predict` on its own features, on both model arms.
+    /// A chunk that mixes decoders (users spread over the domains and over
+    /// three peer edges) and has an empty message in the middle: every
+    /// slot's share of a packed decode equals `predict` on its own
+    /// features, on both model arms. The edges share their general KBs, so
+    /// the groups are the domains, not the (edge, domain) pairs.
     #[test]
     fn grouped_decode_matches_per_slot_predict() {
         for quant in [false, true] {
-            let mut system = SemanticEdgeSystem::build(SystemConfig::tiny(), 3);
+            let config = SystemConfig {
+                n_edges: 3,
+                ..SystemConfig::tiny()
+            };
+            let mut system = SemanticEdgeSystem::build(config, 3);
             if quant {
                 system.enable_quantized_serving();
             }
-            let mut chunk: Vec<StreamSlot> = (0..8)
+            let mut chunk: Vec<StreamSlot> = (0..12)
                 .map(|i| {
-                    let user = system.register_user(Domain::ALL[i % Domain::ALL.len()], 0.2);
+                    let domain = Domain::ALL[i % Domain::ALL.len()];
+                    let user = system.register_user_at(domain, 0.2, i % 3, (i + 1) % 3);
                     system.stream_ingress(user, i as u64)
                 })
                 .collect();
             chunk[3].sentence.tokens.clear();
             (chunk[3].enc, chunk[3].dec) = (None, None);
             let groups = group_slots(&chunk, |s| s.dec.as_ref()).len();
-            assert!((2..7).contains(&groups), "mixed and shared decoders");
+            assert!(
+                (2..=Domain::ALL.len()).contains(&groups),
+                "mixed decoders, shared across peer edges: {groups} groups"
+            );
 
             run_chunk(&mut chunk, system.channel.as_ref(), &Recorder::disabled());
             for (i, slot) in chunk.iter().enumerate() {

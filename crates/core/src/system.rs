@@ -139,16 +139,21 @@ impl SemanticEdgeSystem {
             );
             trainer.fit(&mut kb, &corpus, derive_seed(seed, 30 + d.index() as u64));
             selector_corpus.extend(corpus);
-            general.insert(d, kb);
+            general.insert(d, Arc::new(kb));
         }
         let selector_template = NaiveBayesSelector::fit(&language, &selector_corpus);
 
         // "we cache general decoders at both the sender edge server i and
-        // receiver edge server j, which means d_j^m = d_i^m" — every edge
-        // gets identical copies.
+        // receiver edge server j, which means d_j^m = d_i^m" — and "general
+        // models remain the same during all time", so every edge holds the
+        // one frozen model per domain: a window's messages then share a
+        // serving model across edges and pack into one NN pass per domain.
         let n_edges = config.n_edges.max(2);
         let servers = (0..n_edges)
-            .map(|i| EdgeServer::new(i, general.clone(), config.user_cache_bytes))
+            .map(|i| {
+                let shared = general.iter().map(|(&d, kb)| (d, Arc::clone(kb)));
+                EdgeServer::new(i, shared.collect(), config.user_cache_bytes)
+            })
             .collect();
 
         let channel: Box<dyn Channel + Send + Sync> = match config.channel {
@@ -918,14 +923,28 @@ mod tests {
     }
 
     #[test]
-    fn build_installs_general_kbs_on_both_edges() {
-        let s = system();
+    fn every_edge_holds_the_same_general_kb_per_domain() {
+        let mut s = SemanticEdgeSystem::build(
+            SystemConfig {
+                n_edges: 3,
+                ..SystemConfig::tiny()
+            },
+            1,
+        );
+        let shared = |s: &SemanticEdgeSystem, d| {
+            let last = s.edge_count() - 1;
+            Arc::ptr_eq(
+                &s.edge(0).general_kb_shared(d),
+                &s.edge(last).general_kb_shared(d),
+            )
+        };
         for d in Domain::ALL {
-            // d_j^m = d_i^m: identical decoder copies (same weights).
-            let a = s.sender_edge().general_kb(d);
-            let b = s.receiver_edge().general_kb(d);
-            assert_eq!(a.version(), b.version());
-            assert_eq!(a.param_count(), b.param_count());
+            // d_j^m = d_i^m: not equal copies, the one frozen model.
+            assert!(shared(&s, d), "{d:?} after build");
+        }
+        s.restart_edge(2);
+        for d in Domain::ALL {
+            assert!(shared(&s, d), "{d:?} after restart_edge");
         }
     }
 

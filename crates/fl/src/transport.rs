@@ -23,7 +23,7 @@
 use crate::sync::{SyncProtocol, SyncUpdate};
 use crate::wire::WireError;
 use rand::RngCore;
-use semcom_channel::{bits_to_bytes, bytes_to_bits, ArqPipeline, Channel, FaultyLink};
+use semcom_channel::{ArqPipeline, Channel, FaultyLink};
 use semcom_nn::params::ParamVec;
 use semcom_obs::{Event, Recorder, RejectCause, SpanContext, Stage, TraceSpan};
 
@@ -468,12 +468,11 @@ impl ArqLink {
 impl SyncLink for ArqLink {
     fn deliver(&mut self, frame: &[u8], rng: &mut dyn RngCore) -> Vec<Vec<u8>> {
         self.frames += 1;
-        let bits = bytes_to_bits(frame);
-        let out = self.arq.transmit(&bits, &*self.channel, rng);
+        let out = self.arq.transmit_bytes(frame, &*self.channel, rng);
         self.symbols += out.symbols as u64;
         if out.delivered {
             self.delivered += 1;
-            vec![bits_to_bytes(&out.bits)]
+            vec![out.bytes]
         } else {
             vec![]
         }

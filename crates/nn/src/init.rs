@@ -1,6 +1,6 @@
 //! Weight initialization schemes.
 
-use crate::rng::{seeded_rng, standard_normal};
+use crate::rng::{fill_standard_normal, seeded_rng};
 use crate::Tensor;
 use rand::Rng;
 
@@ -21,21 +21,15 @@ pub fn xavier_uniform(fan_in: usize, fan_out: usize, seed: u64) -> Tensor {
 /// He/Kaiming normal initialization: `N(0, sqrt(2 / fan_in))`, appropriate
 /// for ReLU layers.
 pub fn he_normal(fan_in: usize, fan_out: usize, seed: u64) -> Tensor {
-    let mut rng = seeded_rng(seed);
-    let std = (2.0 / fan_in as f32).sqrt();
-    let data = (0..fan_in * fan_out)
-        .map(|_| standard_normal(&mut rng) * std)
-        .collect();
-    Tensor::from_vec(fan_in, fan_out, data).expect("generated exactly fan_in*fan_out values")
+    normal_init(fan_in, fan_out, (2.0 / fan_in as f32).sqrt(), seed)
 }
 
 /// Scaled normal initialization `N(0, std)` used for embedding tables.
 pub fn normal_init(rows: usize, cols: usize, std: f32, seed: u64) -> Tensor {
-    let mut rng = seeded_rng(seed);
-    let data = (0..rows * cols)
-        .map(|_| standard_normal(&mut rng) * std)
-        .collect();
-    Tensor::from_vec(rows, cols, data).expect("generated exactly rows*cols values")
+    let mut w = Tensor::zeros(rows, cols);
+    fill_standard_normal(&mut seeded_rng(seed), w.as_mut_slice());
+    w.map_inplace(|z| z * std);
+    w
 }
 
 #[cfg(test)]

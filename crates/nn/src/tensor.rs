@@ -542,8 +542,8 @@ where
 }
 
 /// Explicit SIMD lane width of the matmul microkernel: output columns are
-/// processed in fixed-size `[f32; LANES]` (and, in the 4-row tile,
-/// `[f32; 2 * LANES]`) accumulator arrays. Safe portable Rust (this crate
+/// processed in fixed-size `[f32; LANES]` (and wider multiples, see
+/// [`mm_tile`]) accumulator arrays. Safe portable Rust (this crate
 /// forbids `unsafe`), but the fixed-width value arrays compile to one
 /// AVX/NEON register group per accumulator, so the inner loop vectorizes
 /// without intrinsics.
@@ -552,12 +552,13 @@ const LANES: usize = 8;
 /// Dense row-major product kernel: `band = a_band (rows×k) · b (k×n)`.
 ///
 /// Register-tiled microkernel: four output rows × sixteen output columns
-/// per tile ([`mm_tile4`]), with the partial sums held in lane arrays that
+/// per tile ([`mm_tile`]), with the partial sums held in lane arrays that
 /// live in vector registers across the whole `k` block. Each streamed row
 /// of `b` is thus reused fourfold from registers, and the per-lane
-/// multiply-adds vectorize. Columns beyond the last full 16 fall to an
-/// 8-wide tile and then to scalar columns; rows beyond the last full quad
-/// fall back to one-row tiles.
+/// multiply-adds vectorize. The `rows % 4` rows beyond the last full quad
+/// run as ONE more tile of their height: a message is 4–12 rows, so most
+/// products the serving path makes end in such a tile, and a tile per
+/// leftover row would stream `b` once per row on a single add chain.
 ///
 /// The inner loops are dense on purpose: a data-dependent sparse skip (the
 /// old `a == 0.0` branch) defeats vectorization and mispredicts on dense
@@ -573,130 +574,103 @@ fn mm_kernel(a: &[f32], b: &[f32], band: &mut [f32], k_dim: usize, n: usize) {
     const K_BLOCK: usize = 64;
     band.fill(0.0);
     let rows = band.len() / n;
+    let a = &a[..rows * k_dim];
     let mut k0 = 0;
     while k0 < k_dim {
-        let k1 = (k0 + K_BLOCK).min(k_dim);
+        let ks = (k0, (k0 + K_BLOCK).min(k_dim));
         let mut quads = band.chunks_exact_mut(4 * n);
-        let mut i = 0;
-        for quad in &mut quads {
-            let (o0, r123) = quad.split_at_mut(n);
-            let (o1, r23) = r123.split_at_mut(n);
-            let (o2, o3) = r23.split_at_mut(n);
-            mm_tile4(
-                [
-                    &a[i * k_dim..(i + 1) * k_dim],
-                    &a[(i + 1) * k_dim..(i + 2) * k_dim],
-                    &a[(i + 2) * k_dim..(i + 3) * k_dim],
-                    &a[(i + 3) * k_dim..(i + 4) * k_dim],
-                ],
-                b,
-                (k0, k1),
-                n,
-                [o0, o1, o2, o3],
-            );
-            i += 4;
+        for (quad, a_quad) in (&mut quads).zip(a.chunks_exact(4 * k_dim)) {
+            mm_tile::<4>(a_quad, b, ks, n, quad);
         }
-        for orow in quads.into_remainder().chunks_exact_mut(n) {
-            mm_tile1(&a[i * k_dim..(i + 1) * k_dim], b, (k0, k1), n, orow);
-            i += 1;
+        let rest = quads.into_remainder();
+        let a_rest = &a[(rows - rows % 4) * k_dim..];
+        match rows % 4 {
+            3 => mm_tile::<3>(a_rest, b, ks, n, rest),
+            2 => mm_tile::<2>(a_rest, b, ks, n, rest),
+            1 => mm_tile::<1>(a_rest, b, ks, n, rest),
+            _ => {}
         }
-        debug_assert_eq!(i, rows);
-        k0 = k1;
+        k0 = ks.1;
     }
 }
 
-/// 4-row register tile of [`mm_kernel`]: accumulates `a_rows · b[k0..k1]`
-/// into four output rows — sixteen columns at a time, then eight
-/// ([`LANES`]), then one.
+/// `R`-row register tile of [`mm_kernel`]: accumulates `a (R×k) ·
+/// b[k0..k1]` into the `R` output rows of `out` — sixteen columns at a
+/// time, then eight ([`LANES`]), then one.
 ///
-/// The 16-wide pass is what keeps the adders busy: its eight accumulator
-/// registers (4 rows × 2) are eight independent add chains, enough to
-/// cover the add latency, where the 8-wide pass alone has four. Every
-/// output element still sums its `k` terms in ascending order whichever
-/// pass its column lands in, so the result equals
-/// [`Tensor::matmul_reference`] bit for bit.
-fn mm_tile4(a_rows: [&[f32]; 4], b: &[f32], ks: (usize, usize), n: usize, mut o: [&mut [f32]; 4]) {
-    let j = mm_tile4_cols::<{ 2 * LANES }>(a_rows, b, ks, n, &mut o, 0);
-    let j = mm_tile4_cols::<LANES>(a_rows, b, ks, n, &mut o, j);
+/// The 16-wide pass is what keeps the adders busy: at four rows its eight
+/// accumulator registers (4 rows × 2) are eight independent add chains,
+/// enough to cover the add latency, where the 8-wide pass alone has four.
+/// A one-row tile has a quarter of that, so it takes a 32-wide pass first.
+/// Every output element still sums its `k` terms in ascending order
+/// whichever pass its column lands in and whatever the tile's height, so
+/// the result equals [`Tensor::matmul_reference`] bit for bit.
+///
+/// Kept out of line: with all four heights inlined into [`mm_kernel`] the
+/// register allocator spills the four `a` row pointers and reloads them
+/// inside the 4×16 `k` loop (≈6 % on 64-row products).
+#[inline(never)]
+fn mm_tile<const R: usize>(a: &[f32], b: &[f32], ks: (usize, usize), n: usize, out: &mut [f32]) {
+    let k_dim = a.len() / R;
+    let a: [&[f32]; R] = std::array::from_fn(|r| &a[r * k_dim..(r + 1) * k_dim]);
+    let mut rest = out;
+    let mut o: [&mut [f32]; R] = std::array::from_fn(|_| {
+        let (row, tail) = std::mem::take(&mut rest).split_at_mut(n);
+        rest = tail;
+        row
+    });
+    let mut j = 0;
+    if R == 1 {
+        j = mm_tile_cols::<R, { 4 * LANES }>(a, b, ks, n, &mut o, j);
+    }
+    let j = mm_tile_cols::<R, { 2 * LANES }>(a, b, ks, n, &mut o, j);
+    let j = mm_tile_cols::<R, LANES>(a, b, ks, n, &mut o, j);
     // Scalar fallback for the n % LANES remainder columns: same ascending-k
     // per-element order, so still bit-identical to the reference.
-    let [a0, a1, a2, a3] = a_rows;
-    let [o0, o1, o2, o3] = o;
     for jj in j..n {
-        let (mut s0, mut s1, mut s2, mut s3) = (o0[jj], o1[jj], o2[jj], o3[jj]);
+        let mut s: [f32; R] = std::array::from_fn(|r| o[r][jj]);
         for k in ks.0..ks.1 {
             let bv = b[k * n + jj];
-            s0 += a0[k] * bv;
-            s1 += a1[k] * bv;
-            s2 += a2[k] * bv;
-            s3 += a3[k] * bv;
+            for r in 0..R {
+                s[r] += a[r][k] * bv;
+            }
         }
-        o0[jj] = s0;
-        o1[jj] = s1;
-        o2[jj] = s2;
-        o3[jj] = s3;
+        for r in 0..R {
+            o[r][jj] = s[r];
+        }
     }
 }
 
-/// One column pass of [`mm_tile4`]: every full `W`-column group from
+/// One column pass of [`mm_tile`]: every full `W`-column group from
 /// column `j` on; returns the first column it did not cover.
 #[inline(always)]
-fn mm_tile4_cols<const W: usize>(
-    [a0, a1, a2, a3]: [&[f32]; 4],
+fn mm_tile_cols<const R: usize, const W: usize>(
+    a: [&[f32]; R],
     b: &[f32],
     (k0, k1): (usize, usize),
     n: usize,
-    [o0, o1, o2, o3]: &mut [&mut [f32]; 4],
+    o: &mut [&mut [f32]; R],
     mut j: usize,
 ) -> usize {
     while j + W <= n {
-        // Partial sums for this 4×W tile live in lane arrays (registers)
+        // Partial sums for this R×W tile live in lane arrays (registers)
         // for the whole k block; loaded/stored once per block.
-        let mut c0: [f32; W] = o0[j..j + W].try_into().unwrap();
-        let mut c1: [f32; W] = o1[j..j + W].try_into().unwrap();
-        let mut c2: [f32; W] = o2[j..j + W].try_into().unwrap();
-        let mut c3: [f32; W] = o3[j..j + W].try_into().unwrap();
+        let mut c: [[f32; W]; R] = std::array::from_fn(|r| o[r][j..j + W].try_into().unwrap());
         for k in k0..k1 {
             let bv: [f32; W] = b[k * n + j..k * n + j + W].try_into().unwrap();
-            let (av0, av1, av2, av3) = (a0[k], a1[k], a2[k], a3[k]);
-            for l in 0..W {
-                c0[l] += av0 * bv[l];
-                c1[l] += av1 * bv[l];
-                c2[l] += av2 * bv[l];
-                c3[l] += av3 * bv[l];
+            for r in 0..R {
+                let av = a[r][k];
+                for l in 0..W {
+                    c[r][l] += av * bv[l];
+                }
             }
         }
-        o0[j..j + W].copy_from_slice(&c0);
-        o1[j..j + W].copy_from_slice(&c1);
-        o2[j..j + W].copy_from_slice(&c2);
-        o3[j..j + W].copy_from_slice(&c3);
+        for r in 0..R {
+            o[r][j..j + W].copy_from_slice(&c[r]);
+        }
         j += W;
     }
     j
-}
-
-/// 1-row tile of [`mm_kernel`] for the rows % 4 remainder band rows.
-fn mm_tile1(a_row: &[f32], b: &[f32], (k0, k1): (usize, usize), n: usize, o: &mut [f32]) {
-    let mut j = 0;
-    while j + LANES <= n {
-        let mut c: [f32; LANES] = o[j..j + LANES].try_into().unwrap();
-        for k in k0..k1 {
-            let bv: [f32; LANES] = b[k * n + j..k * n + j + LANES].try_into().unwrap();
-            let av = a_row[k];
-            for l in 0..LANES {
-                c[l] += av * bv[l];
-            }
-        }
-        o[j..j + LANES].copy_from_slice(&c);
-        j += LANES;
-    }
-    for jj in j..n {
-        let mut s = o[jj];
-        for k in k0..k1 {
-            s += a_row[k] * b[k * n + jj];
-        }
-        o[jj] = s;
-    }
 }
 
 thread_local! {

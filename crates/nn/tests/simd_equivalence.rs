@@ -1,9 +1,10 @@
 //! Property tests pinning the SIMD matmul microkernel **bit-identical** to
 //! the retained scalar reference ([`Tensor::matmul_reference`]) over
 //! randomized shapes — including column remainders (the 16-wide, 8-wide and
-//! scalar passes of the 4-row tile) and row-quad remainders (`m % 4 != 0`)
-//! — at 1, 2, and 4 `semcom-par` workers, plus one exhaustive sweep over
-//! every `n mod 16` × `m mod 4`.
+//! scalar passes of a row tile) and row-quad remainders (`m % 4 != 0`, one
+//! 3-, 2- or 1-row tile) — at 1, 2, and 4 `semcom-par` workers, plus one
+//! exhaustive sweep over every `n mod 16` × tile height and the wide
+//! decoder's shape at message-sized row counts.
 //!
 //! The last section pins the int8 kernel ([`semcom_nn::quant`]), which does
 //! its integer arithmetic on `f32` lanes, to a naive `i32` triple loop over
@@ -102,32 +103,53 @@ proptest! {
     }
 }
 
-/// Every column residue of the 4-row tile — `n mod 16` ∈ 0..16 below and
-/// above one full 16-wide group, so each of the 16-wide, 8-wide and scalar
-/// passes runs alone and after the others — against every row residue
-/// `m mod 4`, with `k` crossing the kernel's 64-row `b` block.
+/// `matmul`, `matmul_transa` and `matmul_transb` of `a (m×k) · b (k×n)`
+/// against the scalar reference at 1, 2 and 4 workers.
+fn assert_all_forms_match_reference(a: &Tensor, b: &Tensor) {
+    let want = a.matmul_reference(b);
+    let (at, bt) = (a.transpose(), b.transpose());
+    let (m, k, n) = (a.rows(), a.cols(), b.cols());
+    for workers in [1usize, 2, 4] {
+        semcom_par::set_workers(workers);
+        let got = a.matmul(b);
+        let transa = at.matmul_transa(b);
+        let transb = a.matmul_transb(&bt);
+        semcom_par::reset_workers();
+        let at_shape = format!("{m}x{k}x{n} at {workers} workers");
+        assert_eq!(got.as_slice(), want.as_slice(), "matmul {at_shape}");
+        assert_eq!(transa.as_slice(), want.as_slice(), "transa {at_shape}");
+        assert_eq!(transb.as_slice(), want.as_slice(), "transb {at_shape}");
+    }
+}
+
+/// Every column residue of a row tile — `n mod 16` ∈ 0..16 below and
+/// above one full 16-wide group (and, for the one-row tile, its 32-wide
+/// group), so each of the 32-wide, 16-wide, 8-wide and scalar passes runs
+/// alone and after the others — against every tile height: `m` = 1–3 is
+/// a 3-, 2- or 1-row tile with no full quad ahead of it, 4–11 every
+/// `m mod 4` behind one and two quads; `k` crosses the kernel's 64-row
+/// `b` block.
 #[test]
 fn every_column_and_row_residue_is_bit_identical_to_scalar_reference() {
     let k = 70;
     for n in 1..=48 {
         let b = randn_like(k, n, 100 + n as u64);
-        for m in 4..=11 {
-            let a = randn_like(m, k, 200 + m as u64);
-            let want = a.matmul_reference(&b);
-            let bt = b.transpose();
-            let at = a.transpose();
-            for workers in [1usize, 2, 4] {
-                semcom_par::set_workers(workers);
-                let got = a.matmul(&b);
-                let transa = at.matmul_transa(&b);
-                let transb = a.matmul_transb(&bt);
-                semcom_par::reset_workers();
-                let at_shape = format!("{m}x{k}x{n} at {workers} workers");
-                assert_eq!(got.as_slice(), want.as_slice(), "matmul {at_shape}");
-                assert_eq!(transa.as_slice(), want.as_slice(), "transa {at_shape}");
-                assert_eq!(transb.as_slice(), want.as_slice(), "transb {at_shape}");
-            }
+        for m in 1..=11 {
+            assert_all_forms_match_reference(&randn_like(m, k, 200 + m as u64), &b);
         }
+    }
+}
+
+/// The wide decoder's output layer (`hidden` 1024 → 176 concepts) at
+/// message-sized row counts: sixteen `k` blocks and eleven 16-wide column
+/// groups through each remainder tile, alone (1, 2, 3) and behind one to
+/// three quads (5, 10, 13).
+#[test]
+fn wide_decoder_shape_is_bit_identical_to_scalar_reference() {
+    let (k, n) = (1024, 176);
+    let b = randn_like(k, n, 300);
+    for m in [1, 2, 3, 5, 10, 13] {
+        assert_all_forms_match_reference(&randn_like(m, k, 400 + m as u64), &b);
     }
 }
 

@@ -72,7 +72,7 @@ echo "=== fine-tune, serving, int8 + fleet digests (numerics pinned to the bit) 
 for threads in 1 4; do
     SEMCOM_THREADS=$threads cargo test -q \
         --test finetune_digest --test serving_digest --test quant_digest \
-        --test fleet_digest
+        --test fleet_digest --test noise_digest
 done
 
 echo "=== int8 kernel without the FMA target feature ==="
@@ -83,7 +83,7 @@ echo "=== int8 kernel without the FMA target feature ==="
 # flag change does not rebuild the main one. (aarch64 always fuses.)
 if [[ $(uname -m) == x86_64 ]]; then
     RUSTFLAGS='-C target-cpu=x86-64' CARGO_TARGET_DIR=target/baseline-cpu \
-        cargo test -q -p semcom-nn --test simd_equivalence
+        cargo test -q -p semcom-nn --test simd_equivalence --test noise_equivalence
 fi
 
 echo "=== determinism goldens ==="

@@ -249,8 +249,9 @@ fn warm_spsc_queue_does_not_allocate() {
 #[test]
 fn warm_transmit_f32_in_place_does_not_allocate() {
     // The pipeline's PHY stage transmits features in place through one
-    // per-worker `FeatureScratch`; once the scratch has grown to the
-    // largest feature vector seen, repeated transmits are allocation-free.
+    // per-worker `FeatureScratch` (AWGN adds its noise where the features
+    // lie and never touches it; other channels grow it to the largest
+    // feature vector seen): repeated transmits are allocation-free.
     // (The full per-message path is *not* asserted allocation-free: the
     // encode stage materializes one fresh feature tensor and one decoded
     // vector per message by design — those are the message's payload, not
@@ -275,6 +276,35 @@ fn warm_transmit_f32_in_place_does_not_allocate() {
         after - before,
         0,
         "warm transmit_f32_in_place allocated {} time(s) over 50 calls (guard {guard})",
+        after - before
+    );
+}
+
+#[test]
+fn warm_awgn_transmit_into_does_not_allocate() {
+    // The symbol-level twin of the test above (the coded bit pipeline's
+    // channel step): noise comes from the block sampler through a buffer on
+    // the stack, so once `received` has its capacity nothing allocates.
+    use semcom_channel::{Channel, Complex};
+    let channel = AwgnChannel::new(6.0);
+    let mut rng = seeded_rng(29);
+    let symbols: Vec<Complex> = (0..1025)
+        .map(|i| Complex::new((i as f64 * 0.3).cos(), (i as f64 * 0.3).sin()))
+        .collect();
+    let mut received = Vec::new();
+    channel.transmit_into(&symbols, &mut received, &mut rng);
+
+    let before = local_allocations();
+    let mut guard = 0.0f64;
+    for _ in 0..50 {
+        channel.transmit_into(&symbols, &mut received, &mut rng);
+        guard += received[0].re;
+    }
+    let after = local_allocations();
+    assert_eq!(
+        after - before,
+        0,
+        "warm AwgnChannel::transmit_into allocated {} time(s) over 50 calls (guard {guard})",
         after - before
     );
 }
