@@ -1,0 +1,155 @@
+use crate::tones::{ToneSet, WAVE_SAMPLES};
+use rand::RngCore;
+use semcom_codec::concept::{ConceptSource, Frontend, QuantizedFrontend};
+use semcom_nn::layers::{Activation, DenseLayer, Linear};
+use semcom_nn::params::Param;
+use semcom_nn::quant::QuantizedLinear;
+use semcom_nn::Tensor;
+
+/// Hidden width of the MLP front end.
+const HIDDEN: usize = 32;
+
+/// The audio front end of a [`ConceptKb`](semcom_codec::concept::ConceptKb):
+/// `Linear(64→32) → ReLU` over the raw waveform.
+#[derive(Debug, Clone)]
+pub struct MlpFrontend {
+    linear: Linear,
+    act: Activation,
+}
+
+/// The int8 form of [`MlpFrontend`]: a quantized linear with the ReLU
+/// applied to its dequantized output.
+#[derive(Debug, Clone)]
+pub struct QuantizedMlpFrontend {
+    linear: QuantizedLinear,
+}
+
+impl Frontend for MlpFrontend {
+    type Quantized = QuantizedMlpFrontend;
+
+    fn out_len(&self) -> usize {
+        self.linear.out_dim()
+    }
+
+    fn infer(&self, x: &Tensor) -> Tensor {
+        self.act.infer(&self.linear.infer(x))
+    }
+
+    fn forward(&mut self, x: &Tensor) -> Tensor {
+        self.act.forward(&self.linear.forward(x))
+    }
+
+    fn backward(&mut self, dout: &Tensor) {
+        self.linear.backward(&self.act.backward(dout));
+    }
+
+    fn params_mut(&mut self) -> Vec<&mut Param> {
+        self.linear.params_mut()
+    }
+
+    fn param_count(&self) -> usize {
+        self.linear.weight().len() + self.linear.bias().len()
+    }
+
+    fn quantize(&self) -> QuantizedMlpFrontend {
+        QuantizedMlpFrontend {
+            linear: QuantizedLinear::from_linear(&self.linear),
+        }
+    }
+}
+
+impl QuantizedFrontend for QuantizedMlpFrontend {
+    fn infer(&self, x: &Tensor) -> Tensor {
+        // The same `max(0)` the quantized kernel fuses between layers.
+        self.linear.forward(x).map(|v| v.max(0.0))
+    }
+
+    fn size_bytes(&self) -> usize {
+        self.linear.size_bytes()
+    }
+}
+
+impl ConceptSource for ToneSet {
+    type Frontend = MlpFrontend;
+
+    fn classes(&self) -> usize {
+        self.len()
+    }
+
+    fn input_len(&self) -> usize {
+        WAVE_SAMPLES
+    }
+
+    fn sample(&self, rng: &mut dyn RngCore) -> (Vec<f32>, usize) {
+        ToneSet::sample(self, rng)
+    }
+
+    fn frontend(&self, seed: u64) -> MlpFrontend {
+        MlpFrontend {
+            linear: Linear::new(WAVE_SAMPLES, HIDDEN, seed),
+            act: Activation::relu(),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use semcom_channel::{AwgnChannel, NoiselessChannel};
+    use semcom_codec::concept::{ConceptKb, ConceptTrainConfig};
+    use semcom_nn::rng::seeded_rng;
+
+    fn quick() -> ConceptTrainConfig {
+        ConceptTrainConfig {
+            epochs: 6,
+            samples_per_epoch: 240,
+            train_snr_db: None,
+            ..ConceptTrainConfig::default()
+        }
+    }
+
+    /// Paired comparison: for each training seed both models are scored
+    /// on the *same* 1 000 evaluation draws (same eval seed), so the
+    /// binomial error of the draw cancels instead of swamping the ≈0.03
+    /// effect — an unpaired 150-sample comparison off one continuing RNG
+    /// has ±0.03 error of its own and flipped sign on some hosts.
+    #[test]
+    fn noise_trained_model_is_more_robust() {
+        let t = ToneSet::new(6, 2);
+        // Harsh enough that the cleanly-trained model actually degrades;
+        // at milder SNRs both models saturate and the comparison is vacuous.
+        let harsh = AwgnChannel::new(-4.0);
+        for train_seed in 6..10 {
+            let mut clean = ConceptKb::new(&t, 8, 3);
+            clean.train(&t, &quick(), train_seed);
+            let mut robust = ConceptKb::new(&t, 8, 3);
+            robust.train(
+                &t,
+                &ConceptTrainConfig {
+                    train_snr_db: Some(2.0),
+                    ..quick()
+                },
+                train_seed,
+            );
+            let acc_clean = clean.accuracy(&t, &harsh, 1_000, &mut seeded_rng(7));
+            let acc_robust = robust.accuracy(&t, &harsh, 1_000, &mut seeded_rng(7));
+            assert!(
+                acc_robust > acc_clean,
+                "noise injection should help (train seed {train_seed}): {acc_clean} vs {acc_robust}"
+            );
+        }
+    }
+
+    #[test]
+    fn training_learns_the_melodies() {
+        let t = ToneSet::new(6, 1);
+        let mut kb = ConceptKb::new(&t, 8, 2);
+        let mut rng = seeded_rng(4);
+        let before = kb.accuracy(&t, &NoiselessChannel, 100, &mut rng);
+        let loss = kb.train(&t, &quick(), 5);
+        let after = kb.accuracy(&t, &NoiselessChannel, 100, &mut rng);
+        assert!(loss < 1.0, "final loss {loss}");
+        assert!(after > before, "{before} -> {after}");
+        assert!(after > 0.9, "accuracy {after}");
+    }
+}

@@ -8,9 +8,10 @@
 //!   melody over a small frequency alphabet, rendered to a 64-sample
 //!   waveform; samples add Gaussian acoustic noise and amplitude jitter, so
 //!   ground-truth meaning is exactly known;
-//! * [`AudioKb`] — an MLP knowledge base (waveform → hidden → power-
-//!   normalized features), transmitting `feature_dim` analog symbols per
-//!   melody, trained with channel-noise injection;
+//! * [`MlpFrontend`] — the `Linear(64→32) → ReLU` front end that makes
+//!   `ConceptKb::new(&tones, …)` (semcom-codec's generic
+//!   [`ConceptKb`](semcom_codec::concept::ConceptKb)) an MLP knowledge base
+//!   sending `feature_dim` analog symbols per melody;
 //! * [`MatchedFilter`] — the classical receiver baseline: ship the raw
 //!   waveform as analog I/Q samples (32 channel symbols) and classify at
 //!   the receiver by correlation against the known prototypes.
@@ -21,13 +22,14 @@
 //! # Example
 //!
 //! ```
-//! use semcom_audio::{ToneSet, AudioKb, AudioTrainConfig};
+//! use semcom_audio::ToneSet;
 //! use semcom_channel::AwgnChannel;
+//! use semcom_codec::concept::{ConceptKb, ConceptTrainConfig};
 //! use semcom_nn::rng::seeded_rng;
 //!
 //! let tones = ToneSet::new(6, 1);
-//! let mut kb = AudioKb::new(&tones, 8, 2);
-//! kb.train(&tones, &AudioTrainConfig { epochs: 4, ..Default::default() }, 3);
+//! let mut kb = ConceptKb::new(&tones, 8, 2);
+//! kb.train(&tones, &ConceptTrainConfig { epochs: 4, ..Default::default() }, 3);
 //! let mut rng = seeded_rng(4);
 //! let (wave, label) = tones.sample(&mut rng);
 //! let decoded = kb.transmit(&kb, &wave, &AwgnChannel::new(15.0), &mut rng);
@@ -38,8 +40,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod codec;
+mod frontend;
 mod tones;
 
-pub use codec::{AudioKb, AudioTrainConfig, QuantizedAudioKb};
+pub use frontend::{MlpFrontend, QuantizedMlpFrontend};
 pub use tones::{MatchedFilter, ToneSet, WAVE_SAMPLES};

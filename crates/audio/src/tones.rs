@@ -1,6 +1,5 @@
 use rand::{Rng, RngCore};
 use semcom_nn::rng::{derive_seed, seeded_rng};
-use serde::{Deserialize, Serialize};
 
 /// Samples per melody waveform.
 pub const WAVE_SAMPLES: usize = 64;
@@ -18,7 +17,7 @@ const SEGMENT: usize = WAVE_SAMPLES / NOTES;
 /// Frequencies are chosen so each note completes an integer number of
 /// half-cycles per segment, keeping prototypes well separated under
 /// correlation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ToneSet {
     /// `melodies[c]` = the three frequency indices of concept `c`.
     melodies: Vec<[usize; NOTES]>,

@@ -2,18 +2,19 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use semcom_channel::AwgnChannel;
+use semcom_codec::concept::{ConceptKb, ConceptTrainConfig};
 use semcom_nn::rng::seeded_rng;
-use semcom_vision::{GlyphSet, ImageKb, ImageTrainConfig};
+use semcom_vision::GlyphSet;
 
 fn bench_vision(c: &mut Criterion) {
     let glyphs = GlyphSet::new(8, 1);
-    let mut kb = ImageKb::new(&glyphs, 8, 2);
+    let mut kb = ConceptKb::new(&glyphs, 8, 2);
     kb.train(
         &glyphs,
-        &ImageTrainConfig {
+        &ConceptTrainConfig {
             epochs: 2,
             samples_per_epoch: 120,
-            ..ImageTrainConfig::default()
+            ..ConceptTrainConfig::default()
         },
         3,
     );

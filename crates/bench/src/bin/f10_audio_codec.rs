@@ -1,9 +1,10 @@
 //! F10 — multimodal extension, audio leg (§III-B): MLP melody codec vs.
 //! raw analog waveform transmission with a matched-filter receiver.
 
-use semcom_audio::{AudioKb, AudioTrainConfig, MatchedFilter, ToneSet};
+use semcom_audio::{MatchedFilter, ToneSet};
 use semcom_bench::banner;
 use semcom_channel::{AwgnChannel, Channel, RayleighChannel};
+use semcom_codec::concept::{ConceptKb, ConceptTrainConfig};
 use semcom_nn::rng::seeded_rng;
 
 fn main() {
@@ -16,14 +17,14 @@ fn main() {
 
     let tones = ToneSet::new(16, 1);
     println!("\ntraining the audio KB ({} melodies)…", tones.len());
-    let mut kb = AudioKb::new(&tones, 8, 2);
+    let mut kb = ConceptKb::new(&tones, 8, 2);
     kb.train(
         &tones,
-        &AudioTrainConfig {
+        &ConceptTrainConfig {
             epochs: 10,
             samples_per_epoch: 800,
             train_snr_db: Some(6.0),
-            ..AudioTrainConfig::default()
+            ..ConceptTrainConfig::default()
         },
         3,
     );
@@ -31,11 +32,12 @@ fn main() {
 
     println!(
         "channel uses per melody: semantic {} symbols, raw waveform {} symbols ({}x)",
-        kb.symbols_per_melody(),
+        kb.symbols_per_concept(),
         mf.symbols_per_melody(),
-        mf.symbols_per_melody() / kb.symbols_per_melody()
+        mf.symbols_per_melody() / kb.symbols_per_concept()
     );
-    let handicap = 10.0 * (mf.symbols_per_melody() as f64 / kb.symbols_per_melody() as f64).log10();
+    let handicap =
+        10.0 * (mf.symbols_per_melody() as f64 / kb.symbols_per_concept() as f64).log10();
     println!("equal-resource handicap for the raw leg: {handicap:.1} dB");
 
     for fading in [false, true] {

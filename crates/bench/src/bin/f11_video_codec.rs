@@ -4,8 +4,9 @@
 use semcom_bench::banner;
 use semcom_channel::coding::HammingCode74;
 use semcom_channel::{AwgnChannel, BitPipeline, Modulation};
+use semcom_codec::concept::{ConceptKb, ConceptTrainConfig};
 use semcom_nn::rng::seeded_rng;
-use semcom_vision::{VideoKb, VideoSet, VideoTrainConfig, CLIP_SAMPLES};
+use semcom_vision::{VideoSet, CLIP_SAMPLES};
 
 fn main() {
     banner(
@@ -19,14 +20,14 @@ fn main() {
         "\ntraining the video KB ({} motion concepts)…",
         videos.len()
     );
-    let mut kb = VideoKb::new(&videos, 8, 2);
+    let mut kb = ConceptKb::new(&videos, 8, 2);
     kb.train(
         &videos,
-        &VideoTrainConfig {
+        &ConceptTrainConfig {
             epochs: 12,
             samples_per_epoch: 900,
             train_snr_db: Some(6.0),
-            ..VideoTrainConfig::default()
+            ..ConceptTrainConfig::default()
         },
         3,
     );
@@ -37,11 +38,11 @@ fn main() {
     let pixel_symbols = pipeline.symbols_for(CLIP_SAMPLES);
     println!(
         "channel uses per clip: semantic {} symbols, pixels {} symbols ({}x)",
-        kb.symbols_per_clip(),
+        kb.symbols_per_concept(),
         pixel_symbols,
-        pixel_symbols / kb.symbols_per_clip()
+        pixel_symbols / kb.symbols_per_concept()
     );
-    let handicap = 10.0 * (pixel_symbols as f64 / kb.symbols_per_clip() as f64).log10();
+    let handicap = 10.0 * (pixel_symbols as f64 / kb.symbols_per_concept() as f64).log10();
     println!("equal-resource handicap for the pixel leg: {handicap:.1} dB");
 
     println!("\nsnr_db,semantic_acc,pixel_acc_same_symbol_snr,pixel_acc_equal_resources");

@@ -4,8 +4,9 @@
 use semcom_bench::banner;
 use semcom_channel::coding::HammingCode74;
 use semcom_channel::{AwgnChannel, Channel, Modulation, RayleighChannel};
+use semcom_codec::concept::{ConceptKb, ConceptTrainConfig};
 use semcom_nn::rng::seeded_rng;
-use semcom_vision::{GlyphSet, ImageKb, ImageTrainConfig, PixelBaseline};
+use semcom_vision::{GlyphSet, PixelBaseline};
 
 fn main() {
     banner(
@@ -20,14 +21,14 @@ fn main() {
         "\ntraining the CNN image KB ({} visual concepts)…",
         glyphs.len()
     );
-    let mut kb = ImageKb::new(&glyphs, 8, 2);
+    let mut kb = ConceptKb::new(&glyphs, 8, 2);
     kb.train(
         &glyphs,
-        &ImageTrainConfig {
+        &ConceptTrainConfig {
             epochs: 10,
             samples_per_epoch: 800,
             train_snr_db: Some(6.0),
-            ..ImageTrainConfig::default()
+            ..ConceptTrainConfig::default()
         },
         3,
     );
@@ -35,9 +36,9 @@ fn main() {
 
     println!(
         "\nchannel uses per image: semantic {} symbols, pixels {} symbols ({}x)",
-        kb.symbols_per_image(),
+        kb.symbols_per_concept(),
         baseline.symbols_per_image(),
-        baseline.symbols_per_image() / kb.symbols_per_image()
+        baseline.symbols_per_image() / kb.symbols_per_concept()
     );
 
     // The pixel pipeline spends 63x the channel uses; at a fixed
@@ -45,7 +46,7 @@ fn main() {
     // image. The "equal_resources" column gives both legs the same energy
     // budget per image by shifting the pixel leg's SNR down accordingly.
     let handicap_db =
-        10.0 * (baseline.symbols_per_image() as f64 / kb.symbols_per_image() as f64).log10();
+        10.0 * (baseline.symbols_per_image() as f64 / kb.symbols_per_concept() as f64).log10();
     println!("equal-resource handicap for the pixel leg: {handicap_db:.1} dB");
 
     for fading in [false, true] {

@@ -25,9 +25,10 @@
 
 use std::time::Instant;
 
-use semcom_audio::{AudioKb, AudioTrainConfig, ToneSet};
+use semcom_audio::ToneSet;
 use semcom_bench::banner;
 use semcom_channel::NoiselessChannel;
+use semcom_codec::concept::{ConceptKb, ConceptTrainConfig};
 use semcom_codec::eval::{evaluate_semantic, evaluate_semantic_quantized};
 use semcom_codec::train::{TrainConfig, Trainer};
 use semcom_codec::{CodecConfig, EncodeScratch, KbScope, KnowledgeBase};
@@ -36,7 +37,7 @@ use semcom_nn::Tensor;
 use semcom_text::{
     CorpusGenerator, Domain, LanguageConfig, Rendering, Sentence, SyntheticLanguage,
 };
-use semcom_vision::{GlyphSet, ImageKb, ImageTrainConfig};
+use semcom_vision::GlyphSet;
 
 /// Median wall-clock nanoseconds of `f` over `reps` calls.
 fn median_ns<F: FnMut()>(reps: usize, mut f: F) -> f64 {
@@ -150,14 +151,14 @@ fn main() {
 
     // Image.
     let glyphs = GlyphSet::new(16, 1);
-    let mut ikb = ImageKb::new(&glyphs, 8, 2);
+    let mut ikb = ConceptKb::new(&glyphs, 8, 2);
     ikb.train(
         &glyphs,
-        &ImageTrainConfig {
+        &ConceptTrainConfig {
             epochs: 8,
             samples_per_epoch: 600,
             train_snr_db: Some(6.0),
-            ..ImageTrainConfig::default()
+            ..ConceptTrainConfig::default()
         },
         3,
     );
@@ -184,14 +185,14 @@ fn main() {
 
     // Audio.
     let tones = ToneSet::new(16, 1);
-    let mut akb = AudioKb::new(&tones, 8, 2);
+    let mut akb = ConceptKb::new(&tones, 8, 2);
     akb.train(
         &tones,
-        &AudioTrainConfig {
+        &ConceptTrainConfig {
             epochs: 8,
             samples_per_epoch: 600,
             train_snr_db: Some(6.0),
-            ..AudioTrainConfig::default()
+            ..ConceptTrainConfig::default()
         },
         3,
     );
@@ -207,8 +208,10 @@ fn main() {
     let a_int8_ns = median_ns(200, || {
         std::hint::black_box(aq.encode(std::hint::black_box(&wave)));
     });
-    let akb_bytes = akb.param_count() * 4 + 2 * akb.feature_dim() * 4 + 64;
-    println!("audio,fp32,{a_fp32_acc:.4},{a_fp32_ns:.0},{akb_bytes}");
+    println!(
+        "audio,fp32,{a_fp32_acc:.4},{a_fp32_ns:.0},{}",
+        akb.size_bytes()
+    );
     println!(
         "audio,int8,{a_int8_acc:.4},{a_int8_ns:.0},{}",
         aq.size_bytes()

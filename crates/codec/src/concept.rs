@@ -1,0 +1,450 @@
+//! One semantic codec for every non-text modality (paper §III-B: "text,
+//! image, video, and audio").
+//!
+//! A modality is a [`ConceptSource`]: labelled samples of a fixed length
+//! and the [`Frontend`] that reads them. Everything after the front end is
+//! shared — encoder `F → Linear → LayerNorm` (`feature_dim` power-normalized
+//! analog symbols), decoder `Linear → ReLU → Linear → concept logits` — so
+//! encode, decode, transmit, accuracy, training (AWGN injected between
+//! encoder and decoder) and int8 quantization are written once, in
+//! [`ConceptKb`].
+
+use rand::RngCore;
+use semcom_channel::{AwgnChannel, Channel};
+use semcom_nn::layers::{Activation, DenseLayer, LayerNorm, Linear};
+use semcom_nn::loss::softmax_cross_entropy;
+use semcom_nn::optim::{shard_count, sharded_step, Adam, Optimizer};
+use semcom_nn::params::Param;
+use semcom_nn::quant::{QuantizedLinear, QuantizedModel};
+use semcom_nn::rng::{derive_seed, seeded_rng};
+use semcom_nn::Tensor;
+use serde::{Deserialize, Serialize};
+use std::fmt::Debug;
+use std::ops::Range;
+
+/// Decoder hidden width.
+const HIDDEN: usize = 32;
+
+/// Minimum minibatch rows per training shard: below this, replica-clone
+/// overhead outweighs the parallel speedup.
+const MIN_SHARD_ROWS: usize = 8;
+
+/// The modality-specific input stage of a [`ConceptKb`]: flattened sample
+/// rows in, `out_len()`-wide activations out.
+pub trait Frontend: Clone + Debug + Send + Sync {
+    /// The int8 inference form of this front end.
+    type Quantized: QuantizedFrontend;
+
+    /// Width of one output row (the projection's input width).
+    fn out_len(&self) -> usize;
+
+    /// Forward pass without caching (inference path).
+    fn infer(&self, x: &Tensor) -> Tensor;
+
+    /// Forward pass, caching what [`Frontend::backward`] needs.
+    fn forward(&mut self, x: &Tensor) -> Tensor;
+
+    /// Accumulates parameter gradients from the output gradient.
+    fn backward(&mut self, dout: &Tensor);
+
+    /// The trainable parameters, in a stable order.
+    fn params_mut(&mut self) -> Vec<&mut Param>;
+
+    /// Trainable scalar count.
+    fn param_count(&self) -> usize;
+
+    /// Converts the trained front end into its int8 inference form.
+    fn quantize(&self) -> Self::Quantized;
+}
+
+/// The inference-only form of a [`Frontend`] inside a
+/// [`QuantizedConceptKb`].
+pub trait QuantizedFrontend: Clone + Debug + Send + Sync {
+    /// Forward pass over flattened sample rows.
+    fn infer(&self, x: &Tensor) -> Tensor;
+
+    /// Storage size in bytes.
+    fn size_bytes(&self) -> usize;
+}
+
+/// A modality: labelled samples of a fixed length, and the front end that
+/// encodes them.
+pub trait ConceptSource {
+    /// The front end a KB for this source uses.
+    type Frontend: Frontend;
+
+    /// Number of concepts (decoder classes).
+    fn classes(&self) -> usize;
+
+    /// Length of one flattened sample.
+    fn input_len(&self) -> usize;
+
+    /// Draws a random concept and a noisy rendering of it.
+    fn sample(&self, rng: &mut dyn RngCore) -> (Vec<f32>, usize);
+
+    /// Builds an untrained front end from `seed`.
+    fn frontend(&self, seed: u64) -> Self::Frontend;
+}
+
+/// Training hyper-parameters for a [`ConceptKb`].
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct ConceptTrainConfig {
+    /// Passes over the generated training set.
+    pub epochs: usize,
+    /// Samples per epoch.
+    pub samples_per_epoch: usize,
+    /// Mini-batch size.
+    pub batch_size: usize,
+    /// Adam learning rate.
+    pub learning_rate: f32,
+    /// Channel-noise injection SNR (dB); `None` trains noiselessly.
+    pub train_snr_db: Option<f64>,
+}
+
+impl Default for ConceptTrainConfig {
+    fn default() -> Self {
+        ConceptTrainConfig {
+            epochs: 8,
+            samples_per_epoch: 400,
+            batch_size: 32,
+            learning_rate: 0.005,
+            train_snr_db: Some(8.0),
+        }
+    }
+}
+
+/// A concept knowledge base over front end `F`: encoder
+/// `F → Linear → power norm`, decoder `Linear → ReLU → Linear`.
+#[derive(Debug, Clone)]
+pub struct ConceptKb<F> {
+    frontend: F,
+    proj: Linear,
+    norm: LayerNorm,
+    dec1: Linear,
+    act: Activation,
+    dec2: Linear,
+    input_len: usize,
+}
+
+impl<F: Frontend> ConceptKb<F> {
+    /// Creates an untrained KB for `source` with `feature_dim` features per
+    /// sample.
+    pub fn new<S: ConceptSource<Frontend = F>>(source: &S, feature_dim: usize, seed: u64) -> Self {
+        let frontend = source.frontend(derive_seed(seed, 0));
+        ConceptKb {
+            proj: Linear::new(frontend.out_len(), feature_dim, derive_seed(seed, 1)),
+            frontend,
+            norm: LayerNorm::new(feature_dim),
+            dec1: Linear::new(feature_dim, HIDDEN, derive_seed(seed, 2)),
+            act: Activation::relu(),
+            dec2: Linear::new(HIDDEN, source.classes(), derive_seed(seed, 3)),
+            input_len: source.input_len(),
+        }
+    }
+
+    /// Features per sample.
+    pub fn feature_dim(&self) -> usize {
+        self.norm.dim()
+    }
+
+    /// Number of concepts the decoder can emit.
+    pub fn classes(&self) -> usize {
+        self.dec2.out_dim()
+    }
+
+    /// Complex channel symbols per transmitted sample.
+    pub fn symbols_per_concept(&self) -> usize {
+        self.feature_dim().div_ceil(2)
+    }
+
+    /// The trainable parameters: front end, projection, decoder.
+    pub fn params_mut(&mut self) -> Vec<&mut Param> {
+        let mut ps = self.frontend.params_mut();
+        ps.extend(self.proj.params_mut());
+        ps.extend(self.dec1.params_mut());
+        ps.extend(self.dec2.params_mut());
+        ps
+    }
+
+    /// Total trainable scalar count.
+    pub fn param_count(&self) -> usize {
+        let linear = |l: &Linear| l.weight().len() + l.bias().len();
+        self.frontend.param_count() + linear(&self.proj) + linear(&self.dec1) + linear(&self.dec2)
+    }
+
+    /// Storage size in bytes: 4 per parameter, the power norm's scale and
+    /// shift, and a 64-byte header.
+    pub fn size_bytes(&self) -> usize {
+        self.param_count() * 4 + 2 * self.feature_dim() * 4 + 64
+    }
+
+    /// Encodes one sample to power-normalized features.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sample` has the wrong length.
+    pub fn encode(&self, sample: &[f32]) -> Vec<f32> {
+        self.encode_batch(&[sample]).into_vec()
+    }
+
+    /// Encodes many samples in one forward pass, returning
+    /// `[samples.len(), feature_dim]` features. Every row flows through the
+    /// network independently, so this is bit-identical to encoding each
+    /// sample separately.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `samples` is empty or any sample has the wrong length.
+    pub fn encode_batch(&self, samples: &[&[f32]]) -> Tensor {
+        let x = stack(samples, self.input_len);
+        self.norm.infer(&self.proj.infer(&self.frontend.infer(&x)))
+    }
+
+    /// Decodes received features to the most likely concept.
+    pub fn decode(&self, features: &[f32]) -> usize {
+        let f = Tensor::row_from_slice(features);
+        let logits = self.dec2.infer(&self.act.infer(&self.dec1.infer(&f)));
+        logits.argmax_row(0)
+    }
+
+    /// End-to-end transmission: `self` encodes, `receiver` decodes.
+    pub fn transmit(
+        &self,
+        receiver: &Self,
+        sample: &[f32],
+        channel: &dyn Channel,
+        rng: &mut dyn RngCore,
+    ) -> usize {
+        let received = channel.transmit_f32(&self.encode(sample), rng);
+        receiver.decode(&received)
+    }
+
+    /// Classification accuracy over `n` fresh samples through `channel`.
+    pub fn accuracy<S: ConceptSource<Frontend = F>>(
+        &self,
+        source: &S,
+        channel: &dyn Channel,
+        n: usize,
+        rng: &mut dyn RngCore,
+    ) -> f64 {
+        accuracy(source, n, rng, |x, rng| {
+            self.transmit(self, x, channel, rng)
+        })
+    }
+
+    /// Converts this trained KB into its int8 inference twin.
+    pub fn quantize(&self) -> QuantizedConceptKb<F> {
+        QuantizedConceptKb {
+            frontend: self.frontend.quantize(),
+            proj: QuantizedLinear::from_linear(&self.proj),
+            norm: self.norm.clone(),
+            dec: QuantizedModel::from_linears(&[&self.dec1, &self.dec2]),
+            input_len: self.input_len,
+        }
+    }
+
+    /// Trains encoder and decoder jointly with channel-noise injection;
+    /// returns the mean loss of the last epoch. A minibatch of two or more
+    /// shards ([`shard_count`]) takes the data-parallel [`sharded_step`];
+    /// the others take the serial step, noise drawn from the main RNG.
+    pub fn train<S: ConceptSource<Frontend = F>>(
+        &mut self,
+        source: &S,
+        config: &ConceptTrainConfig,
+        seed: u64,
+    ) -> f32 {
+        let mut rng = seeded_rng(seed);
+        let mut opt = Adam::new(config.learning_rate);
+        let channel = config.train_snr_db.map(AwgnChannel::new);
+        let mut last_loss = 0.0;
+        for _ in 0..config.epochs {
+            let mut epoch_loss = 0.0;
+            let mut batches = 0;
+            let mut remaining = config.samples_per_epoch;
+            while remaining > 0 {
+                let bs = config.batch_size.clamp(1, remaining);
+                remaining -= bs;
+                let mut flat = Vec::with_capacity(bs * self.input_len);
+                let mut labels = Vec::with_capacity(bs);
+                for _ in 0..bs {
+                    let (x, label) = source.sample(&mut rng);
+                    flat.extend_from_slice(&x);
+                    labels.push(label);
+                }
+                let x = Tensor::from_vec(bs, self.input_len, flat).expect("source sample length");
+                let shards = shard_count(bs, MIN_SHARD_ROWS, MIN_SHARD_ROWS);
+                epoch_loss += if shards >= 2 {
+                    let channel = channel.as_ref();
+                    sharded_step(
+                        self,
+                        bs,
+                        shards,
+                        &mut rng,
+                        &mut opt,
+                        |kb, rows, seed| {
+                            let mut replica = kb.clone();
+                            let x = row_range(&x, rows.clone());
+                            let loss =
+                                replica.backprop(&x, &labels[rows], channel, &mut seeded_rng(seed));
+                            let grads = replica
+                                .params_mut()
+                                .into_iter()
+                                .map(|p| std::mem::replace(&mut p.grad, Tensor::zeros(0, 0)))
+                                .collect();
+                            (loss, grads)
+                        },
+                        Self::params_mut,
+                    )
+                } else {
+                    let loss = self.backprop(&x, &labels, channel.as_ref(), &mut rng);
+                    opt.step(&mut self.params_mut());
+                    loss
+                };
+                batches += 1;
+            }
+            if batches > 0 {
+                last_loss = epoch_loss / batches as f32;
+            }
+        }
+        last_loss
+    }
+
+    /// Forward + backward over one minibatch (noise from `rng`), leaving
+    /// the gradients in the parameters; returns the mean loss.
+    fn backprop(
+        &mut self,
+        x: &Tensor,
+        labels: &[usize],
+        channel: Option<&AwgnChannel>,
+        rng: &mut dyn RngCore,
+    ) -> f32 {
+        let h = self.frontend.forward(x);
+        let f = self.norm.forward(&self.proj.forward(&h));
+        let received = match channel {
+            Some(ch) => {
+                let noisy = ch.transmit_f32(f.as_slice(), rng);
+                Tensor::from_vec(f.rows(), f.cols(), noisy).expect("channel preserves length")
+            }
+            None => f,
+        };
+        let hidden = self.act.forward(&self.dec1.forward(&received));
+        let logits = self.dec2.forward(&hidden);
+        let (loss, dlogits) = softmax_cross_entropy(&logits, labels);
+
+        // Backward (AWGN gradient = identity).
+        for p in self.params_mut() {
+            p.zero_grad();
+        }
+        self.norm.zero_grad();
+        let dhidden = self.dec2.backward(&dlogits);
+        let dreceived = self.dec1.backward(&self.act.backward(&dhidden));
+        let dh = self.proj.backward(&self.norm.backward(&dreceived));
+        self.frontend.backward(&dh);
+        loss
+    }
+}
+
+/// Int8 post-training-quantized twin of a [`ConceptKb`] for inference:
+/// the front end's int8 form, quantized projection and decoder linears
+/// (exact integer accumulation), and the f32 power norm.
+#[derive(Debug, Clone)]
+pub struct QuantizedConceptKb<F: Frontend> {
+    frontend: F::Quantized,
+    proj: QuantizedLinear,
+    norm: LayerNorm,
+    dec: QuantizedModel,
+    input_len: usize,
+}
+
+impl<F: Frontend> QuantizedConceptKb<F> {
+    /// Features per sample (the air interface of the fp32 KB).
+    pub fn feature_dim(&self) -> usize {
+        self.norm.dim()
+    }
+
+    /// Storage size in bytes, counted like [`ConceptKb::size_bytes`]: front
+    /// end, quantized projection and decoder, f32 norm, 64-byte header.
+    pub fn size_bytes(&self) -> usize {
+        self.frontend.size_bytes()
+            + self.proj.size_bytes()
+            + 2 * self.feature_dim() * 4
+            + self.dec.size_bytes()
+            + 64
+    }
+
+    /// Encodes one sample to power-normalized features.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sample` has the wrong length.
+    pub fn encode(&self, sample: &[f32]) -> Vec<f32> {
+        self.encode_batch(&[sample]).into_vec()
+    }
+
+    /// Encodes many samples in one quantized forward pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `samples` is empty or any sample has the wrong length.
+    pub fn encode_batch(&self, samples: &[&[f32]]) -> Tensor {
+        let x = stack(samples, self.input_len);
+        let mut feat = self.proj.forward(&self.frontend.infer(&x));
+        self.norm.normalize_rows(feat.as_mut_slice());
+        feat
+    }
+
+    /// Decodes received features to the most likely concept.
+    pub fn decode(&self, features: &[f32]) -> usize {
+        let f = Tensor::row_from_slice(features);
+        self.dec.forward(&f).argmax_row(0)
+    }
+
+    /// Classification accuracy over `n` fresh samples through `channel` —
+    /// the protocol of [`ConceptKb::accuracy`], so fp32 and int8 accuracy
+    /// are directly comparable at equal seeds.
+    pub fn accuracy<S: ConceptSource<Frontend = F>>(
+        &self,
+        source: &S,
+        channel: &dyn Channel,
+        n: usize,
+        rng: &mut dyn RngCore,
+    ) -> f64 {
+        accuracy(source, n, rng, |x, rng| {
+            self.decode(&channel.transmit_f32(&self.encode(x), rng))
+        })
+    }
+}
+
+/// Packs equal-length samples into one `[samples.len(), input_len]` batch.
+fn stack(samples: &[&[f32]], input_len: usize) -> Tensor {
+    let mut flat = Vec::with_capacity(samples.len() * input_len);
+    for s in samples {
+        assert_eq!(s.len(), input_len, "wrong sample length");
+        flat.extend_from_slice(s);
+    }
+    Tensor::from_vec(samples.len(), input_len, flat).expect("lengths checked")
+}
+
+/// Rows `rows` of `x` as a tensor of their own.
+fn row_range(x: &Tensor, rows: Range<usize>) -> Tensor {
+    let cols = x.cols();
+    let data = x.as_slice()[rows.start * cols..rows.end * cols].to_vec();
+    Tensor::from_vec(rows.len(), cols, data).expect("row range of a tensor")
+}
+
+/// Share of `n` fresh samples that `transmit` decodes to their concept.
+fn accuracy<S: ConceptSource>(
+    source: &S,
+    n: usize,
+    rng: &mut dyn RngCore,
+    transmit: impl Fn(&[f32], &mut dyn RngCore) -> usize,
+) -> f64 {
+    let mut correct = 0;
+    for _ in 0..n {
+        let (x, label) = source.sample(rng);
+        if transmit(&x, rng) == label {
+            correct += 1;
+        }
+    }
+    correct as f64 / n.max(1) as f64
+}

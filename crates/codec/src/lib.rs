@@ -23,7 +23,10 @@
 //!   the sender edge measures with its **decoder copy** (§II-C);
 //! * [`TraditionalCodec`] — Huffman source coding + channel coding +
 //!   modulation: the "transmit data bit by bit" baseline (§I), including
-//!   its receiver-side lexicon interpretation.
+//!   its receiver-side lexicon interpretation;
+//! * [`concept::ConceptKb`] — the same semantic codec for the non-text
+//!   modalities (§III-B): one KB generic over a modality front end, used
+//!   by `semcom-audio` (MLP) and `semcom-vision` (CNN, images and video).
 //!
 //! # Example: train a domain KB and transmit a sentence
 //!
@@ -64,6 +67,7 @@ mod huffman;
 mod kb;
 mod quantized;
 
+pub mod concept;
 pub mod eval;
 pub mod mismatch;
 pub mod train;

@@ -9,22 +9,22 @@
 //!
 //! # Data parallelism
 //!
-//! With more than one `semcom-par` worker, each minibatch is split into
-//! contiguous shards processed on cloned encoder/decoder replicas, and the
-//! per-shard gradients are reduced in **fixed shard order** (weighted by
-//! shard size, matching the full-batch mean) before one optimizer step.
-//! Runs are therefore reproducible at any fixed worker count; with one
-//! worker the original serial path runs, bit-identical to the pre-parallel
-//! implementation. Per-shard noise comes from seeds drawn from the main
-//! training RNG in shard order, so results do not depend on scheduling.
+//! A minibatch of at least [`SHARD_MIN_BATCH`] tokens, with more than one
+//! `semcom-par` worker, takes the shared data-parallel step
+//! [`semcom_nn::optim::sharded_step`]: contiguous shards on cloned
+//! encoder/decoder replicas, per-shard noise seeds drawn from the main
+//! training RNG in shard order, gradients reduced in **fixed shard order**
+//! (weighted by shard size, matching the full-batch mean) before one
+//! optimizer step. Runs are therefore reproducible at any fixed worker
+//! count; with one worker the serial path runs.
 
 use crate::kb::KnowledgeBase;
-use crate::{SemanticDecoder, SemanticEncoder};
 use rand::seq::SliceRandom;
-use rand::Rng;
+use rand::RngCore;
 use semcom_channel::{AwgnChannel, Channel};
 use semcom_nn::loss::softmax_cross_entropy;
-use semcom_nn::optim::{Adam, Optimizer};
+use semcom_nn::optim::{shard_count, sharded_step, Adam, Optimizer};
+use semcom_nn::params::Param;
 use semcom_nn::rng::seeded_rng;
 use semcom_nn::Tensor;
 use semcom_text::Sentence;
@@ -162,13 +162,8 @@ impl Trainer {
         }
     }
 
-    /// One optimizer step over a token batch; returns the batch loss.
-    ///
-    /// Dispatches to the data-parallel path only when the minibatch is
-    /// large enough to amortize replica cloning ([`SHARD_MIN_BATCH`]) and
-    /// more than one worker is actually available; otherwise runs the
-    /// original serial path (bit-identical to the pre-parallel
-    /// implementation at one worker).
+    /// One optimizer step over a token batch; returns the batch loss. Only
+    /// a batch worth two or more shards takes the [`sharded_step`].
     fn step(
         &self,
         kb: &mut KnowledgeBase,
@@ -181,99 +176,36 @@ impl Trainer {
         if tokens.is_empty() {
             return 0.0;
         }
-        // Nested parallelism (a caller already inside a semcom-par worker)
-        // would serialize anyway; skip the replica-clone overhead outright.
-        let workers = if semcom_par::in_worker() {
-            1
-        } else {
-            semcom_par::max_workers()
-        };
-        let shards = workers.min(tokens.len() / MIN_SHARD_TOKENS);
-        if workers > 1 && tokens.len() >= SHARD_MIN_BATCH && shards >= 2 {
-            return self.step_sharded(kb, tokens, targets, opt, rng, shards);
+        let shards = shard_count(tokens.len(), MIN_SHARD_TOKENS, SHARD_MIN_BATCH);
+        if shards >= 2 {
+            return sharded_step(
+                kb,
+                tokens.len(),
+                shards,
+                rng,
+                opt,
+                |kb, range, seed| {
+                    let mut replica = kb.clone();
+                    let (tokens, targets) = (&tokens[range.clone()], &targets[range]);
+                    let loss = backprop(
+                        &mut replica,
+                        tokens,
+                        targets,
+                        channel,
+                        &mut seeded_rng(seed),
+                    );
+                    let grads = params(&mut replica)
+                        .into_iter()
+                        .map(|p| std::mem::replace(&mut p.grad, Tensor::zeros(0, 0)))
+                        .collect();
+                    (loss, grads)
+                },
+                params,
+            );
         }
-        let features = kb.encoder.forward(tokens);
-        let received = match channel {
-            Some(ch) => {
-                let noisy = ch.transmit_f32(features.as_slice(), rng);
-                Tensor::from_vec(features.rows(), features.cols(), noisy)
-                    .expect("channel preserves length")
-            }
-            None => features.clone(),
-        };
-        let logits = kb.decoder.forward(&received);
-        let (loss, dlogits) = softmax_cross_entropy(&logits, targets);
-
-        kb.encoder.zero_grad();
-        kb.decoder.zero_grad();
-        let dfeatures = kb.decoder.backward(&dlogits);
-        // AWGN is additive: d(received)/d(features) = identity.
-        kb.encoder.backward(&dfeatures);
-
-        let mut params = kb.encoder.params_mut();
-        params.extend(kb.decoder.params_mut());
-        opt.step(&mut params);
+        let loss = backprop(kb, tokens, targets, channel, rng);
+        opt.step(&mut params(kb));
         loss
-    }
-
-    /// Data-parallel optimizer step: contiguous batch shards run on cloned
-    /// replicas, gradients reduce in fixed shard order (size-weighted, so
-    /// the reduction equals the full-batch mean), then one Adam step.
-    fn step_sharded(
-        &self,
-        kb: &mut KnowledgeBase,
-        tokens: &[usize],
-        targets: &[usize],
-        opt: &mut Adam,
-        rng: &mut rand::rngs::StdRng,
-        shards: usize,
-    ) -> f32 {
-        // Shard bounds and noise seeds are fixed before any parallel work,
-        // in shard order, so the main RNG stream is schedule-independent.
-        let n = tokens.len();
-        let base = n / shards;
-        let extra = n % shards;
-        let mut jobs = Vec::with_capacity(shards);
-        let mut start = 0;
-        for s in 0..shards {
-            let end = start + base + usize::from(s < extra);
-            jobs.push((start, end, rng.gen::<u64>()));
-            start = end;
-        }
-        let snr = self.config.train_snr_db;
-        let (encoder, decoder) = (&kb.encoder, &kb.decoder);
-        let results = semcom_par::par_map_indexed(&jobs, |_, &(s, e, seed)| {
-            shard_grads(encoder, decoder, &tokens[s..e], &targets[s..e], snr, seed)
-        });
-
-        // Ordered, size-weighted reduction: deterministic at a fixed shard
-        // count regardless of which worker finished first.
-        let mut total_loss = 0.0;
-        let mut acc: Option<Vec<Tensor>> = None;
-        for (&(s, e, _), (loss, grads)) in jobs.iter().zip(&results) {
-            let w = (e - s) as f32 / n as f32;
-            total_loss += w * loss;
-            match &mut acc {
-                None => {
-                    acc = Some(grads.iter().map(|g| g.scale(w)).collect());
-                }
-                Some(acc) => {
-                    for (a, g) in acc.iter_mut().zip(grads) {
-                        a.add_scaled(g, w);
-                    }
-                }
-            }
-        }
-
-        let mut params = kb.encoder.params_mut();
-        params.extend(kb.decoder.params_mut());
-        let acc = acc.expect("at least one shard");
-        assert_eq!(params.len(), acc.len(), "replica parameter layout drift");
-        for (p, g) in params.iter_mut().zip(acc) {
-            p.grad = g;
-        }
-        opt.step(&mut params);
-        total_loss
     }
 }
 
@@ -287,43 +219,39 @@ const MIN_SHARD_TOKENS: usize = 64;
 /// `trainer_epoch_4threads` benchmark by ~1.7x.
 const SHARD_MIN_BATCH: usize = 256;
 
-/// Runs forward + backward for one shard on cloned replicas, returning the
-/// shard's mean loss and its gradients in `encoder.params ++ decoder.params`
-/// order. Noise is drawn from a shard-local RNG so the result depends only
-/// on `(inputs, seed)`, never on scheduling.
-fn shard_grads(
-    encoder: &SemanticEncoder,
-    decoder: &SemanticDecoder,
+/// Encoder then decoder parameters, the order the optimizer keys on.
+fn params(kb: &mut KnowledgeBase) -> Vec<&mut Param> {
+    let mut params = kb.encoder.params_mut();
+    params.extend(kb.decoder.params_mut());
+    params
+}
+
+/// Forward + backward over one token batch (channel noise from `rng`),
+/// leaving the gradients in `kb`; returns the mean loss.
+fn backprop(
+    kb: &mut KnowledgeBase,
     tokens: &[usize],
     targets: &[usize],
-    snr_db: Option<f64>,
-    seed: u64,
-) -> (f32, Vec<Tensor>) {
-    let mut enc = encoder.clone();
-    let mut dec = decoder.clone();
-    let mut rng = seeded_rng(seed);
-    let features = enc.forward(tokens);
-    let received = match snr_db.map(AwgnChannel::new) {
+    channel: Option<&AwgnChannel>,
+    rng: &mut dyn RngCore,
+) -> f32 {
+    let features = kb.encoder.forward(tokens);
+    let received = match channel {
         Some(ch) => {
-            let noisy = ch.transmit_f32(features.as_slice(), &mut rng);
+            let noisy = ch.transmit_f32(features.as_slice(), rng);
             Tensor::from_vec(features.rows(), features.cols(), noisy)
                 .expect("channel preserves length")
         }
-        None => features.clone(),
+        None => features,
     };
-    let logits = dec.forward(&received);
+    let logits = kb.decoder.forward(&received);
     let (loss, dlogits) = softmax_cross_entropy(&logits, targets);
-    enc.zero_grad();
-    dec.zero_grad();
-    let dfeatures = dec.backward(&dlogits);
-    enc.backward(&dfeatures);
-    let mut grads = Vec::new();
-    let mut params = enc.params_mut();
-    params.extend(dec.params_mut());
-    for p in params {
-        grads.push(std::mem::replace(&mut p.grad, Tensor::zeros(0, 0)));
-    }
-    (loss, grads)
+    kb.encoder.zero_grad();
+    kb.decoder.zero_grad();
+    let dfeatures = kb.decoder.backward(&dlogits);
+    // AWGN is additive: d(received)/d(features) = identity.
+    kb.encoder.backward(&dfeatures);
+    loss
 }
 
 #[cfg(test)]

@@ -1,6 +1,10 @@
-//! Gradient-descent optimizers.
+//! Gradient-descent optimizers, and the one data-parallel training step
+//! every model in the workspace shares ([`sharded_step`]).
 
 use crate::params::Param;
+use crate::Tensor;
+use rand::RngCore;
+use std::ops::Range;
 
 /// An optimizer updating parameters in place from their accumulated
 /// gradients.
@@ -193,6 +197,88 @@ impl Optimizer for Adam {
     }
 }
 
+/// The number of data-parallel shards a `rows`-row minibatch splits into:
+/// one per `semcom-par` worker, at most one per `min_shard_rows` rows, and
+/// one (the serial step) below `min_batch` rows or inside a worker, where
+/// nested parallelism would serialize anyway. The only place training
+/// reads the worker count.
+pub fn shard_count(rows: usize, min_shard_rows: usize, min_batch: usize) -> usize {
+    if rows < min_batch || semcom_par::in_worker() {
+        return 1;
+    }
+    semcom_par::max_workers().min(rows / min_shard_rows).max(1)
+}
+
+/// One data-parallel optimizer step over a `rows`-row minibatch; returns
+/// the minibatch loss.
+///
+/// The rows split into `shards` contiguous ranges (the first `rows % shards`
+/// one row longer), each with a seed drawn from `rng` in shard order before
+/// any parallel work. `shard(model, range, seed)` runs forward + backward
+/// for one range on a replica and returns its mean loss and its gradients
+/// in `params(model)` order. Losses and gradients reduce in shard order,
+/// weighted by each range's share of the rows (the full-batch mean); the
+/// sum is installed into `params(model)` and `opt` steps once. The result
+/// depends on the shard count, never on the schedule.
+///
+/// # Panics
+///
+/// Panics unless `1 <= shards <= rows`, or if a shard returns a gradient
+/// count other than `params(model)`'s.
+pub fn sharded_step<M, O>(
+    model: &mut M,
+    rows: usize,
+    shards: usize,
+    rng: &mut dyn RngCore,
+    opt: &mut O,
+    shard: impl Fn(&M, Range<usize>, u64) -> (f32, Vec<Tensor>) + Sync,
+    params: impl FnOnce(&mut M) -> Vec<&mut Param>,
+) -> f32
+where
+    M: Sync,
+    O: Optimizer + ?Sized,
+{
+    assert!(
+        (1..=rows).contains(&shards),
+        "{shards} shards for {rows} rows"
+    );
+    let (base, extra) = (rows / shards, rows % shards);
+    let mut jobs = Vec::with_capacity(shards);
+    let mut start = 0;
+    for s in 0..shards {
+        let end = start + base + usize::from(s < extra);
+        jobs.push((start..end, rng.next_u64()));
+        start = end;
+    }
+    let replica = &*model;
+    let results = semcom_par::par_map_indexed(&jobs, |_, (range, seed)| {
+        shard(replica, range.clone(), *seed)
+    });
+
+    let mut total_loss = 0.0;
+    let mut acc: Option<Vec<Tensor>> = None;
+    for ((range, _), (loss, grads)) in jobs.iter().zip(&results) {
+        let w = range.len() as f32 / rows as f32;
+        total_loss += w * loss;
+        match &mut acc {
+            None => acc = Some(grads.iter().map(|g| g.scale(w)).collect()),
+            Some(acc) => {
+                for (a, g) in acc.iter_mut().zip(grads) {
+                    a.add_scaled(g, w);
+                }
+            }
+        }
+    }
+    let acc = acc.expect("at least one shard");
+    let mut params = params(model);
+    assert_eq!(params.len(), acc.len(), "replica parameter layout drift");
+    for (p, g) in params.iter_mut().zip(acc) {
+        p.grad = g;
+    }
+    opt.step(&mut params);
+    total_loss
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -375,6 +461,67 @@ mod tests {
         let mut opt = Sgd::new(1.0).with_clip(0.5);
         opt.step(&mut [&mut p]);
         assert!((p.value.get(0, 0) + 0.5).abs() < 1e-6);
+    }
+
+    #[test]
+    fn shard_count_never_shards_small_batches() {
+        // Worker-count independent: the global count may be anything here.
+        assert_eq!(shard_count(255, 64, 256), 1);
+        assert_eq!(shard_count(15, 8, 8), 1);
+        assert!(shard_count(300, 64, 256) <= 300 / 64);
+        assert!(shard_count(40, 8, 8) >= 1);
+    }
+
+    /// Three uneven shards of a 10-row MSE batch reduce to the full-batch
+    /// step, up to float reassociation.
+    #[test]
+    fn sharded_step_matches_the_full_batch_step() {
+        let x =
+            Tensor::from_vec(10, 2, (0..20).map(|i| (i as f32 * 0.37).sin()).collect()).unwrap();
+        let y = Tensor::from_vec(10, 1, (0..10).map(|i| i as f32 * 0.1).collect()).unwrap();
+        let rows = |t: &Tensor, r: Range<usize>| {
+            Tensor::from_vec(
+                r.len(),
+                t.cols(),
+                t.as_slice()[r.start * t.cols()..r.end * t.cols()].to_vec(),
+            )
+            .unwrap()
+        };
+
+        let mut serial = Linear::new(2, 1, 3);
+        let (serial_loss, d) = mse(&serial.forward(&x), &y);
+        serial.zero_grad();
+        serial.backward(&d);
+        Sgd::new(0.1).step(&mut serial.params_mut());
+
+        let mut sharded = Linear::new(2, 1, 3);
+        let mut rng = crate::rng::seeded_rng(1);
+        let loss = sharded_step(
+            &mut sharded,
+            10,
+            3,
+            &mut rng,
+            &mut Sgd::new(0.1),
+            |layer, r, _seed| {
+                let mut local = layer.clone();
+                let (loss, d) = mse(&local.forward(&rows(&x, r.clone())), &rows(&y, r));
+                local.zero_grad();
+                local.backward(&d);
+                let grads = local
+                    .params_mut()
+                    .into_iter()
+                    .map(|p| p.grad.clone())
+                    .collect();
+                (loss, grads)
+            },
+            |layer| layer.params_mut(),
+        );
+        assert!((loss - serial_loss).abs() < 1e-6, "{loss} vs {serial_loss}");
+        for (a, b) in sharded.params_mut().iter().zip(serial.params_mut()) {
+            for (u, v) in a.value.as_slice().iter().zip(b.value.as_slice()) {
+                assert!((u - v).abs() < 1e-6, "{u} vs {v}");
+            }
+        }
     }
 
     #[test]

@@ -7,8 +7,8 @@ use semcom_channel::{BitPipeline, Channel, Modulation};
 /// channel-coded bit pipeline, classify at the receiver by nearest
 /// prototype.
 ///
-/// Contrasts with [`crate::ImageKb`] exactly as the text baseline
-/// contrasts with the text KBs: pixels (syntax) on the wire instead of the
+/// Contrasts with the CNN [`ConceptKb`](semcom_codec::concept::ConceptKb)
+/// exactly as the text baseline contrasts with the text KBs: pixels (syntax) on the wire instead of the
 /// concept (semantics), costing `GLYPH_PIXELS / rate / bits-per-symbol`
 /// channel uses instead of a handful of analog symbols.
 pub struct PixelBaseline {

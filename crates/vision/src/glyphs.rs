@@ -1,6 +1,5 @@
 use rand::{Rng, RngCore};
 use semcom_nn::rng::{derive_seed, seeded_rng};
-use serde::{Deserialize, Serialize};
 
 /// Glyph side length in pixels.
 pub const GLYPH_SIDE: usize = 12;
@@ -12,7 +11,7 @@ pub const GLYPH_PIXELS: usize = GLYPH_SIDE * GLYPH_SIDE;
 ///
 /// Prototypes are random-walk strokes on a 12×12 canvas — visually distinct
 /// with overwhelming probability and reproducible from the seed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GlyphSet {
     prototypes: Vec<Vec<f32>>,
     /// Probability that a pixel flips in a sample.

@@ -13,16 +13,17 @@
 //!   deterministic 12×12 prototype glyph; samples are noisy, jittered
 //!   renderings, so ground-truth *meaning* is exactly known (the same
 //!   trick the text modality uses);
-//! * [`ImageKb`] — a CNN knowledge base (Conv → ReLU → MaxPool → Linear →
-//!   power-normalized features) transmitting a handful of analog symbols
-//!   per image, trained with channel-noise injection;
+//! * [`ConvFrontend`] — the Conv → ReLU → MaxPool front end that makes
+//!   `ConceptKb::new(&glyphs, …)` (semcom-codec's generic
+//!   [`ConceptKb`](semcom_codec::concept::ConceptKb)) a CNN knowledge base
+//!   sending a handful of analog symbols per image;
 //! * [`PixelBaseline`] — the traditional leg: 1-bit pixels through a
 //!   channel-coded bit pipeline, classified at the receiver by nearest
 //!   prototype;
-//! * [`VideoKb`] over a [`VideoSet`] — the **video** leg: short clips
-//!   whose meaning is a `(glyph, motion)` pair, encoded by a CNN whose
-//!   input channels are the frames (temporal differences visible to the
-//!   kernels).
+//! * [`VideoSet`] — the **video** leg: short clips whose meaning is a
+//!   `(glyph, motion)` pair; `ConceptKb::new(&videos, …)` encodes them with
+//!   the same front end, its input channels the frames (temporal
+//!   differences visible to the kernels).
 //!
 //! Experiment F7 (`semcom-bench`, `f7_image_codec`) sweeps SNR and
 //! compares accuracy and channel uses.
@@ -30,13 +31,14 @@
 //! # Example
 //!
 //! ```
-//! use semcom_vision::{GlyphSet, ImageKb, ImageTrainConfig};
+//! use semcom_vision::GlyphSet;
 //! use semcom_channel::AwgnChannel;
+//! use semcom_codec::concept::{ConceptKb, ConceptTrainConfig};
 //! use semcom_nn::rng::seeded_rng;
 //!
 //! let glyphs = GlyphSet::new(6, 1);
-//! let mut kb = ImageKb::new(&glyphs, 8, 2);
-//! kb.train(&glyphs, &ImageTrainConfig { epochs: 4, ..Default::default() }, 3);
+//! let mut kb = ConceptKb::new(&glyphs, 8, 2);
+//! kb.train(&glyphs, &ConceptTrainConfig { epochs: 4, ..Default::default() }, 3);
 //! let mut rng = seeded_rng(4);
 //! let (img, label) = glyphs.sample(&mut rng);
 //! let decoded = kb.transmit(&kb, &img, &AwgnChannel::new(15.0), &mut rng);
@@ -48,11 +50,11 @@
 #![warn(missing_docs)]
 
 mod baseline;
-mod codec;
+mod frontend;
 mod glyphs;
 mod video;
 
 pub use baseline::PixelBaseline;
-pub use codec::{ImageKb, ImageTrainConfig, QuantizedImageKb};
+pub use frontend::ConvFrontend;
 pub use glyphs::{GlyphSet, GLYPH_PIXELS, GLYPH_SIDE};
-pub use video::{Motion, VideoKb, VideoSet, VideoTrainConfig, CLIP_SAMPLES, FRAMES};
+pub use video::{Motion, VideoSet, CLIP_SAMPLES, FRAMES};

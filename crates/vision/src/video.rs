@@ -9,25 +9,15 @@
 
 use crate::glyphs::{GlyphSet, GLYPH_PIXELS, GLYPH_SIDE};
 use rand::{Rng, RngCore};
-use semcom_channel::{AwgnChannel, Channel};
-use semcom_nn::layers::{Activation, Conv2d, DenseLayer, LayerNorm, Linear, MaxPool2};
-use semcom_nn::loss::softmax_cross_entropy;
-use semcom_nn::optim::{Adam, Optimizer};
 use semcom_nn::rng::{derive_seed, seeded_rng};
-use semcom_nn::Tensor;
-use serde::{Deserialize, Serialize};
 
 /// Frames per clip.
 pub const FRAMES: usize = 3;
 /// Flattened sample count of one clip (`FRAMES × GLYPH_PIXELS`).
 pub const CLIP_SAMPLES: usize = FRAMES * GLYPH_PIXELS;
 
-const CONV_CH: usize = 4;
-const KERNEL: usize = 3;
-const HIDDEN: usize = 32;
-
 /// The four motion primitives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Motion {
     /// No movement across frames.
     Still,
@@ -54,7 +44,7 @@ impl Motion {
 }
 
 /// A synthetic video modality: concepts are `(glyph, motion)` pairs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VideoSet {
     glyphs: GlyphSet,
     /// Probability that a pixel flips in each rendered frame.
@@ -155,214 +145,9 @@ impl VideoSet {
     }
 }
 
-/// Training hyper-parameters for a [`VideoKb`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct VideoTrainConfig {
-    /// Passes over the generated training set.
-    pub epochs: usize,
-    /// Clips per epoch.
-    pub samples_per_epoch: usize,
-    /// Mini-batch size.
-    pub batch_size: usize,
-    /// Adam learning rate.
-    pub learning_rate: f32,
-    /// Channel-noise injection SNR (dB); `None` trains noiselessly.
-    pub train_snr_db: Option<f64>,
-}
-
-impl Default for VideoTrainConfig {
-    fn default() -> Self {
-        VideoTrainConfig {
-            epochs: 10,
-            samples_per_epoch: 500,
-            batch_size: 32,
-            learning_rate: 0.005,
-            train_snr_db: Some(8.0),
-        }
-    }
-}
-
-/// A CNN video knowledge base: frames enter as convolution channels, so the
-/// kernels see *temporal differences* directly.
-///
-/// Encoder: `Conv2d(FRAMES→4, 3×3) → ReLU → MaxPool → Linear → power norm`;
-/// decoder: `Linear → ReLU → Linear → concept logits`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct VideoKb {
-    conv: Conv2d,
-    act1: Activation,
-    pool: MaxPool2,
-    proj: Linear,
-    norm: LayerNorm,
-    dec1: Linear,
-    act2: Activation,
-    dec2: Linear,
-    feature_dim: usize,
-}
-
-impl VideoKb {
-    /// Creates an untrained video KB with `feature_dim` channel symbols
-    /// per clip.
-    pub fn new(videos: &VideoSet, feature_dim: usize, seed: u64) -> Self {
-        let conv_h = GLYPH_SIDE - KERNEL + 1;
-        let pooled = conv_h / 2;
-        let flat = CONV_CH * pooled * pooled;
-        VideoKb {
-            conv: Conv2d::new(
-                FRAMES,
-                CONV_CH,
-                GLYPH_SIDE,
-                GLYPH_SIDE,
-                KERNEL,
-                derive_seed(seed, 0),
-            ),
-            act1: Activation::relu(),
-            pool: MaxPool2::new(CONV_CH, conv_h, conv_h),
-            proj: Linear::new(flat, feature_dim, derive_seed(seed, 1)),
-            norm: LayerNorm::new(feature_dim),
-            dec1: Linear::new(feature_dim, HIDDEN, derive_seed(seed, 2)),
-            act2: Activation::relu(),
-            dec2: Linear::new(HIDDEN, videos.len(), derive_seed(seed, 3)),
-            feature_dim,
-        }
-    }
-
-    /// Complex channel symbols per transmitted clip.
-    pub fn symbols_per_clip(&self) -> usize {
-        self.feature_dim.div_ceil(2)
-    }
-
-    fn params(&mut self) -> Vec<&mut semcom_nn::params::Param> {
-        let mut ps = self.conv.params_mut();
-        ps.extend(self.proj.params_mut());
-        ps.extend(self.dec1.params_mut());
-        ps.extend(self.dec2.params_mut());
-        ps
-    }
-
-    /// Encodes one clip to power-normalized features.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `clip.len() != CLIP_SAMPLES`.
-    pub fn encode(&self, clip: &[f32]) -> Vec<f32> {
-        assert_eq!(clip.len(), CLIP_SAMPLES, "wrong clip size");
-        let x = Tensor::row_from_slice(clip);
-        let h = self.pool.infer(&self.act1.infer(&self.conv.infer(&x)));
-        self.norm.infer(&self.proj.infer(&h)).into_vec()
-    }
-
-    /// Decodes received features to the most likely concept.
-    pub fn decode(&self, features: &[f32]) -> usize {
-        let f = Tensor::row_from_slice(features);
-        let logits = self.dec2.infer(&self.act2.infer(&self.dec1.infer(&f)));
-        logits.argmax_row(0)
-    }
-
-    /// End-to-end transmission: `self` encodes, `receiver` decodes.
-    pub fn transmit(
-        &self,
-        receiver: &VideoKb,
-        clip: &[f32],
-        channel: &dyn Channel,
-        rng: &mut dyn RngCore,
-    ) -> usize {
-        let features = self.encode(clip);
-        let received = channel.transmit_f32(&features, rng);
-        receiver.decode(&received)
-    }
-
-    /// Trains encoder and decoder jointly with channel-noise injection.
-    pub fn train(&mut self, videos: &VideoSet, config: &VideoTrainConfig, seed: u64) -> f32 {
-        let mut rng = seeded_rng(seed);
-        let mut opt = Adam::new(config.learning_rate);
-        let channel = config.train_snr_db.map(AwgnChannel::new);
-        let mut last_loss = 0.0;
-        for _ in 0..config.epochs {
-            let mut epoch_loss = 0.0;
-            let mut batches = 0;
-            let mut remaining = config.samples_per_epoch;
-            while remaining > 0 {
-                let bs = config.batch_size.min(remaining);
-                remaining -= bs;
-                let mut rows = Vec::with_capacity(bs);
-                let mut labels = Vec::with_capacity(bs);
-                for _ in 0..bs {
-                    let (clip, label) = videos.sample(&mut rng);
-                    rows.push(Tensor::row_from_slice(&clip));
-                    labels.push(label);
-                }
-                let x = Tensor::vstack(&rows);
-
-                let c = self.conv.forward(&x);
-                let a = self.act1.forward(&c);
-                let p = self.pool.forward(&a);
-                let f = self.norm.forward(&self.proj.forward(&p));
-                let received = match &channel {
-                    Some(ch) => {
-                        let noisy = ch.transmit_f32(f.as_slice(), &mut rng);
-                        Tensor::from_vec(f.rows(), f.cols(), noisy)
-                            .expect("channel preserves length")
-                    }
-                    None => f.clone(),
-                };
-                let h = self.act2.forward(&self.dec1.forward(&received));
-                let logits = self.dec2.forward(&h);
-                let (loss, dlogits) = softmax_cross_entropy(&logits, &labels);
-                epoch_loss += loss;
-                batches += 1;
-
-                for param in self.params() {
-                    param.zero_grad();
-                }
-                self.norm.zero_grad();
-                let dh = self.dec2.backward(&dlogits);
-                let drec = self.dec1.backward(&self.act2.backward(&dh));
-                let dp = self.proj.backward(&self.norm.backward(&drec));
-                let da = self.pool.backward(&dp);
-                let dc = self.act1.backward(&da);
-                self.conv.backward(&dc);
-                opt.step(&mut self.params());
-            }
-            if batches > 0 {
-                last_loss = epoch_loss / batches as f32;
-            }
-        }
-        last_loss
-    }
-
-    /// Classification accuracy over `n` fresh clips through `channel`.
-    pub fn accuracy(
-        &self,
-        videos: &VideoSet,
-        channel: &dyn Channel,
-        n: usize,
-        rng: &mut dyn RngCore,
-    ) -> f64 {
-        let mut correct = 0;
-        for _ in 0..n {
-            let (clip, label) = videos.sample(rng);
-            if self.transmit(self, &clip, channel, rng) == label {
-                correct += 1;
-            }
-        }
-        correct as f64 / n.max(1) as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use semcom_channel::NoiselessChannel;
-
-    fn quick() -> VideoTrainConfig {
-        VideoTrainConfig {
-            epochs: 8,
-            samples_per_epoch: 320,
-            train_snr_db: None,
-            ..VideoTrainConfig::default()
-        }
-    }
 
     #[test]
     fn concepts_decompose_into_glyph_and_motion() {
@@ -403,44 +188,5 @@ mod tests {
             }
         }
         assert!(correct as f64 / n as f64 > 0.9, "{correct}/{n}");
-    }
-
-    #[test]
-    fn video_kb_learns_motion_concepts() {
-        let v = VideoSet::new(3, 1);
-        let mut kb = VideoKb::new(&v, 8, 2);
-        let mut rng = seeded_rng(4);
-        let before = kb.accuracy(&v, &NoiselessChannel, 100, &mut rng);
-        kb.train(&v, &quick(), 5);
-        let after = kb.accuracy(&v, &NoiselessChannel, 100, &mut rng);
-        assert!(after > before, "{before} -> {after}");
-        assert!(after > 0.8, "accuracy {after}");
-    }
-
-    #[test]
-    fn features_are_power_normalized() {
-        let v = VideoSet::new(2, 1);
-        let kb = VideoKb::new(&v, 8, 1);
-        let mut rng = seeded_rng(5);
-        let (clip, _) = v.sample(&mut rng);
-        let f = kb.encode(&clip);
-        let power: f32 = f.iter().map(|x| x * x).sum::<f32>() / f.len() as f32;
-        assert!((power - 1.0).abs() < 0.02, "power {power}");
-    }
-
-    #[test]
-    fn symbol_cost_is_tiny_versus_pixels() {
-        let v = VideoSet::new(2, 1);
-        let kb = VideoKb::new(&v, 8, 1);
-        // 432 pixels vs 4 complex symbols.
-        assert_eq!(kb.symbols_per_clip(), 4);
-        assert!(CLIP_SAMPLES / 2 > 50 * kb.symbols_per_clip());
-    }
-
-    #[test]
-    #[should_panic(expected = "wrong clip size")]
-    fn wrong_clip_size_panics() {
-        let v = VideoSet::new(2, 1);
-        VideoKb::new(&v, 8, 1).encode(&[0.0; 7]);
     }
 }

@@ -7,8 +7,9 @@
 
 use semcom_channel::coding::HammingCode74;
 use semcom_channel::{AwgnChannel, Modulation};
+use semcom_codec::concept::{ConceptKb, ConceptTrainConfig};
 use semcom_nn::rng::seeded_rng;
-use semcom_vision::{GlyphSet, ImageKb, ImageTrainConfig, PixelBaseline, GLYPH_SIDE};
+use semcom_vision::{GlyphSet, PixelBaseline, GLYPH_SIDE};
 
 fn main() {
     let glyphs = GlyphSet::new(12, 7);
@@ -34,13 +35,13 @@ fn main() {
     }
 
     println!("\ntraining the CNN knowledge base…");
-    let mut kb = ImageKb::new(&glyphs, 8, 1);
+    let mut kb = ConceptKb::new(&glyphs, 8, 1);
     kb.train(
         &glyphs,
-        &ImageTrainConfig {
+        &ConceptTrainConfig {
             epochs: 10,
             samples_per_epoch: 600,
-            ..ImageTrainConfig::default()
+            ..ConceptTrainConfig::default()
         },
         2,
     );
@@ -48,14 +49,14 @@ fn main() {
 
     println!(
         "payload per image: semantic {} symbols vs pixel pipeline {} symbols\n",
-        kb.symbols_per_image(),
+        kb.symbols_per_concept(),
         baseline.symbols_per_image()
     );
 
     println!("  SNR(dB) | semantic acc | pixel acc (equal energy/image)");
     println!("  --------+--------------+-------------------------------");
     let handicap =
-        10.0 * (baseline.symbols_per_image() as f64 / kb.symbols_per_image() as f64).log10();
+        10.0 * (baseline.symbols_per_image() as f64 / kb.symbols_per_concept() as f64).log10();
     for snr in [-3.0, 0.0, 3.0, 6.0, 12.0] {
         let mut rng = seeded_rng(50 + snr as i64 as u64);
         let sem = kb.accuracy(&glyphs, &AwgnChannel::new(snr), 300, &mut rng);

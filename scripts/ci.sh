@@ -43,9 +43,9 @@ cargo bench -p semcom-bench --bench pipeline -- --test
 # The F14 adaptation loop sits on every serving ingress and fleet arrival:
 # the policy step and the adaptive/offload fleet replays must keep running.
 cargo bench -p semcom-bench --bench adapt -- --test
-# `system` pre-trains a SemanticEdgeSystem and `vision` trains an ImageKb:
-# both run the optimizer, loss and matmul kernels end to end (as does the
-# `fit_pairs` routine of the codec bench above).
+# `system` pre-trains a SemanticEdgeSystem and `vision` trains an image
+# ConceptKb: both run the optimizer, loss and matmul kernels end to end (as
+# does the `fit_pairs` routine of the codec bench above).
 cargo bench -p semcom-bench --bench system -- --test
 cargo bench -p semcom-bench --bench vision -- --test
 
@@ -61,7 +61,7 @@ echo "=== wire fuzz (decode-never-panics) ==="
 # gate: the sync wire decoder must stay a total function (PR 4).
 cargo test -q -p semcom-fl --test wire_fuzz
 
-echo "=== fine-tune, serving, int8 + fleet digests (numerics pinned to the bit) ==="
+echo "=== fine-tune, serving, int8, fleet, noise + multimodal digests (numerics pinned to the bit) ==="
 # Redundant with `cargo test --workspace` above at the host's worker count;
 # run here at 1 and 4 so a training kernel that moves one parameter bit, a
 # serving change that moves one decoded concept or counter, an int8 kernel
@@ -72,7 +72,7 @@ echo "=== fine-tune, serving, int8 + fleet digests (numerics pinned to the bit) 
 for threads in 1 4; do
     SEMCOM_THREADS=$threads cargo test -q \
         --test finetune_digest --test serving_digest --test quant_digest \
-        --test fleet_digest --test noise_digest
+        --test fleet_digest --test noise_digest --test multimodal_digest
 done
 
 echo "=== int8 kernel without the FMA target feature ==="
@@ -127,6 +127,10 @@ f2_snr_sweep f6_channel_ablation f4_cache_sweep t7_fault_sweep: 1
 # F14: adaptation policy, adaptive serving accuracy, migration over the
 # sync transport, flash-crowd offloading; SLO percentiles are simulated.
 t8_observability t11_tracing f13_fleet_scale f14_adaptive: 1 4
+# The multimodal codecs (image, audio, video). They train, so their tables
+# are recorded at 1 worker only; tests/multimodal_digest.rs pins the
+# training itself at 1, 2 and 4.
+f7_image_codec f10_audio_codec f11_video_codec: 1
 # T10: a mixed trace through send_stream (bit-identity to send_message is
 # asserted inside) and the fleet DES dispatch loop; 3 workers split a
 # window into uneven chunks.

@@ -3,10 +3,11 @@
 //! semantic-communication architecture serves text, image, video, and
 //! audio.
 
-use semcom_audio::{AudioKb, AudioTrainConfig, MatchedFilter, ToneSet};
+use semcom_audio::{MatchedFilter, ToneSet};
 use semcom_channel::{AwgnChannel, NoiselessChannel};
+use semcom_codec::concept::{ConceptKb, ConceptSource, ConceptTrainConfig};
 use semcom_nn::rng::seeded_rng;
-use semcom_vision::{GlyphSet, ImageKb, ImageTrainConfig, VideoKb, VideoSet, VideoTrainConfig};
+use semcom_vision::{GlyphSet, VideoSet};
 
 #[test]
 fn every_modality_transmits_meaning_in_a_handful_of_symbols() {
@@ -14,29 +15,29 @@ fn every_modality_transmits_meaning_in_a_handful_of_symbols() {
     // use the same budget: 8 features = 4 complex channel symbols per unit
     // of meaning, regardless of how many raw samples the source has.
     let glyphs = GlyphSet::new(6, 1);
-    let image_kb = ImageKb::new(&glyphs, 8, 2);
-    assert_eq!(image_kb.symbols_per_image(), 4);
+    let image_kb = ConceptKb::new(&glyphs, 8, 2);
+    assert_eq!(image_kb.symbols_per_concept(), 4);
 
     let videos = VideoSet::new(2, 1);
-    let video_kb = VideoKb::new(&videos, 8, 2);
-    assert_eq!(video_kb.symbols_per_clip(), 4);
+    let video_kb = ConceptKb::new(&videos, 8, 2);
+    assert_eq!(video_kb.symbols_per_concept(), 4);
 
     let tones = ToneSet::new(6, 1);
-    let audio_kb = AudioKb::new(&tones, 8, 2);
-    assert_eq!(audio_kb.symbols_per_melody(), 4);
+    let audio_kb = ConceptKb::new(&tones, 8, 2);
+    assert_eq!(audio_kb.symbols_per_concept(), 4);
 }
 
 #[test]
 fn trained_image_kb_beats_untrained_over_the_same_channel() {
     let glyphs = GlyphSet::new(8, 3);
-    let untrained = ImageKb::new(&glyphs, 8, 4);
-    let mut trained = ImageKb::new(&glyphs, 8, 4);
+    let untrained = ConceptKb::new(&glyphs, 8, 4);
+    let mut trained = ConceptKb::new(&glyphs, 8, 4);
     trained.train(
         &glyphs,
-        &ImageTrainConfig {
+        &ConceptTrainConfig {
             epochs: 6,
             samples_per_epoch: 300,
-            ..ImageTrainConfig::default()
+            ..ConceptTrainConfig::default()
         },
         5,
     );
@@ -50,14 +51,14 @@ fn trained_image_kb_beats_untrained_over_the_same_channel() {
 #[test]
 fn video_kb_separates_motions_of_the_same_glyph() {
     let videos = VideoSet::new(2, 7);
-    let mut kb = VideoKb::new(&videos, 8, 1);
+    let mut kb = ConceptKb::new(&videos, 8, 1);
     kb.train(
         &videos,
-        &VideoTrainConfig {
+        &ConceptTrainConfig {
             epochs: 10,
             samples_per_epoch: 400,
             train_snr_db: None,
-            ..VideoTrainConfig::default()
+            ..ConceptTrainConfig::default()
         },
         2,
     );
@@ -81,21 +82,22 @@ fn video_kb_separates_motions_of_the_same_glyph() {
 #[test]
 fn audio_semantic_codec_survives_noise_that_breaks_equal_budget_raw_audio() {
     let tones = ToneSet::new(12, 2);
-    let mut kb = AudioKb::new(&tones, 8, 3);
+    let mut kb = ConceptKb::new(&tones, 8, 3);
     kb.train(
         &tones,
-        &AudioTrainConfig {
+        &ConceptTrainConfig {
             epochs: 8,
             samples_per_epoch: 500,
             train_snr_db: Some(4.0),
-            ..AudioTrainConfig::default()
+            ..ConceptTrainConfig::default()
         },
         4,
     );
     let mf = MatchedFilter::new(&tones);
     // Equal energy per melody: the raw leg spends 8x the symbols, so its
     // per-symbol SNR drops by 9 dB at a fixed energy budget.
-    let handicap = 10.0 * (mf.symbols_per_melody() as f64 / kb.symbols_per_melody() as f64).log10();
+    let handicap =
+        10.0 * (mf.symbols_per_melody() as f64 / kb.symbols_per_concept() as f64).log10();
     let snr = 0.0;
     let mut rng = seeded_rng(9);
     let sem = kb.accuracy(&tones, &AwgnChannel::new(snr), 250, &mut rng);
@@ -124,8 +126,8 @@ fn modal_codecs_are_independent_of_each_other() {
     // depend on their own inputs (no shared global state).
     let glyphs = GlyphSet::new(4, 1);
     let tones = ToneSet::new(4, 1);
-    let image_kb = ImageKb::new(&glyphs, 8, 2);
-    let audio_kb = AudioKb::new(&tones, 8, 2);
+    let image_kb = ConceptKb::new(&glyphs, 8, 2);
+    let audio_kb = ConceptKb::new(&tones, 8, 2);
     let mut rng1 = seeded_rng(10);
     let (img, _) = glyphs.sample(&mut rng1);
     let before = image_kb.encode(&img);
@@ -134,4 +136,119 @@ fn modal_codecs_are_independent_of_each_other() {
     let (wave, _) = tones.sample(&mut rng2);
     let _ = audio_kb.encode(&wave);
     assert_eq!(image_kb.encode(&img), before);
+}
+
+/// Draws `n` samples of `source` from a fixed seed.
+fn samples<S: ConceptSource>(source: &S, n: usize) -> Vec<Vec<f32>> {
+    let mut rng = seeded_rng(9);
+    (0..n).map(|_| source.sample(&mut rng).0).collect()
+}
+
+fn quick_trained<S: ConceptSource>(source: &S) -> ConceptKb<S::Frontend> {
+    let mut kb = ConceptKb::new(source, 8, 2);
+    let config = ConceptTrainConfig {
+        epochs: 6,
+        samples_per_epoch: 240,
+        train_snr_db: None,
+        ..ConceptTrainConfig::default()
+    };
+    kb.train(source, &config, 5);
+    kb
+}
+
+/// Runs `check` on one source of every modality: audio, image, video.
+macro_rules! for_each_modality {
+    ($check:ident) => {
+        $check(&ToneSet::new(6, 1));
+        $check(&GlyphSet::new(6, 1));
+        $check(&VideoSet::new(2, 1));
+    };
+}
+
+#[test]
+fn features_are_power_normalized_in_every_modality() {
+    fn check<S: ConceptSource>(source: &S) {
+        let kb = ConceptKb::new(source, 8, 2);
+        for f in samples(source, 3).iter().map(|x| kb.encode(x)) {
+            let power: f32 = f.iter().map(|v| v * v).sum::<f32>() / f.len() as f32;
+            assert!((power - 1.0).abs() < 0.02, "power {power}");
+        }
+    }
+    for_each_modality!(check);
+}
+
+#[test]
+fn encode_batch_is_bit_identical_to_single_encodes_in_every_modality() {
+    fn check<S: ConceptSource>(source: &S) {
+        let kb = quick_trained(source);
+        let q = kb.quantize();
+        let xs = samples(source, 5);
+        let refs: Vec<&[f32]> = xs.iter().map(Vec::as_slice).collect();
+        let (batched, batched_q) = (kb.encode_batch(&refs), q.encode_batch(&refs));
+        assert_eq!(batched.shape(), (5, 8));
+        for (r, x) in xs.iter().enumerate() {
+            assert_eq!(batched.row(r), kb.encode(x).as_slice(), "fp32 row {r}");
+            assert_eq!(batched_q.row(r), q.encode(x).as_slice(), "int8 row {r}");
+        }
+    }
+    for_each_modality!(check);
+}
+
+#[test]
+fn symbols_are_half_the_features_rounded_up_in_every_modality() {
+    fn check<S: ConceptSource>(source: &S) {
+        for (features, symbols) in [(8, 4), (9, 5), (10, 5)] {
+            let kb = ConceptKb::new(source, features, 1);
+            assert_eq!(kb.symbols_per_concept(), symbols);
+            assert_eq!(kb.quantize().feature_dim(), features);
+        }
+    }
+    for_each_modality!(check);
+}
+
+#[test]
+fn wrong_sample_length_panics_in_every_modality() {
+    fn check<S: ConceptSource>(source: &S) {
+        let kb = ConceptKb::new(source, 8, 1);
+        let short = vec![0.0; source.input_len() - 1];
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| kb.encode(&short)))
+            .unwrap_err();
+        let message = panicked.downcast_ref::<String>().expect("assert message");
+        assert!(message.contains("wrong sample length"), "{message}");
+    }
+    for_each_modality!(check);
+}
+
+/// Post-training int8 costs < 1 % accuracy on the same draws and at least
+/// halves the model bytes, counted the same way for both.
+#[test]
+fn int8_twin_tracks_fp32_accuracy_and_is_smaller_in_every_modality() {
+    fn check<S: ConceptSource>(source: &S) {
+        let kb = quick_trained(source);
+        let q = kb.quantize();
+        let acc_f32 = kb.accuracy(source, &NoiselessChannel, 200, &mut seeded_rng(11));
+        let acc_int8 = q.accuracy(source, &NoiselessChannel, 200, &mut seeded_rng(11));
+        assert!(
+            acc_f32 - acc_int8 < 0.01,
+            "int8 accuracy loss too large: {acc_f32} vs {acc_int8}"
+        );
+        assert!(
+            q.size_bytes() * 2 < kb.size_bytes(),
+            "quantized {} vs f32 {}",
+            q.size_bytes(),
+            kb.size_bytes()
+        );
+    }
+    for_each_modality!(check);
+}
+
+#[test]
+fn fp32_size_counts_parameters_norm_and_header() {
+    let glyphs = GlyphSet::new(4, 1);
+    let mut kb = ConceptKb::new(&glyphs, 8, 1);
+    let counted: usize = kb.params_mut().iter().map(|p| p.len()).sum();
+    assert_eq!(kb.param_count(), counted);
+    assert!(kb.param_count() > 1000);
+    // 4 bytes per parameter, the power norm's γ and β, a 64-byte header.
+    assert_eq!(kb.size_bytes(), kb.param_count() * 4 + 2 * 8 * 4 + 64);
 }
