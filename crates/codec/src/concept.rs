@@ -4,23 +4,21 @@
 //! A modality is a [`ConceptSource`]: labelled samples of a fixed length
 //! and the [`Frontend`] that reads them. Everything after the front end is
 //! shared — encoder `F → Linear → LayerNorm` (`feature_dim` power-normalized
-//! analog symbols), decoder `Linear → ReLU → Linear → concept logits` — so
-//! encode, decode, transmit, accuracy, training (AWGN injected between
-//! encoder and decoder) and int8 quantization are written once, in
-//! [`ConceptKb`].
+//! analog symbols), decoder the text KB's [`SemanticDecoder`] — so encode,
+//! decode, transmit, accuracy, training (AWGN injected between encoder and
+//! decoder) and int8 quantization are written once, in [`ConceptKb`].
 
+use crate::{QuantizedDecoder, SemanticDecoder};
 use rand::RngCore;
 use semcom_channel::{AwgnChannel, Channel};
-use semcom_nn::layers::{Activation, DenseLayer, LayerNorm, Linear};
-use semcom_nn::loss::softmax_cross_entropy;
-use semcom_nn::optim::{shard_count, sharded_step, Adam, Optimizer};
+use semcom_nn::layers::{DenseLayer, LayerNorm, Linear};
+use semcom_nn::optim::{shard_count, sharded_step, Adam};
 use semcom_nn::params::Param;
-use semcom_nn::quant::{QuantizedLinear, QuantizedModel};
+use semcom_nn::quant::QuantizedLinear;
 use semcom_nn::rng::{derive_seed, seeded_rng};
 use semcom_nn::Tensor;
 use serde::{Deserialize, Serialize};
 use std::fmt::Debug;
-use std::ops::Range;
 
 /// Decoder hidden width.
 const HIDDEN: usize = 32;
@@ -114,15 +112,13 @@ impl Default for ConceptTrainConfig {
 }
 
 /// A concept knowledge base over front end `F`: encoder
-/// `F → Linear → power norm`, decoder `Linear → ReLU → Linear`.
+/// `F → Linear → power norm`, decoder a [`SemanticDecoder`].
 #[derive(Debug, Clone)]
 pub struct ConceptKb<F> {
     frontend: F,
     proj: Linear,
     norm: LayerNorm,
-    dec1: Linear,
-    act: Activation,
-    dec2: Linear,
+    decoder: SemanticDecoder,
     input_len: usize,
 }
 
@@ -135,9 +131,12 @@ impl<F: Frontend> ConceptKb<F> {
             proj: Linear::new(frontend.out_len(), feature_dim, derive_seed(seed, 1)),
             frontend,
             norm: LayerNorm::new(feature_dim),
-            dec1: Linear::new(feature_dim, HIDDEN, derive_seed(seed, 2)),
-            act: Activation::relu(),
-            dec2: Linear::new(HIDDEN, source.classes(), derive_seed(seed, 3)),
+            decoder: SemanticDecoder::new(
+                feature_dim,
+                HIDDEN,
+                source.classes(),
+                [2, 3].map(|i| derive_seed(seed, i)),
+            ),
             input_len: source.input_len(),
         }
     }
@@ -149,7 +148,7 @@ impl<F: Frontend> ConceptKb<F> {
 
     /// Number of concepts the decoder can emit.
     pub fn classes(&self) -> usize {
-        self.dec2.out_dim()
+        self.decoder.concept_count()
     }
 
     /// Complex channel symbols per transmitted sample.
@@ -161,15 +160,16 @@ impl<F: Frontend> ConceptKb<F> {
     pub fn params_mut(&mut self) -> Vec<&mut Param> {
         let mut ps = self.frontend.params_mut();
         ps.extend(self.proj.params_mut());
-        ps.extend(self.dec1.params_mut());
-        ps.extend(self.dec2.params_mut());
+        ps.extend(self.decoder.params_mut());
         ps
     }
 
     /// Total trainable scalar count.
     pub fn param_count(&self) -> usize {
-        let linear = |l: &Linear| l.weight().len() + l.bias().len();
-        self.frontend.param_count() + linear(&self.proj) + linear(&self.dec1) + linear(&self.dec2)
+        self.frontend.param_count()
+            + self.proj.weight().len()
+            + self.proj.bias().len()
+            + self.decoder.param_count()
     }
 
     /// Storage size in bytes: 4 per parameter, the power norm's scale and
@@ -202,9 +202,7 @@ impl<F: Frontend> ConceptKb<F> {
 
     /// Decodes received features to the most likely concept.
     pub fn decode(&self, features: &[f32]) -> usize {
-        let f = Tensor::row_from_slice(features);
-        let logits = self.dec2.infer(&self.act.infer(&self.dec1.infer(&f)));
-        logits.argmax_row(0)
+        self.decoder.predict(&Tensor::row_from_slice(features))[0].index()
     }
 
     /// End-to-end transmission: `self` encodes, `receiver` decodes.
@@ -238,15 +236,15 @@ impl<F: Frontend> ConceptKb<F> {
             frontend: self.frontend.quantize(),
             proj: QuantizedLinear::from_linear(&self.proj),
             norm: self.norm.clone(),
-            dec: QuantizedModel::from_linears(&[&self.dec1, &self.dec2]),
+            decoder: QuantizedDecoder::from_decoder(&self.decoder),
             input_len: self.input_len,
         }
     }
 
     /// Trains encoder and decoder jointly with channel-noise injection;
-    /// returns the mean loss of the last epoch. A minibatch of two or more
-    /// shards ([`shard_count`]) takes the data-parallel [`sharded_step`];
-    /// the others take the serial step, noise drawn from the main RNG.
+    /// returns the mean loss of the last epoch. Each minibatch takes one
+    /// [`sharded_step`] over [`shard_count`] shards: data-parallel at two
+    /// or more, otherwise serial with noise drawn from the main RNG.
     pub fn train<S: ConceptSource<Frontend = F>>(
         &mut self,
         source: &S,
@@ -272,34 +270,18 @@ impl<F: Frontend> ConceptKb<F> {
                     labels.push(label);
                 }
                 let x = Tensor::from_vec(bs, self.input_len, flat).expect("source sample length");
-                let shards = shard_count(bs, MIN_SHARD_ROWS, MIN_SHARD_ROWS);
-                epoch_loss += if shards >= 2 {
-                    let channel = channel.as_ref();
-                    sharded_step(
-                        self,
-                        bs,
-                        shards,
-                        &mut rng,
-                        &mut opt,
-                        |kb, rows, seed| {
-                            let mut replica = kb.clone();
-                            let x = row_range(&x, rows.clone());
-                            let loss =
-                                replica.backprop(&x, &labels[rows], channel, &mut seeded_rng(seed));
-                            let grads = replica
-                                .params_mut()
-                                .into_iter()
-                                .map(|p| std::mem::replace(&mut p.grad, Tensor::zeros(0, 0)))
-                                .collect();
-                            (loss, grads)
-                        },
-                        Self::params_mut,
-                    )
-                } else {
-                    let loss = self.backprop(&x, &labels, channel.as_ref(), &mut rng);
-                    opt.step(&mut self.params_mut());
-                    loss
-                };
+                epoch_loss += sharded_step(
+                    self,
+                    bs,
+                    shard_count(bs, MIN_SHARD_ROWS, MIN_SHARD_ROWS),
+                    &mut rng,
+                    &mut opt,
+                    |kb, rows, rng| {
+                        let x = &x.as_slice()[rows.start * x.cols()..rows.end * x.cols()];
+                        kb.backprop(x, &labels[rows], channel.as_ref(), rng)
+                    },
+                    Self::params_mut,
+                );
                 batches += 1;
             }
             if batches > 0 {
@@ -309,50 +291,40 @@ impl<F: Frontend> ConceptKb<F> {
         last_loss
     }
 
-    /// Forward + backward over one minibatch (noise from `rng`), leaving
-    /// the gradients in the parameters; returns the mean loss.
+    /// Forward + backward over the flattened samples `x` (channel noise
+    /// from `rng`, [`SemanticDecoder::backprop`]), leaving the gradients in
+    /// the parameters; returns the mean loss.
     fn backprop(
         &mut self,
-        x: &Tensor,
+        x: &[f32],
         labels: &[usize],
         channel: Option<&AwgnChannel>,
         rng: &mut dyn RngCore,
     ) -> f32 {
-        let h = self.frontend.forward(x);
+        let x = Tensor::from_vec(labels.len(), self.input_len, x.to_vec()).expect("row range");
+        let h = self.frontend.forward(&x);
         let f = self.norm.forward(&self.proj.forward(&h));
-        let received = match channel {
-            Some(ch) => {
-                let noisy = ch.transmit_f32(f.as_slice(), rng);
-                Tensor::from_vec(f.rows(), f.cols(), noisy).expect("channel preserves length")
-            }
-            None => f,
-        };
-        let hidden = self.act.forward(&self.dec1.forward(&received));
-        let logits = self.dec2.forward(&hidden);
-        let (loss, dlogits) = softmax_cross_entropy(&logits, labels);
-
-        // Backward (AWGN gradient = identity).
-        for p in self.params_mut() {
+        let (loss, df) = self.decoder.backprop(f, labels, channel, rng);
+        for p in self.frontend.params_mut() {
             p.zero_grad();
         }
+        self.proj.zero_grad();
         self.norm.zero_grad();
-        let dhidden = self.dec2.backward(&dlogits);
-        let dreceived = self.dec1.backward(&self.act.backward(&dhidden));
-        let dh = self.proj.backward(&self.norm.backward(&dreceived));
+        let dh = self.proj.backward(&self.norm.backward(&df));
         self.frontend.backward(&dh);
         loss
     }
 }
 
 /// Int8 post-training-quantized twin of a [`ConceptKb`] for inference:
-/// the front end's int8 form, quantized projection and decoder linears
-/// (exact integer accumulation), and the f32 power norm.
+/// the front end's int8 form, quantized projection, the f32 power norm and
+/// a [`QuantizedDecoder`] (exact integer accumulation).
 #[derive(Debug, Clone)]
 pub struct QuantizedConceptKb<F: Frontend> {
     frontend: F::Quantized,
     proj: QuantizedLinear,
     norm: LayerNorm,
-    dec: QuantizedModel,
+    decoder: QuantizedDecoder,
     input_len: usize,
 }
 
@@ -368,7 +340,7 @@ impl<F: Frontend> QuantizedConceptKb<F> {
         self.frontend.size_bytes()
             + self.proj.size_bytes()
             + 2 * self.feature_dim() * 4
-            + self.dec.size_bytes()
+            + self.decoder.size_bytes()
             + 64
     }
 
@@ -395,8 +367,7 @@ impl<F: Frontend> QuantizedConceptKb<F> {
 
     /// Decodes received features to the most likely concept.
     pub fn decode(&self, features: &[f32]) -> usize {
-        let f = Tensor::row_from_slice(features);
-        self.dec.forward(&f).argmax_row(0)
+        self.decoder.predict(&Tensor::row_from_slice(features))[0].index()
     }
 
     /// Classification accuracy over `n` fresh samples through `channel` —
@@ -423,13 +394,6 @@ fn stack(samples: &[&[f32]], input_len: usize) -> Tensor {
         flat.extend_from_slice(s);
     }
     Tensor::from_vec(samples.len(), input_len, flat).expect("lengths checked")
-}
-
-/// Rows `rows` of `x` as a tensor of their own.
-fn row_range(x: &Tensor, rows: Range<usize>) -> Tensor {
-    let cols = x.cols();
-    let data = x.as_slice()[rows.start * cols..rows.end * cols].to_vec();
-    Tensor::from_vec(rows.len(), cols, data).expect("row range of a tensor")
 }
 
 /// Share of `n` fresh samples that `transmit` decodes to their concept.

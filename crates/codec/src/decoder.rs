@@ -1,12 +1,15 @@
-use crate::config::CodecConfig;
+use rand::RngCore;
+use semcom_channel::{AwgnChannel, Channel};
 use semcom_nn::layers::{Activation, DenseLayer, Linear};
+use semcom_nn::loss::softmax_cross_entropy;
 use semcom_nn::params::Param;
-use semcom_nn::rng::derive_seed;
 use semcom_nn::Tensor;
 use semcom_text::ConceptId;
 use serde::{Deserialize, Serialize};
 
-/// The semantic decoder of a knowledge base: performs the paper's "semantic
+/// The semantic decoder of every knowledge base — the text
+/// [`KnowledgeBase`](crate::KnowledgeBase) and each
+/// [`ConceptKb`](crate::concept::ConceptKb): performs the paper's "semantic
 /// restoration" (§I), mapping noisy received features to **concepts**.
 ///
 /// Architecture: feature → [`Linear`] → ReLU → [`Linear`] → concept logits.
@@ -18,12 +21,19 @@ pub struct SemanticDecoder {
 }
 
 impl SemanticDecoder {
-    /// Creates a decoder emitting logits over `concept_count` classes.
-    pub fn new(config: &CodecConfig, concept_count: usize, seed: u64) -> Self {
+    /// Creates a decoder from `feature_dim` features through `hidden_dim`
+    /// hidden units to logits over `concept_count` classes, its two layers
+    /// initialized from `seeds`.
+    pub fn new(
+        feature_dim: usize,
+        hidden_dim: usize,
+        concept_count: usize,
+        seeds: [u64; 2],
+    ) -> Self {
         SemanticDecoder {
-            l1: Linear::new(config.feature_dim, config.hidden_dim, derive_seed(seed, 3)),
+            l1: Linear::new(feature_dim, hidden_dim, seeds[0]),
             act: Activation::relu(),
-            l2: Linear::new(config.hidden_dim, concept_count, derive_seed(seed, 4)),
+            l2: Linear::new(hidden_dim, concept_count, seeds[1]),
         }
     }
 
@@ -79,6 +89,33 @@ impl SemanticDecoder {
         self.l1.backward(&dh)
     }
 
+    /// The decoder half of a training step: passes the encoder's clean
+    /// `features` through `channel` (noise from `rng`; `None` is
+    /// noiseless), runs forward, takes softmax cross-entropy against
+    /// `labels`, clears this decoder's gradients and runs backward. Returns
+    /// the mean loss and the gradient with respect to `features` — AWGN is
+    /// additive, so the gradient through the channel is the identity.
+    pub fn backprop(
+        &mut self,
+        features: Tensor,
+        labels: &[usize],
+        channel: Option<&AwgnChannel>,
+        rng: &mut dyn RngCore,
+    ) -> (f32, Tensor) {
+        let received = match channel {
+            Some(ch) => {
+                let noisy = ch.transmit_f32(features.as_slice(), rng);
+                Tensor::from_vec(features.rows(), features.cols(), noisy)
+                    .expect("channel preserves length")
+            }
+            None => features,
+        };
+        let logits = self.forward(&received);
+        let (loss, dlogits) = softmax_cross_entropy(&logits, labels);
+        self.zero_grad();
+        (loss, self.backward(&dlogits))
+    }
+
     /// Trainable parameters, in stable order.
     pub fn params_mut(&mut self) -> Vec<&mut Param> {
         let mut ps = self.l1.params_mut();
@@ -94,17 +131,22 @@ impl SemanticDecoder {
     }
 
     /// Number of trainable scalars.
-    pub fn param_count(&mut self) -> usize {
-        self.params_mut().iter().map(|p| p.len()).sum()
+    pub fn param_count(&self) -> usize {
+        [&self.l1, &self.l2]
+            .iter()
+            .map(|l| l.weight().len() + l.bias().len())
+            .sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::CodecConfig;
 
     fn dec() -> SemanticDecoder {
-        SemanticDecoder::new(&CodecConfig::tiny(), 10, 5)
+        let cfg = CodecConfig::tiny();
+        SemanticDecoder::new(cfg.feature_dim, cfg.hidden_dim, 10, [5, 6])
     }
 
     #[test]
@@ -148,7 +190,7 @@ mod tests {
     #[test]
     fn param_count_matches_architecture() {
         let cfg = CodecConfig::tiny();
-        let mut d = SemanticDecoder::new(&cfg, 10, 1);
+        let d = dec();
         let expected = cfg.feature_dim * cfg.hidden_dim + cfg.hidden_dim + cfg.hidden_dim * 10 + 10;
         assert_eq!(d.param_count(), expected);
     }

@@ -141,8 +141,8 @@ impl SemanticEncoder {
     }
 
     /// Number of trainable scalars.
-    pub fn param_count(&mut self) -> usize {
-        self.params_mut().iter().map(|p| p.len()).sum()
+    pub fn param_count(&self) -> usize {
+        self.embedding.param_count() + self.proj.weight().len() + self.proj.bias().len()
     }
 }
 

@@ -69,7 +69,12 @@ impl KnowledgeBase {
             config,
             version: 0,
             encoder: SemanticEncoder::new(&config, vocab_size, derive_seed(seed, 10)),
-            decoder: SemanticDecoder::new(&config, concept_count, derive_seed(seed, 11)),
+            decoder: SemanticDecoder::new(
+                config.feature_dim,
+                config.hidden_dim,
+                concept_count,
+                [3, 4].map(|i| derive_seed(derive_seed(seed, 11), i)),
+            ),
         }
     }
 
@@ -105,16 +110,7 @@ impl KnowledgeBase {
 
     /// Total trainable scalar count.
     pub fn param_count(&self) -> usize {
-        let c = &self.config;
-        let vocab = self.encoder.vocab_size();
-        let concepts = self.decoder.concept_count();
-        vocab * c.embed_dim
-            + c.embed_dim * c.feature_dim
-            + c.feature_dim
-            + c.feature_dim * c.hidden_dim
-            + c.hidden_dim
-            + c.hidden_dim * concepts
-            + concepts
+        self.encoder.param_count() + self.decoder.param_count()
     }
 
     /// Storage/transfer size in bytes (4 bytes per parameter plus a small
@@ -189,7 +185,16 @@ mod tests {
     #[test]
     fn param_count_matches_live_layers() {
         let mut k = kb(KbScope::General);
-        let live = k.encoder.param_count() + k.decoder.param_count();
+        let mut params = k.encoder.params_mut();
+        params.extend(k.decoder.params_mut());
+        let live: usize = params.iter().map(|p| p.len()).sum();
+        // The architecture: embedding, projection, then the decoder MLP.
+        let (c, vocab, concepts) = (CodecConfig::tiny(), 30, 12);
+        let architecture = vocab * c.embed_dim
+            + (c.embed_dim + 1) * c.feature_dim
+            + (c.feature_dim + 1) * c.hidden_dim
+            + (c.hidden_dim + 1) * concepts;
+        assert_eq!(live, architecture);
         assert_eq!(k.param_count(), live);
         assert_eq!(k.size_bytes(), live * 4 + 64);
     }

@@ -12,9 +12,11 @@
 //! * [`SemanticEncoder`] — token → embedding → linear projection → power
 //!   normalization → a `feature_dim`-float semantic symbol transmitted as
 //!   analog I/Q samples;
-//! * [`SemanticDecoder`] — noisy features → MLP → **concept** logits. The
-//!   decoder emits meanings, not words: this is what makes domain polysemy
-//!   and user idiolects measurable (see [`semcom_text`]);
+//! * [`SemanticDecoder`] — noisy features → MLP → **concept** logits, the
+//!   one decoder of both owners: every [`KnowledgeBase`] and every
+//!   [`concept::ConceptKb`] (with [`QuantizedDecoder`] as its int8 form in
+//!   both). The decoder emits meanings, not words: this is what makes
+//!   domain polysemy and user idiolects measurable (see [`semcom_text`]);
 //! * [`KnowledgeBase`] — an encoder/decoder pair tagged with its scope
 //!   (general, domain-specialized `e_i^m`, or user-specific `e_{u}^m`),
 //!   trainable with [`train::Trainer`] and serializable (KBs are the cached

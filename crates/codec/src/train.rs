@@ -9,24 +9,22 @@
 //!
 //! # Data parallelism
 //!
-//! A minibatch of at least [`SHARD_MIN_BATCH`] tokens, with more than one
-//! `semcom-par` worker, takes the shared data-parallel step
-//! [`semcom_nn::optim::sharded_step`]: contiguous shards on cloned
+//! Every minibatch takes the shared step [`semcom_nn::optim::sharded_step`].
+//! One of at least [`SHARD_MIN_BATCH`] tokens, with more than one
+//! `semcom-par` worker, splits into contiguous shards on cloned
 //! encoder/decoder replicas, per-shard noise seeds drawn from the main
 //! training RNG in shard order, gradients reduced in **fixed shard order**
 //! (weighted by shard size, matching the full-batch mean) before one
 //! optimizer step. Runs are therefore reproducible at any fixed worker
-//! count; with one worker the serial path runs.
+//! count; with one worker every step is serial.
 
 use crate::kb::KnowledgeBase;
 use rand::seq::SliceRandom;
 use rand::RngCore;
-use semcom_channel::{AwgnChannel, Channel};
-use semcom_nn::loss::softmax_cross_entropy;
-use semcom_nn::optim::{shard_count, sharded_step, Adam, Optimizer};
+use semcom_channel::AwgnChannel;
+use semcom_nn::optim::{shard_count, sharded_step, Adam};
 use semcom_nn::params::Param;
 use semcom_nn::rng::seeded_rng;
-use semcom_nn::Tensor;
 use semcom_text::Sentence;
 use serde::{Deserialize, Serialize};
 
@@ -130,6 +128,7 @@ impl Trainer {
         let mut rng = seeded_rng(seed);
         let mut opt = Adam::new(self.config.learning_rate);
         let channel = self.config.train_snr_db.map(AwgnChannel::new);
+        let channel = channel.as_ref();
         let mut order: Vec<usize> = (0..pairs.len()).collect();
         let batch = self.config.batch_size.max(1);
         let mut tokens = Vec::with_capacity(batch.min(pairs.len()));
@@ -146,8 +145,15 @@ impl Trainer {
                 tokens.extend(chunk.iter().map(|&i| pairs[i].0));
                 targets.clear();
                 targets.extend(chunk.iter().map(|&i| pairs[i].1));
-                epoch_loss +=
-                    self.step(kb, &tokens, &targets, channel.as_ref(), &mut opt, &mut rng);
+                epoch_loss += sharded_step(
+                    kb,
+                    tokens.len(),
+                    shard_count(tokens.len(), MIN_SHARD_TOKENS, SHARD_MIN_BATCH),
+                    &mut rng,
+                    &mut opt,
+                    |kb, r, rng| backprop(kb, &tokens[r.clone()], &targets[r], channel, rng),
+                    params,
+                );
                 batches += 1;
             }
             if batches > 0 {
@@ -160,52 +166,6 @@ impl Trainer {
             samples: pairs.len(),
             epochs,
         }
-    }
-
-    /// One optimizer step over a token batch; returns the batch loss. Only
-    /// a batch worth two or more shards takes the [`sharded_step`].
-    fn step(
-        &self,
-        kb: &mut KnowledgeBase,
-        tokens: &[usize],
-        targets: &[usize],
-        channel: Option<&AwgnChannel>,
-        opt: &mut Adam,
-        rng: &mut rand::rngs::StdRng,
-    ) -> f32 {
-        if tokens.is_empty() {
-            return 0.0;
-        }
-        let shards = shard_count(tokens.len(), MIN_SHARD_TOKENS, SHARD_MIN_BATCH);
-        if shards >= 2 {
-            return sharded_step(
-                kb,
-                tokens.len(),
-                shards,
-                rng,
-                opt,
-                |kb, range, seed| {
-                    let mut replica = kb.clone();
-                    let (tokens, targets) = (&tokens[range.clone()], &targets[range]);
-                    let loss = backprop(
-                        &mut replica,
-                        tokens,
-                        targets,
-                        channel,
-                        &mut seeded_rng(seed),
-                    );
-                    let grads = params(&mut replica)
-                        .into_iter()
-                        .map(|p| std::mem::replace(&mut p.grad, Tensor::zeros(0, 0)))
-                        .collect();
-                    (loss, grads)
-                },
-                params,
-            );
-        }
-        let loss = backprop(kb, tokens, targets, channel, rng);
-        opt.step(&mut params(kb));
-        loss
     }
 }
 
@@ -226,7 +186,8 @@ fn params(kb: &mut KnowledgeBase) -> Vec<&mut Param> {
     params
 }
 
-/// Forward + backward over one token batch (channel noise from `rng`),
+/// Forward + backward over one token batch (channel noise from `rng`,
+/// [`SemanticDecoder::backprop`](crate::SemanticDecoder::backprop)),
 /// leaving the gradients in `kb`; returns the mean loss.
 fn backprop(
     kb: &mut KnowledgeBase,
@@ -236,20 +197,8 @@ fn backprop(
     rng: &mut dyn RngCore,
 ) -> f32 {
     let features = kb.encoder.forward(tokens);
-    let received = match channel {
-        Some(ch) => {
-            let noisy = ch.transmit_f32(features.as_slice(), rng);
-            Tensor::from_vec(features.rows(), features.cols(), noisy)
-                .expect("channel preserves length")
-        }
-        None => features,
-    };
-    let logits = kb.decoder.forward(&received);
-    let (loss, dlogits) = softmax_cross_entropy(&logits, targets);
+    let (loss, dfeatures) = kb.decoder.backprop(features, targets, channel, rng);
     kb.encoder.zero_grad();
-    kb.decoder.zero_grad();
-    let dfeatures = kb.decoder.backward(&dlogits);
-    // AWGN is additive: d(received)/d(features) = identity.
     kb.encoder.backward(&dfeatures);
     loss
 }

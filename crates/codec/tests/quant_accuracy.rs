@@ -1,10 +1,10 @@
 //! The int8 accuracy gate: post-training quantization of a trained text
 //! knowledge base must cost **less than 1%** absolute task accuracy on a
 //! seeded evaluation set, both on a clean channel and at the training SNR.
-//! `scripts/ci.sh` runs this test as its quantization-quality gate — if a
-//! change to the quantization scheme (rounding, scale selection, i32
-//! accumulation order) degrades task accuracy, this fails before any
-//! benchmark can advertise the speedup.
+//! It runs with the rest of the workspace tests (`cargo test --workspace`
+//! in `scripts/ci.sh`) — if a change to the quantization scheme (rounding,
+//! scale selection, i32 accumulation order) degrades task accuracy, this
+//! fails before any benchmark can advertise the speedup.
 
 use semcom_channel::{AwgnChannel, NoiselessChannel};
 use semcom_codec::eval::{evaluate_semantic, evaluate_semantic_quantized};

@@ -2,6 +2,7 @@
 //! every model in the workspace shares ([`sharded_step`]).
 
 use crate::params::Param;
+use crate::rng::seeded_rng;
 use crate::Tensor;
 use rand::RngCore;
 use std::ops::Range;
@@ -209,39 +210,46 @@ pub fn shard_count(rows: usize, min_shard_rows: usize, min_batch: usize) -> usiz
     semcom_par::max_workers().min(rows / min_shard_rows).max(1)
 }
 
-/// One data-parallel optimizer step over a `rows`-row minibatch; returns
-/// the minibatch loss.
+/// One optimizer step over a `rows`-row minibatch, serial or data-parallel;
+/// returns the minibatch loss.
 ///
-/// The rows split into `shards` contiguous ranges (the first `rows % shards`
-/// one row longer), each with a seed drawn from `rng` in shard order before
-/// any parallel work. `shard(model, range, seed)` runs forward + backward
-/// for one range on a replica and returns its mean loss and its gradients
-/// in `params(model)` order. Losses and gradients reduce in shard order,
-/// weighted by each range's share of the rows (the full-batch mean); the
-/// sum is installed into `params(model)` and `opt` steps once. The result
-/// depends on the shard count, never on the schedule.
+/// `backprop(model, range, rng)` runs forward + backward over rows `range`,
+/// leaving the gradients in `params(model)`, and returns their mean loss.
+/// One shard is the serial step: `backprop` over every row of `model`
+/// itself with the caller's `rng` (no seed drawn), then `opt` steps.
+/// Otherwise the rows split into `shards` contiguous ranges (the first
+/// `rows % shards` one row longer), each with a seed drawn from `rng` in
+/// shard order before any parallel work, and each runs on its own clone of
+/// `model` with an RNG seeded from its seed. Losses and gradients reduce in shard
+/// order, weighted by each range's share of the rows (the full-batch
+/// mean); the sum is installed into `params(model)` and `opt` steps once.
+/// The result depends on the shard count, never on the schedule.
 ///
 /// # Panics
 ///
-/// Panics unless `1 <= shards <= rows`, or if a shard returns a gradient
-/// count other than `params(model)`'s.
+/// Panics unless `1 <= shards <= rows`.
 pub fn sharded_step<M, O>(
     model: &mut M,
     rows: usize,
     shards: usize,
     rng: &mut dyn RngCore,
     opt: &mut O,
-    shard: impl Fn(&M, Range<usize>, u64) -> (f32, Vec<Tensor>) + Sync,
-    params: impl FnOnce(&mut M) -> Vec<&mut Param>,
+    backprop: impl Fn(&mut M, Range<usize>, &mut dyn RngCore) -> f32 + Sync,
+    params: fn(&mut M) -> Vec<&mut Param>,
 ) -> f32
 where
-    M: Sync,
+    M: Clone + Sync,
     O: Optimizer + ?Sized,
 {
     assert!(
         (1..=rows).contains(&shards),
         "{shards} shards for {rows} rows"
     );
+    if shards == 1 {
+        let loss = backprop(model, 0..rows, rng);
+        opt.step(&mut params(model));
+        return loss;
+    }
     let (base, extra) = (rows / shards, rows % shards);
     let mut jobs = Vec::with_capacity(shards);
     let mut start = 0;
@@ -250,30 +258,29 @@ where
         jobs.push((start..end, rng.next_u64()));
         start = end;
     }
-    let replica = &*model;
+    let model_ref = &*model;
     let results = semcom_par::par_map_indexed(&jobs, |_, (range, seed)| {
-        shard(replica, range.clone(), *seed)
+        let mut replica = model_ref.clone();
+        let loss = backprop(&mut replica, range.clone(), &mut seeded_rng(*seed));
+        let grads: Vec<Tensor> = params(&mut replica)
+            .into_iter()
+            .map(|p| std::mem::replace(&mut p.grad, Tensor::zeros(0, 0)))
+            .collect();
+        (loss, grads)
     });
 
+    let mut params = params(model);
     let mut total_loss = 0.0;
-    let mut acc: Option<Vec<Tensor>> = None;
-    for ((range, _), (loss, grads)) in jobs.iter().zip(&results) {
+    for (s, ((range, _), (loss, grads))) in jobs.iter().zip(&results).enumerate() {
         let w = range.len() as f32 / rows as f32;
         total_loss += w * loss;
-        match &mut acc {
-            None => acc = Some(grads.iter().map(|g| g.scale(w)).collect()),
-            Some(acc) => {
-                for (a, g) in acc.iter_mut().zip(grads) {
-                    a.add_scaled(g, w);
-                }
+        for (p, g) in params.iter_mut().zip(grads) {
+            if s == 0 {
+                p.grad = g.scale(w);
+            } else {
+                p.grad.add_scaled(g, w);
             }
         }
-    }
-    let acc = acc.expect("at least one shard");
-    let mut params = params(model);
-    assert_eq!(params.len(), acc.len(), "replica parameter layout drift");
-    for (p, g) in params.iter_mut().zip(acc) {
-        p.grad = g;
     }
     opt.step(&mut params);
     total_loss
@@ -472,49 +479,97 @@ mod tests {
         assert!(shard_count(40, 8, 8) >= 1);
     }
 
+    fn batch_rows(t: &Tensor, r: Range<usize>) -> Tensor {
+        let c = t.cols();
+        Tensor::from_vec(r.len(), c, t.as_slice()[r.start * c..r.end * c].to_vec()).unwrap()
+    }
+
+    /// A 10-row regression batch.
+    fn batch() -> (Tensor, Tensor) {
+        let x =
+            Tensor::from_vec(10, 2, (0..20).map(|i| (i as f32 * 0.37).sin()).collect()).unwrap();
+        let y = Tensor::from_vec(10, 1, (0..10).map(|i| i as f32 * 0.1).collect()).unwrap();
+        (x, y)
+    }
+
+    /// Forward + backward of `layer` over rows `r` of the batch, targets
+    /// jittered by `rng`; the loss.
+    fn noisy_backprop(layer: &mut Linear, r: Range<usize>, rng: &mut dyn RngCore) -> f32 {
+        use rand::Rng;
+        let (x, y) = batch();
+        let mut y = batch_rows(&y, r.clone());
+        for v in y.as_mut_slice() {
+            *v += 0.01 * rng.gen::<f32>();
+        }
+        let (loss, d) = mse(&layer.forward(&batch_rows(&x, r)), &y);
+        layer.zero_grad();
+        layer.backward(&d);
+        loss
+    }
+
+    fn bits_of(layer: &mut Linear) -> Vec<u32> {
+        layer
+            .params_mut()
+            .iter()
+            .flat_map(|p| bits(p.value.as_slice()))
+            .collect()
+    }
+
+    /// One shard is the serial step, to the bit: `backprop` on the model
+    /// itself with the caller's RNG, no seed drawn, then `opt.step`.
+    #[test]
+    fn one_shard_is_the_serial_step() {
+        let mut rng = crate::rng::seeded_rng(4);
+        let mut serial = Linear::new(2, 1, 3);
+        let mut opt = Adam::new(0.1);
+        let serial_loss = noisy_backprop(&mut serial, 0..10, &mut rng);
+        opt.step(&mut serial.params_mut());
+        let after_serial = rng.next_u64();
+
+        let mut rng = crate::rng::seeded_rng(4);
+        let mut stepped = Linear::new(2, 1, 3);
+        let loss = sharded_step(
+            &mut stepped,
+            10,
+            1,
+            &mut rng,
+            &mut Adam::new(0.1),
+            noisy_backprop,
+            Linear::params_mut,
+        );
+        assert_eq!(loss.to_bits(), serial_loss.to_bits());
+        assert_eq!(bits_of(&mut stepped), bits_of(&mut serial));
+        assert_eq!(rng.next_u64(), after_serial, "RNG advanced by other draws");
+    }
+
     /// Three uneven shards of a 10-row MSE batch reduce to the full-batch
     /// step, up to float reassociation.
     #[test]
     fn sharded_step_matches_the_full_batch_step() {
-        let x =
-            Tensor::from_vec(10, 2, (0..20).map(|i| (i as f32 * 0.37).sin()).collect()).unwrap();
-        let y = Tensor::from_vec(10, 1, (0..10).map(|i| i as f32 * 0.1).collect()).unwrap();
-        let rows = |t: &Tensor, r: Range<usize>| {
-            Tensor::from_vec(
-                r.len(),
-                t.cols(),
-                t.as_slice()[r.start * t.cols()..r.end * t.cols()].to_vec(),
-            )
-            .unwrap()
+        let backprop = |layer: &mut Linear, r: Range<usize>, _: &mut dyn RngCore| {
+            let (x, y) = batch();
+            let (loss, d) = mse(
+                &layer.forward(&batch_rows(&x, r.clone())),
+                &batch_rows(&y, r),
+            );
+            layer.zero_grad();
+            layer.backward(&d);
+            loss
         };
-
+        let mut rng = crate::rng::seeded_rng(1);
         let mut serial = Linear::new(2, 1, 3);
-        let (serial_loss, d) = mse(&serial.forward(&x), &y);
-        serial.zero_grad();
-        serial.backward(&d);
+        let serial_loss = backprop(&mut serial, 0..10, &mut rng);
         Sgd::new(0.1).step(&mut serial.params_mut());
 
         let mut sharded = Linear::new(2, 1, 3);
-        let mut rng = crate::rng::seeded_rng(1);
         let loss = sharded_step(
             &mut sharded,
             10,
             3,
             &mut rng,
             &mut Sgd::new(0.1),
-            |layer, r, _seed| {
-                let mut local = layer.clone();
-                let (loss, d) = mse(&local.forward(&rows(&x, r.clone())), &rows(&y, r));
-                local.zero_grad();
-                local.backward(&d);
-                let grads = local
-                    .params_mut()
-                    .into_iter()
-                    .map(|p| p.grad.clone())
-                    .collect();
-                (loss, grads)
-            },
-            |layer| layer.params_mut(),
+            backprop,
+            Linear::params_mut,
         );
         assert!((loss - serial_loss).abs() < 1e-6, "{loss} vs {serial_loss}");
         for (a, b) in sharded.params_mut().iter().zip(serial.params_mut()) {

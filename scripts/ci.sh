@@ -49,18 +49,6 @@ cargo bench -p semcom-bench --bench adapt -- --test
 cargo bench -p semcom-bench --bench system -- --test
 cargo bench -p semcom-bench --bench vision -- --test
 
-echo "=== int8 accuracy gate (quantization loss < 1%) ==="
-# Redundant with `cargo test --workspace` above but called out as its own
-# gate: post-training int8 quantization must cost < 1% absolute task
-# accuracy on the seeded eval before any benchmark may advertise its
-# speedup (PR 6).
-cargo test -q -p semcom-codec --test quant_accuracy
-
-echo "=== wire fuzz (decode-never-panics) ==="
-# Redundant with `cargo test --workspace` above but called out as its own
-# gate: the sync wire decoder must stay a total function (PR 4).
-cargo test -q -p semcom-fl --test wire_fuzz
-
 echo "=== fine-tune, serving, int8, fleet, noise + multimodal digests (numerics pinned to the bit) ==="
 # Redundant with `cargo test --workspace` above at the host's worker count;
 # run here at 1 and 4 so a training kernel that moves one parameter bit, a

@@ -14,9 +14,14 @@
 //! had before they became one generic KB, except video at 2 and 4 workers
 //! (see [`VIDEO`]); each is checked at 1, 2 and 4 workers, at which a
 //! sharded training step splits into that many shards.
+//!
+//! A second test pins the int8 concept decoder ([`INT8_DECODE`]): audio
+//! and image KBs trained serially (minibatches below two shards' worth of
+//! rows), quantized, then decoding fixed features through a 0 dB channel
+//! and scoring accuracy at 3 dB. It does not depend on the worker count.
 
 use semcom_audio::ToneSet;
-use semcom_channel::AwgnChannel;
+use semcom_channel::{AwgnChannel, Channel};
 use semcom_codec::concept::{ConceptKb, ConceptSource, ConceptTrainConfig};
 use semcom_codec::train::{TrainConfig, Trainer};
 use semcom_codec::{CodecConfig, KbScope, KnowledgeBase};
@@ -52,6 +57,10 @@ const TEXT: [u64; 3] = [
     0x12fa_ad8a_bece_7f44,
     0x138b_2cbf_02be_86f2,
 ];
+
+/// `QuantizedConceptKb::decode` and `accuracy`, audio then image; recorded
+/// while the int8 concept decoder was a bare `QuantizedModel` of its own.
+const INT8_DECODE: [u64; 2] = [0x9fba_cb16_bb2d_3051, 0x4281_06c8_1a98_0e3d];
 
 fn fold(h: &mut u64, bytes: &[u8]) {
     for &b in bytes {
@@ -101,6 +110,32 @@ fn concept_digest<S: ConceptSource>(source: &S, with_int8: bool) -> u64 {
         fold_f32s(&mut h, q.encode_batch(&refs).as_slice());
         fold_u64(&mut h, q.size_bytes() as u64);
     }
+    h
+}
+
+fn int8_decode_digest<S: ConceptSource>(source: &S) -> u64 {
+    let mut kb = ConceptKb::new(source, 8, 5);
+    let config = ConceptTrainConfig {
+        epochs: 2,
+        samples_per_epoch: 60,
+        batch_size: 12,
+        learning_rate: 0.005,
+        train_snr_db: Some(6.0),
+    };
+    kb.train(source, &config, 6);
+    let q = kb.quantize();
+
+    let mut h = 0xcbf2_9ce4_8422_2325;
+    let mut rng = seeded_rng(24);
+    let noisy = AwgnChannel::new(0.0);
+    for _ in 0..200 {
+        let (x, _) = source.sample(&mut rng);
+        let received = noisy.transmit_f32(&kb.encode(&x), &mut rng);
+        fold_f32s(&mut h, &received);
+        fold_u64(&mut h, q.decode(&received) as u64);
+    }
+    let acc = q.accuracy(source, &AwgnChannel::new(3.0), 300, &mut seeded_rng(25));
+    fold_u64(&mut h, (acc * 300.0).round() as u64);
     h
 }
 
@@ -167,4 +202,15 @@ fn multimodal_training_is_bit_identical_to_the_recorded_digests() {
         }
     }
     assert!(moved.is_empty(), "digests moved: {moved:?}");
+}
+
+/// Training here never shards (12-row minibatches are below two 8-row
+/// shards), so this runs beside the test above at any worker count.
+#[test]
+fn int8_concept_decode_is_bit_identical_to_the_recorded_digest() {
+    let got = [
+        int8_decode_digest(&ToneSet::new(6, 1)),
+        int8_decode_digest(&GlyphSet::new(6, 1)),
+    ];
+    assert_eq!(got, INT8_DECODE, "got {:#018x} {:#018x}", got[0], got[1]);
 }
