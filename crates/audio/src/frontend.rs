@@ -1,9 +1,10 @@
 use crate::tones::{ToneSet, WAVE_SAMPLES};
 use rand::RngCore;
-use semcom_codec::concept::{ConceptSource, Frontend, QuantizedFrontend};
+use semcom_codec::concept::ConceptSource;
+use semcom_codec::{Frontend, QuantizedFrontend};
 use semcom_nn::layers::{Activation, DenseLayer, Linear};
 use semcom_nn::params::Param;
-use semcom_nn::quant::QuantizedLinear;
+use semcom_nn::quant::{QuantScratch, QuantizedLinear};
 use semcom_nn::Tensor;
 
 /// Hidden width of the MLP front end.
@@ -25,6 +26,7 @@ pub struct QuantizedMlpFrontend {
 }
 
 impl Frontend for MlpFrontend {
+    type Input = Tensor;
     type Quantized = QuantizedMlpFrontend;
 
     fn out_len(&self) -> usize {
@@ -58,10 +60,17 @@ impl Frontend for MlpFrontend {
     }
 }
 
-impl QuantizedFrontend for QuantizedMlpFrontend {
-    fn infer(&self, x: &Tensor) -> Tensor {
+impl QuantizedFrontend<Tensor> for QuantizedMlpFrontend {
+    fn project_into(
+        &self,
+        proj: &QuantizedLinear,
+        x: &Tensor,
+        scratch: &mut QuantScratch,
+        out: &mut Vec<f32>,
+    ) {
         // The same `max(0)` the quantized kernel fuses between layers.
-        self.linear.forward(x).map(|v| v.max(0.0))
+        let h = self.linear.forward(x).map(|v| v.max(0.0));
+        proj.forward_into(h.as_slice(), h.rows(), scratch, out);
     }
 
     fn size_bytes(&self) -> usize {

@@ -62,7 +62,7 @@ fn pseudo(rows: usize, cols: usize, seed: u64) -> Tensor {
 /// reference kernel for the projection, then power normalization. The
 /// "before" leg of every speedup this binary reports.
 fn scalar_encode(kb: &KnowledgeBase, tokens: &[usize]) -> Tensor {
-    let table = kb.encoder.embedding_table();
+    let table = kb.encoder.frontend().table();
     let d = table.cols();
     let mut emb = Vec::with_capacity(tokens.len() * d);
     for &t in tokens {
@@ -266,7 +266,8 @@ fn main() {
     let combined = scalar_solo / int8_batch;
     println!(
         "\ncombined single-thread encoder speedup (SIMD x int8 x batching): {combined:.2}x \
-         at {:.4} task-accuracy loss (text, gated <0.01)",
+         at {:.4} task-accuracy loss (text; the <0.01 gate is \
+         crates/codec/tests/quant_accuracy.rs)",
         fp32_acc - int8_acc
     );
     semcom_par::reset_workers();

@@ -3,22 +3,20 @@
 //!
 //! A modality is a [`ConceptSource`]: labelled samples of a fixed length
 //! and the [`Frontend`] that reads them. Everything after the front end is
-//! shared — encoder `F → Linear → LayerNorm` (`feature_dim` power-normalized
-//! analog symbols), decoder the text KB's [`SemanticDecoder`] — so encode,
-//! decode, transmit, accuracy, training (AWGN injected between encoder and
-//! decoder) and int8 quantization are written once, in [`ConceptKb`].
+//! the text KB's — a [`SemanticEncoder`] over that front end, a
+//! [`SemanticDecoder`], the training step [`SemanticEncoder::backprop`]
+//! (AWGN between encoder and decoder) and their int8 forms — so encode,
+//! decode, transmit, accuracy, training and quantization are written once,
+//! in [`ConceptKb`].
 
-use crate::{QuantizedDecoder, SemanticDecoder};
+use crate::{Frontend, QuantizedDecoder, QuantizedEncoder, SemanticDecoder, SemanticEncoder};
 use rand::RngCore;
 use semcom_channel::{AwgnChannel, Channel};
-use semcom_nn::layers::{DenseLayer, LayerNorm, Linear};
 use semcom_nn::optim::{shard_count, sharded_step, Adam};
 use semcom_nn::params::Param;
-use semcom_nn::quant::QuantizedLinear;
 use semcom_nn::rng::{derive_seed, seeded_rng};
 use semcom_nn::Tensor;
 use serde::{Deserialize, Serialize};
-use std::fmt::Debug;
 
 /// Decoder hidden width.
 const HIDDEN: usize = 32;
@@ -27,49 +25,11 @@ const HIDDEN: usize = 32;
 /// overhead outweighs the parallel speedup.
 const MIN_SHARD_ROWS: usize = 8;
 
-/// The modality-specific input stage of a [`ConceptKb`]: flattened sample
-/// rows in, `out_len()`-wide activations out.
-pub trait Frontend: Clone + Debug + Send + Sync {
-    /// The int8 inference form of this front end.
-    type Quantized: QuantizedFrontend;
-
-    /// Width of one output row (the projection's input width).
-    fn out_len(&self) -> usize;
-
-    /// Forward pass without caching (inference path).
-    fn infer(&self, x: &Tensor) -> Tensor;
-
-    /// Forward pass, caching what [`Frontend::backward`] needs.
-    fn forward(&mut self, x: &Tensor) -> Tensor;
-
-    /// Accumulates parameter gradients from the output gradient.
-    fn backward(&mut self, dout: &Tensor);
-
-    /// The trainable parameters, in a stable order.
-    fn params_mut(&mut self) -> Vec<&mut Param>;
-
-    /// Trainable scalar count.
-    fn param_count(&self) -> usize;
-
-    /// Converts the trained front end into its int8 inference form.
-    fn quantize(&self) -> Self::Quantized;
-}
-
-/// The inference-only form of a [`Frontend`] inside a
-/// [`QuantizedConceptKb`].
-pub trait QuantizedFrontend: Clone + Debug + Send + Sync {
-    /// Forward pass over flattened sample rows.
-    fn infer(&self, x: &Tensor) -> Tensor;
-
-    /// Storage size in bytes.
-    fn size_bytes(&self) -> usize;
-}
-
 /// A modality: labelled samples of a fixed length, and the front end that
 /// encodes them.
 pub trait ConceptSource {
     /// The front end a KB for this source uses.
-    type Frontend: Frontend;
+    type Frontend: Frontend<Input = Tensor>;
 
     /// Number of concepts (decoder classes).
     fn classes(&self) -> usize;
@@ -111,26 +71,25 @@ impl Default for ConceptTrainConfig {
     }
 }
 
-/// A concept knowledge base over front end `F`: encoder
-/// `F → Linear → power norm`, decoder a [`SemanticDecoder`].
+/// A concept knowledge base over front end `F`: encoder a
+/// [`SemanticEncoder<F>`], decoder a [`SemanticDecoder`].
 #[derive(Debug, Clone)]
 pub struct ConceptKb<F> {
-    frontend: F,
-    proj: Linear,
-    norm: LayerNorm,
+    encoder: SemanticEncoder<F>,
     decoder: SemanticDecoder,
     input_len: usize,
 }
 
-impl<F: Frontend> ConceptKb<F> {
+impl<F: Frontend<Input = Tensor>> ConceptKb<F> {
     /// Creates an untrained KB for `source` with `feature_dim` features per
     /// sample.
     pub fn new<S: ConceptSource<Frontend = F>>(source: &S, feature_dim: usize, seed: u64) -> Self {
-        let frontend = source.frontend(derive_seed(seed, 0));
         ConceptKb {
-            proj: Linear::new(frontend.out_len(), feature_dim, derive_seed(seed, 1)),
-            frontend,
-            norm: LayerNorm::new(feature_dim),
+            encoder: SemanticEncoder::new(
+                source.frontend(derive_seed(seed, 0)),
+                feature_dim,
+                derive_seed(seed, 1),
+            ),
             decoder: SemanticDecoder::new(
                 feature_dim,
                 HIDDEN,
@@ -143,12 +102,7 @@ impl<F: Frontend> ConceptKb<F> {
 
     /// Features per sample.
     pub fn feature_dim(&self) -> usize {
-        self.norm.dim()
-    }
-
-    /// Number of concepts the decoder can emit.
-    pub fn classes(&self) -> usize {
-        self.decoder.concept_count()
+        self.encoder.feature_dim()
     }
 
     /// Complex channel symbols per transmitted sample.
@@ -156,20 +110,16 @@ impl<F: Frontend> ConceptKb<F> {
         self.feature_dim().div_ceil(2)
     }
 
-    /// The trainable parameters: front end, projection, decoder.
+    /// The trainable parameters: encoder (front end, projection), decoder.
     pub fn params_mut(&mut self) -> Vec<&mut Param> {
-        let mut ps = self.frontend.params_mut();
-        ps.extend(self.proj.params_mut());
+        let mut ps = self.encoder.params_mut();
         ps.extend(self.decoder.params_mut());
         ps
     }
 
     /// Total trainable scalar count.
     pub fn param_count(&self) -> usize {
-        self.frontend.param_count()
-            + self.proj.weight().len()
-            + self.proj.bias().len()
-            + self.decoder.param_count()
+        self.encoder.param_count() + self.decoder.param_count()
     }
 
     /// Storage size in bytes: 4 per parameter, the power norm's scale and
@@ -196,8 +146,7 @@ impl<F: Frontend> ConceptKb<F> {
     ///
     /// Panics if `samples` is empty or any sample has the wrong length.
     pub fn encode_batch(&self, samples: &[&[f32]]) -> Tensor {
-        let x = stack(samples, self.input_len);
-        self.norm.infer(&self.proj.infer(&self.frontend.infer(&x)))
+        self.encoder.encode(&stack(samples, self.input_len))
     }
 
     /// Decodes received features to the most likely concept.
@@ -233,9 +182,7 @@ impl<F: Frontend> ConceptKb<F> {
     /// Converts this trained KB into its int8 inference twin.
     pub fn quantize(&self) -> QuantizedConceptKb<F> {
         QuantizedConceptKb {
-            frontend: self.frontend.quantize(),
-            proj: QuantizedLinear::from_linear(&self.proj),
-            norm: self.norm.clone(),
+            encoder: QuantizedEncoder::from_encoder(&self.encoder),
             decoder: QuantizedDecoder::from_decoder(&self.decoder),
             input_len: self.input_len,
         }
@@ -262,14 +209,9 @@ impl<F: Frontend> ConceptKb<F> {
             while remaining > 0 {
                 let bs = config.batch_size.clamp(1, remaining);
                 remaining -= bs;
-                let mut flat = Vec::with_capacity(bs * self.input_len);
-                let mut labels = Vec::with_capacity(bs);
-                for _ in 0..bs {
-                    let (x, label) = source.sample(&mut rng);
-                    flat.extend_from_slice(&x);
-                    labels.push(label);
-                }
-                let x = Tensor::from_vec(bs, self.input_len, flat).expect("source sample length");
+                let (xs, labels): (Vec<_>, Vec<_>) =
+                    (0..bs).map(|_| source.sample(&mut rng)).unzip();
+                let xs: Vec<&[f32]> = xs.iter().map(Vec::as_slice).collect();
                 epoch_loss += sharded_step(
                     self,
                     bs,
@@ -277,8 +219,10 @@ impl<F: Frontend> ConceptKb<F> {
                     &mut rng,
                     &mut opt,
                     |kb, rows, rng| {
-                        let x = &x.as_slice()[rows.start * x.cols()..rows.end * x.cols()];
-                        kb.backprop(x, &labels[rows], channel.as_ref(), rng)
+                        let x = stack(&xs[rows.clone()], kb.input_len);
+                        let labels = &labels[rows];
+                        kb.encoder
+                            .backprop(&mut kb.decoder, &x, labels, channel.as_ref(), rng)
                     },
                     Self::params_mut,
                 );
@@ -290,58 +234,29 @@ impl<F: Frontend> ConceptKb<F> {
         }
         last_loss
     }
-
-    /// Forward + backward over the flattened samples `x` (channel noise
-    /// from `rng`, [`SemanticDecoder::backprop`]), leaving the gradients in
-    /// the parameters; returns the mean loss.
-    fn backprop(
-        &mut self,
-        x: &[f32],
-        labels: &[usize],
-        channel: Option<&AwgnChannel>,
-        rng: &mut dyn RngCore,
-    ) -> f32 {
-        let x = Tensor::from_vec(labels.len(), self.input_len, x.to_vec()).expect("row range");
-        let h = self.frontend.forward(&x);
-        let f = self.norm.forward(&self.proj.forward(&h));
-        let (loss, df) = self.decoder.backprop(f, labels, channel, rng);
-        for p in self.frontend.params_mut() {
-            p.zero_grad();
-        }
-        self.proj.zero_grad();
-        self.norm.zero_grad();
-        let dh = self.proj.backward(&self.norm.backward(&df));
-        self.frontend.backward(&dh);
-        loss
-    }
 }
 
-/// Int8 post-training-quantized twin of a [`ConceptKb`] for inference:
-/// the front end's int8 form, quantized projection, the f32 power norm and
-/// a [`QuantizedDecoder`] (exact integer accumulation).
+/// Int8 post-training-quantized twin of a [`ConceptKb`] for inference: a
+/// [`QuantizedEncoder`] (the front end's int8 form, quantized projection,
+/// f32 power norm) and a [`QuantizedDecoder`] (exact integer accumulation).
 #[derive(Debug, Clone)]
 pub struct QuantizedConceptKb<F: Frontend> {
-    frontend: F::Quantized,
-    proj: QuantizedLinear,
-    norm: LayerNorm,
+    encoder: QuantizedEncoder<F>,
     decoder: QuantizedDecoder,
     input_len: usize,
 }
 
-impl<F: Frontend> QuantizedConceptKb<F> {
+impl<F: Frontend<Input = Tensor>> QuantizedConceptKb<F> {
     /// Features per sample (the air interface of the fp32 KB).
     pub fn feature_dim(&self) -> usize {
-        self.norm.dim()
+        self.encoder.feature_dim()
     }
 
-    /// Storage size in bytes, counted like [`ConceptKb::size_bytes`]: front
-    /// end, quantized projection and decoder, f32 norm, 64-byte header.
+    /// Storage size in bytes, counted like [`ConceptKb::size_bytes`]:
+    /// encoder (int8 front end and projection, f32 norm), decoder, 64-byte
+    /// header.
     pub fn size_bytes(&self) -> usize {
-        self.frontend.size_bytes()
-            + self.proj.size_bytes()
-            + 2 * self.feature_dim() * 4
-            + self.decoder.size_bytes()
-            + 64
+        self.encoder.size_bytes() + self.decoder.size_bytes() + 64
     }
 
     /// Encodes one sample to power-normalized features.
@@ -359,10 +274,7 @@ impl<F: Frontend> QuantizedConceptKb<F> {
     ///
     /// Panics if `samples` is empty or any sample has the wrong length.
     pub fn encode_batch(&self, samples: &[&[f32]]) -> Tensor {
-        let x = stack(samples, self.input_len);
-        let mut feat = self.proj.forward(&self.frontend.infer(&x));
-        self.norm.normalize_rows(feat.as_mut_slice());
-        feat
+        self.encoder.encode(&stack(samples, self.input_len))
     }
 
     /// Decodes received features to the most likely concept.

@@ -46,18 +46,10 @@ pub fn evaluate_semantic(
     channel: &dyn Channel,
     rng: &mut dyn RngCore,
 ) -> EvalReport {
-    let mut acc = 0.0;
-    let mut bl = 0.0;
-    let mut cos = 0.0;
-    let mut tokens = 0;
-    let mut symbols = 0;
-    for s in sentences {
+    evaluate(lang, sentences, |s| {
         let decoded = sender.transmit(receiver, &s.tokens, channel, rng);
-        accumulate(lang, &s.concepts, &decoded, &mut acc, &mut bl, &mut cos);
-        tokens += s.len();
-        symbols += sender.symbols_for(s.len());
-    }
-    finalize(acc, bl, cos, sentences.len(), tokens, symbols)
+        (decoded, sender.symbols_for(s.len()))
+    })
 }
 
 /// Evaluates the int8-quantized semantic leg — the same protocol as
@@ -72,18 +64,10 @@ pub fn evaluate_semantic_quantized(
     channel: &dyn Channel,
     rng: &mut dyn RngCore,
 ) -> EvalReport {
-    let mut acc = 0.0;
-    let mut bl = 0.0;
-    let mut cos = 0.0;
-    let mut tokens = 0;
-    let mut symbols = 0;
-    for s in sentences {
+    evaluate(lang, sentences, |s| {
         let decoded = sender.transmit(receiver, &s.tokens, channel, rng);
-        accumulate(lang, &s.concepts, &decoded, &mut acc, &mut bl, &mut cos);
-        tokens += s.len();
-        symbols += sender.symbols_for(s.len());
-    }
-    finalize(acc, bl, cos, sentences.len(), tokens, symbols)
+        (decoded, sender.symbols_for(s.len()))
+    })
 }
 
 /// Evaluates the traditional leg: Huffman + channel code + modulation,
@@ -96,47 +80,42 @@ pub fn evaluate_traditional(
     channel: &dyn Channel,
     rng: &mut dyn RngCore,
 ) -> EvalReport {
-    let mut acc = 0.0;
-    let mut bl = 0.0;
-    let mut cos = 0.0;
-    let mut tokens = 0;
-    let mut symbols = 0;
-    for s in sentences {
+    evaluate(lang, sentences, |s| {
         let received = codec.transmit(&s.tokens, channel, rng);
         let decoded = TraditionalCodec::interpret(lang, domain, &received);
-        accumulate(lang, &s.concepts, &decoded, &mut acc, &mut bl, &mut cos);
-        tokens += s.len();
-        symbols += codec.symbols_for(&s.tokens);
-    }
-    finalize(acc, bl, cos, sentences.len(), tokens, symbols)
+        (decoded, codec.symbols_for(&s.tokens))
+    })
 }
 
-fn accumulate(
+/// Scores one leg over `sentences`: `leg` returns a sentence's decoded
+/// concepts and the channel symbols it used.
+fn evaluate(
     lang: &SyntheticLanguage,
-    reference: &[ConceptId],
-    decoded: &[ConceptId],
-    acc: &mut f64,
-    bl: &mut f64,
-    cos: &mut f64,
-) {
-    *acc += concept_accuracy(reference, decoded);
-    let ref_words: Vec<usize> = reference.iter().map(|&c| lang.primary_token(c)).collect();
-    let dec_words: Vec<usize> = decoded
-        .iter()
-        .map(|&c| {
-            if c.index() < lang.concept_count() {
-                lang.primary_token(c)
-            } else {
-                usize::MAX // uninterpretable marker word
-            }
-        })
-        .collect();
-    *bl += bleu(&ref_words, &dec_words, 2);
-    *cos += bow_cosine(reference, decoded);
-}
-
-fn finalize(acc: f64, bl: f64, cos: f64, n: usize, tokens: usize, symbols: usize) -> EvalReport {
-    let n = n.max(1) as f64;
+    sentences: &[Sentence],
+    mut leg: impl FnMut(&Sentence) -> (Vec<ConceptId>, usize),
+) -> EvalReport {
+    let (mut acc, mut bl, mut cos) = (0.0, 0.0, 0.0);
+    let (mut tokens, mut symbols) = (0, 0);
+    for s in sentences {
+        let (decoded, used) = leg(s);
+        acc += concept_accuracy(&s.concepts, &decoded);
+        let ref_words: Vec<usize> = s.concepts.iter().map(|&c| lang.primary_token(c)).collect();
+        let dec_words: Vec<usize> = decoded
+            .iter()
+            .map(|&c| {
+                if c.index() < lang.concept_count() {
+                    lang.primary_token(c)
+                } else {
+                    usize::MAX // uninterpretable marker word
+                }
+            })
+            .collect();
+        bl += bleu(&ref_words, &dec_words, 2);
+        cos += bow_cosine(&s.concepts, &decoded);
+        tokens += s.len();
+        symbols += used;
+    }
+    let n = sentences.len().max(1) as f64;
     EvalReport {
         concept_accuracy: acc / n,
         bleu: bl / n,

@@ -3,6 +3,8 @@ use crate::decoder::SemanticDecoder;
 use crate::encoder::SemanticEncoder;
 use rand::RngCore;
 use semcom_channel::Channel;
+use semcom_nn::layers::Embedding;
+use semcom_nn::params::Param;
 use semcom_nn::rng::derive_seed;
 use semcom_text::{ConceptId, Domain};
 use serde::{Deserialize, Serialize};
@@ -64,11 +66,16 @@ impl KnowledgeBase {
         scope: KbScope,
         seed: u64,
     ) -> Self {
+        let s = derive_seed(seed, 10);
         KnowledgeBase {
             scope,
             config,
             version: 0,
-            encoder: SemanticEncoder::new(&config, vocab_size, derive_seed(seed, 10)),
+            encoder: SemanticEncoder::new(
+                Embedding::new(vocab_size, config.embed_dim, derive_seed(s, 1)),
+                config.feature_dim,
+                derive_seed(s, 2),
+            ),
             decoder: SemanticDecoder::new(
                 config.feature_dim,
                 config.hidden_dim,
@@ -106,6 +113,13 @@ impl KnowledgeBase {
         kb.scope = KbScope::UserSpecific { user, domain };
         kb.version = 0;
         kb
+    }
+
+    /// Encoder then decoder parameters, the order the optimizer keys on.
+    pub(crate) fn params_mut(&mut self) -> Vec<&mut Param> {
+        let mut ps = self.encoder.params_mut();
+        ps.extend(self.decoder.params_mut());
+        ps
     }
 
     /// Total trainable scalar count.

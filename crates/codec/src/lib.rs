@@ -9,9 +9,11 @@
 //! performing *semantic feature extraction and restoration* (§I). Here a KB
 //! is a compact neural codec over the synthetic language of [`semcom_text`]:
 //!
-//! * [`SemanticEncoder`] — token → embedding → linear projection → power
-//!   normalization → a `feature_dim`-float semantic symbol transmitted as
-//!   analog I/Q samples;
+//! * [`SemanticEncoder`] — input → [`Frontend`] (for text the token
+//!   embedding) → linear projection → power normalization →
+//!   `feature_dim`-float semantic symbols transmitted as analog I/Q
+//!   samples; like the decoder, one encoder for both owners, with
+//!   [`QuantizedEncoder`] as its int8 form;
 //! * [`SemanticDecoder`] — noisy features → MLP → **concept** logits, the
 //!   one decoder of both owners: every [`KnowledgeBase`] and every
 //!   [`concept::ConceptKb`] (with [`QuantizedDecoder`] as its int8 form in
@@ -77,7 +79,7 @@ pub mod train;
 pub use baseline::{TraditionalCodec, UNINTERPRETABLE};
 pub use config::CodecConfig;
 pub use decoder::SemanticDecoder;
-pub use encoder::SemanticEncoder;
+pub use encoder::{Frontend, QuantizedFrontend, SemanticEncoder};
 pub use huffman::HuffmanCode;
 pub use kb::{KbScope, KnowledgeBase};
 pub use quantized::{

@@ -18,12 +18,13 @@
 
 use crate::config::CodecConfig;
 use crate::decoder::SemanticDecoder;
-use crate::encoder::SemanticEncoder;
+use crate::encoder::{Frontend, QuantizedFrontend, SemanticEncoder};
 use crate::kb::{KbScope, KnowledgeBase};
 use rand::RngCore;
 use semcom_channel::Channel;
-use semcom_nn::layers::LayerNorm;
-use semcom_nn::quant::{ModelScratch, QuantizedLinear, QuantizedModel, QuantizedTable};
+use semcom_nn::layers::{Embedding, LayerNorm};
+use semcom_nn::quant::{ModelScratch, QuantizedLinear, QuantizedModel};
+use semcom_nn::Tensor;
 use semcom_text::ConceptId;
 use serde::{Deserialize, Serialize};
 
@@ -57,70 +58,58 @@ impl DecodeScratch {
     }
 }
 
-/// Int8 twin of [`SemanticEncoder`]: quantized embedding table (the bulk
-/// of a text KB's bytes), quantized projection, f32 power normalization.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct QuantizedEncoder {
-    table: QuantizedTable,
+/// Int8 twin of [`SemanticEncoder`]: the front end's int8 form (for text
+/// the quantized embedding table, the bulk of a text KB's bytes), quantized
+/// projection, f32 power normalization.
+#[derive(Debug, Clone)]
+pub struct QuantizedEncoder<F: Frontend = Embedding> {
+    frontend: F::Quantized,
     proj: QuantizedLinear,
     norm: LayerNorm,
 }
 
-impl QuantizedEncoder {
+impl<F: Frontend> QuantizedEncoder<F> {
     /// Quantizes a trained f32 encoder.
-    pub fn from_encoder(enc: &SemanticEncoder) -> Self {
+    pub fn from_encoder(enc: &SemanticEncoder<F>) -> Self {
         QuantizedEncoder {
-            table: QuantizedTable::from_tensor(enc.embedding_table()),
+            frontend: enc.frontend().quantize(),
             proj: QuantizedLinear::from_linear(enc.proj()),
             norm: enc.norm().clone(),
         }
     }
 
-    /// Vocabulary size.
-    pub fn vocab_size(&self) -> usize {
-        self.table.rows()
-    }
-
-    /// Feature dimensionality per token.
+    /// Feature dimensionality per row.
     pub fn feature_dim(&self) -> usize {
         self.proj.out_dim()
     }
 
-    /// Encodes a flat token batch (the concatenation of one or many users'
-    /// token lists) into `[tokens.len(), feature_dim]` power-normalized
-    /// features, returned as a borrow of the scratch buffer.
-    /// Allocation-free once `scratch` is warm.
+    /// Encodes `x` (for text, the concatenation of one or many users' token
+    /// lists) into `[rows, feature_dim]` power-normalized features, returned
+    /// as a borrow of the scratch buffer. Allocation-free once `scratch` is
+    /// warm wherever the front end's [`QuantizedFrontend::project_into`] is.
     ///
     /// # Panics
     ///
-    /// Panics if any token id is out of the vocabulary range.
-    pub fn encode_batch_into<'a>(
-        &self,
-        tokens: &[usize],
-        scratch: &'a mut EncodeScratch,
-    ) -> &'a [f32] {
-        // The embedding rows are already i8 codes: the gather hands them to
-        // the kernel as they are — no dequantize-to-f32, no dynamic
-        // re-quantization; the whole hot path stays integer-valued until the
-        // single per-output dequantization.
-        self.proj
-            .forward_gathered_into(&self.table, tokens, &mut scratch.quant, &mut scratch.feat);
+    /// Panics where [`SemanticEncoder::encode`] does.
+    pub fn encode_batch_into<'a>(&self, x: &F::Input, scratch: &'a mut EncodeScratch) -> &'a [f32] {
+        self.frontend
+            .project_into(&self.proj, x, &mut scratch.quant, &mut scratch.feat);
         self.norm.normalize_rows(&mut scratch.feat);
         &scratch.feat
     }
 
     /// Allocating convenience wrapper over
     /// [`QuantizedEncoder::encode_batch_into`].
-    pub fn encode(&self, tokens: &[usize]) -> semcom_nn::Tensor {
+    pub fn encode(&self, x: &F::Input) -> Tensor {
         let mut scratch = EncodeScratch::new();
-        let feat = self.encode_batch_into(tokens, &mut scratch).to_vec();
-        semcom_nn::Tensor::from_vec(tokens.len(), self.feature_dim(), feat)
+        let rows = self.encode_batch_into(x, &mut scratch).len() / self.feature_dim();
+        Tensor::from_vec(rows, self.feature_dim(), scratch.feat)
             .expect("shape correct by construction")
     }
 
-    /// Serialized size in bytes (quantized table + projection + f32 norm).
+    /// Serialized size in bytes (int8 front end + projection + f32 norm).
     pub fn size_bytes(&self) -> usize {
-        self.table.size_bytes() + self.proj.size_bytes() + 2 * self.norm.dim() * 4
+        self.frontend.size_bytes() + self.proj.size_bytes() + 2 * self.norm.dim() * 4
     }
 }
 
@@ -179,7 +168,7 @@ impl QuantizedDecoder {
 
     /// Allocating convenience wrapper over
     /// [`QuantizedDecoder::predict_into`].
-    pub fn predict(&self, features: &semcom_nn::Tensor) -> Vec<ConceptId> {
+    pub fn predict(&self, features: &Tensor) -> Vec<ConceptId> {
         let mut scratch = DecodeScratch::new();
         let mut out = Vec::new();
         self.predict_into(features.as_slice(), features.rows(), &mut scratch, &mut out);
@@ -272,7 +261,7 @@ impl QuantizedKb {
         }
         let features = self.encoder.encode(tokens);
         let received = channel.transmit_f32(features.as_slice(), rng);
-        let received = semcom_nn::Tensor::from_vec(features.rows(), features.cols(), received)
+        let received = Tensor::from_vec(features.rows(), features.cols(), received)
             .expect("channel preserves feature length");
         receiver.decoder.predict(&received)
     }
@@ -314,6 +303,28 @@ mod tests {
         assert_eq!(qt.scope(), tiny.scope());
         assert_eq!(qt.version(), tiny.version());
         assert_eq!(qt.symbols_for(7), tiny.symbols_for(7));
+    }
+
+    /// Exact model bytes of the text KBs — what the semantic cache charges
+    /// against its capacity and T9 reports as `model_bytes` — for both
+    /// codec configs over their matching synthetic languages.
+    #[test]
+    fn text_kb_sizes_are_pinned() {
+        use semcom_text::LanguageConfig;
+        let sizes = |codec: CodecConfig, lang: LanguageConfig| {
+            let lang = lang.build(0);
+            let k = KnowledgeBase::new(
+                codec,
+                lang.vocab().len(),
+                lang.concept_count(),
+                KbScope::General,
+                1,
+            );
+            (k.size_bytes(), k.quantize().size_bytes())
+        };
+        let default = sizes(CodecConfig::default(), LanguageConfig::default());
+        let tiny = sizes(CodecConfig::tiny(), LanguageConfig::tiny());
+        assert_eq!([default, tiny], [(100_576, 35_496), (8_296, 4_136)]);
     }
 
     #[test]

@@ -20,10 +20,8 @@
 
 use crate::kb::KnowledgeBase;
 use rand::seq::SliceRandom;
-use rand::RngCore;
 use semcom_channel::AwgnChannel;
 use semcom_nn::optim::{shard_count, sharded_step, Adam};
-use semcom_nn::params::Param;
 use semcom_nn::rng::seeded_rng;
 use semcom_text::Sentence;
 use serde::{Deserialize, Serialize};
@@ -114,7 +112,10 @@ impl Trainer {
         pairs: &[(usize, usize)],
         seed: u64,
     ) -> TrainReport {
-        let (vocab, concepts) = (kb.encoder.vocab_size(), kb.decoder.concept_count());
+        let (vocab, concepts) = (
+            kb.encoder.frontend().vocab_size(),
+            kb.decoder.concept_count(),
+        );
         for &(token, concept) in pairs {
             assert!(
                 token < vocab,
@@ -151,8 +152,12 @@ impl Trainer {
                     shard_count(tokens.len(), MIN_SHARD_TOKENS, SHARD_MIN_BATCH),
                     &mut rng,
                     &mut opt,
-                    |kb, r, rng| backprop(kb, &tokens[r.clone()], &targets[r], channel, rng),
-                    params,
+                    |kb, r, rng| {
+                        let (x, labels) = (&tokens[r.clone()], &targets[r]);
+                        kb.encoder
+                            .backprop(&mut kb.decoder, x, labels, channel, rng)
+                    },
+                    KnowledgeBase::params_mut,
                 );
                 batches += 1;
             }
@@ -178,30 +183,6 @@ const MIN_SHARD_TOKENS: usize = 64;
 /// train fastest on the serial path — sharding them regressed the
 /// `trainer_epoch_4threads` benchmark by ~1.7x.
 const SHARD_MIN_BATCH: usize = 256;
-
-/// Encoder then decoder parameters, the order the optimizer keys on.
-fn params(kb: &mut KnowledgeBase) -> Vec<&mut Param> {
-    let mut params = kb.encoder.params_mut();
-    params.extend(kb.decoder.params_mut());
-    params
-}
-
-/// Forward + backward over one token batch (channel noise from `rng`,
-/// [`SemanticDecoder::backprop`](crate::SemanticDecoder::backprop)),
-/// leaving the gradients in `kb`; returns the mean loss.
-fn backprop(
-    kb: &mut KnowledgeBase,
-    tokens: &[usize],
-    targets: &[usize],
-    channel: Option<&AwgnChannel>,
-    rng: &mut dyn RngCore,
-) -> f32 {
-    let features = kb.encoder.forward(tokens);
-    let (loss, dfeatures) = kb.decoder.backprop(features, targets, channel, rng);
-    kb.encoder.zero_grad();
-    kb.encoder.backward(&dfeatures);
-    loss
-}
 
 #[cfg(test)]
 mod tests {

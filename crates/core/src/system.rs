@@ -120,7 +120,18 @@ impl SemanticEdgeSystem {
     /// decoder copies) on every edge server, and fits the domain selector.
     ///
     /// Deterministic for a given `(config, seed)` pair.
+    ///
+    /// # Panics
+    ///
+    /// Panics, before any pre-training, if `buffer_capacity` is zero or
+    /// below `buffer_threshold`.
     pub fn build(config: SystemConfig, seed: u64) -> Self {
+        assert!(
+            config.buffer_capacity > 0 && config.buffer_threshold <= config.buffer_capacity,
+            "buffer_capacity ({}) must be positive and at least buffer_threshold ({})",
+            config.buffer_capacity,
+            config.buffer_threshold
+        );
         let language = config.language.build(derive_seed(seed, 1));
         let mut trainer = Trainer::new(config.pretrain);
 
@@ -920,6 +931,24 @@ mod tests {
 
     fn system() -> SemanticEdgeSystem {
         SemanticEdgeSystem::build(SystemConfig::tiny(), 42)
+    }
+
+    #[test]
+    fn build_rejects_a_bad_buffer_config_before_pretraining() {
+        for (capacity, threshold) in [(10, 11), (0, 0)] {
+            let config = SystemConfig {
+                buffer_capacity: capacity,
+                buffer_threshold: threshold,
+                ..SystemConfig::tiny()
+            };
+            let err = std::panic::catch_unwind(|| SemanticEdgeSystem::build(config, 1))
+                .expect_err("build must reject the buffer config");
+            let message = *err.downcast::<String>().unwrap();
+            assert!(
+                message.contains("buffer_capacity") && message.contains("buffer_threshold"),
+                "{message}"
+            );
+        }
     }
 
     #[test]

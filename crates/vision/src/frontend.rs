@@ -1,9 +1,11 @@
 use crate::glyphs::{GlyphSet, GLYPH_PIXELS, GLYPH_SIDE};
 use crate::video::{VideoSet, CLIP_SAMPLES, FRAMES};
 use rand::RngCore;
-use semcom_codec::concept::{ConceptSource, Frontend, QuantizedFrontend};
+use semcom_codec::concept::ConceptSource;
+use semcom_codec::{Frontend, QuantizedFrontend};
 use semcom_nn::layers::{Activation, Conv2d, DenseLayer, MaxPool2};
 use semcom_nn::params::Param;
+use semcom_nn::quant::{QuantScratch, QuantizedLinear};
 use semcom_nn::Tensor;
 
 const CONV_CH: usize = 4;
@@ -33,6 +35,7 @@ impl ConvFrontend {
 }
 
 impl Frontend for ConvFrontend {
+    type Input = Tensor;
     type Quantized = ConvFrontend;
 
     fn out_len(&self) -> usize {
@@ -69,9 +72,16 @@ impl Frontend for ConvFrontend {
     }
 }
 
-impl QuantizedFrontend for ConvFrontend {
-    fn infer(&self, x: &Tensor) -> Tensor {
-        Frontend::infer(self, x)
+impl QuantizedFrontend<Tensor> for ConvFrontend {
+    fn project_into(
+        &self,
+        proj: &QuantizedLinear,
+        x: &Tensor,
+        scratch: &mut QuantScratch,
+        out: &mut Vec<f32>,
+    ) {
+        let h = Frontend::infer(self, x);
+        proj.forward_into(h.as_slice(), h.rows(), scratch, out);
     }
 
     fn size_bytes(&self) -> usize {

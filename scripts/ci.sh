@@ -125,4 +125,10 @@ f7_image_codec f10_audio_codec f11_video_codec: 1
 t10_pipeline: 1 2 3 4
 MANIFEST
 
+echo "=== T9 trilemma smoke ==="
+# Wall-clock, so no golden: run once for its exit status. It drives every
+# fp32 and int8 KB (text, image, audio) and reads the text encoder's
+# internals; its accuracy gate is crates/codec/tests/quant_accuracy.rs.
+./target/release/t9_trilemma >/dev/null
+
 echo "ci: all gates passed"

@@ -6,7 +6,11 @@
 use semcom_audio::{MatchedFilter, ToneSet};
 use semcom_channel::{AwgnChannel, NoiselessChannel};
 use semcom_codec::concept::{ConceptKb, ConceptSource, ConceptTrainConfig};
+use semcom_codec::{Frontend, QuantizedFrontend};
+use semcom_nn::layers::{Embedding, Linear};
+use semcom_nn::quant::{QuantScratch, QuantizedLinear};
 use semcom_nn::rng::seeded_rng;
+use semcom_nn::Tensor;
 use semcom_vision::{GlyphSet, VideoSet};
 
 #[test]
@@ -251,4 +255,39 @@ fn fp32_size_counts_parameters_norm_and_header() {
     assert!(kb.param_count() > 1000);
     // 4 bytes per parameter, the power norm's γ and β, a 64-byte header.
     assert_eq!(kb.size_bytes(), kb.param_count() * 4 + 2 * 8 * 4 + 64);
+}
+
+/// The contract every [`Frontend`] keeps, text's [`Embedding`] table
+/// included: `forward` computes `infer`'s bits, `param_count` counts what
+/// `params_mut` hands the optimizer, and the int8 `project_into` depends on
+/// its input only — not on what an earlier, larger call left in the
+/// scratch or output buffers.
+#[test]
+fn every_front_end_keeps_the_frontend_contract() {
+    fn check<F: Frontend>(mut frontend: F, x: &F::Input, larger: &F::Input) {
+        let bits = |v: &[f32]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let (forward, infer) = (frontend.forward(x), frontend.infer(x));
+        assert_eq!(bits(forward.as_slice()), bits(infer.as_slice()));
+        let counted: usize = frontend.params_mut().iter().map(|p| p.len()).sum();
+        assert_eq!(frontend.param_count(), counted);
+
+        let proj = QuantizedLinear::from_linear(&Linear::new(frontend.out_len(), 8, 3));
+        let q = frontend.quantize();
+        let mut fresh = Vec::new();
+        q.project_into(&proj, x, &mut QuantScratch::new(), &mut fresh);
+        let (mut scratch, mut warm) = (QuantScratch::new(), Vec::new());
+        q.project_into(&proj, larger, &mut scratch, &mut warm);
+        q.project_into(&proj, x, &mut scratch, &mut warm);
+        assert!(!fresh.is_empty());
+        assert_eq!(bits(&warm), bits(&fresh));
+    }
+    fn batch<S: ConceptSource>(source: &S, n: usize) -> Tensor {
+        let flat = samples(source, n).concat();
+        Tensor::from_vec(n, source.input_len(), flat).expect("samples of input_len")
+    }
+    fn check_source<S: ConceptSource>(source: &S) {
+        check(source.frontend(4), &batch(source, 3), &batch(source, 7));
+    }
+    check(Embedding::new(30, 12, 4), &[3, 0, 29, 3], &[1; 9]);
+    for_each_modality!(check_source);
 }

@@ -19,6 +19,9 @@
 //! and image KBs trained serially (minibatches below two shards' worth of
 //! rows), quantized, then decoding fixed features through a 0 dB channel
 //! and scoring accuracy at 3 dB. It does not depend on the worker count.
+//! A third pins the video int8 twin's `encode_batch` and model bytes
+//! ([`VIDEO_INT8_ENCODE`]), which the first test folds for audio and image
+//! only.
 
 use semcom_audio::ToneSet;
 use semcom_channel::{AwgnChannel, Channel};
@@ -61,6 +64,12 @@ const TEXT: [u64; 3] = [
 /// `QuantizedConceptKb::decode` and `accuracy`, audio then image; recorded
 /// while the int8 concept decoder was a bare `QuantizedModel` of its own.
 const INT8_DECODE: [u64; 2] = [0x9fba_cb16_bb2d_3051, 0x4281_06c8_1a98_0e3d];
+
+/// The video int8 twin's `encode_batch` and model bytes (its conv front end
+/// reads `FRAMES` input channels), trained serially like [`INT8_DECODE`];
+/// recorded while the int8 concept encoder was a front end, a quantized
+/// projection and a norm held by `QuantizedConceptKb` itself.
+const VIDEO_INT8_ENCODE: u64 = 0xbd38_7b1e_3731_2d6f;
 
 fn fold(h: &mut u64, bytes: &[u8]) {
     for &b in bytes {
@@ -139,6 +148,27 @@ fn int8_decode_digest<S: ConceptSource>(source: &S) -> u64 {
     h
 }
 
+fn int8_encode_digest<S: ConceptSource>(source: &S) -> u64 {
+    let mut kb = ConceptKb::new(source, 8, 5);
+    let config = ConceptTrainConfig {
+        epochs: 2,
+        samples_per_epoch: 60,
+        batch_size: 12,
+        learning_rate: 0.005,
+        train_snr_db: Some(6.0),
+    };
+    kb.train(source, &config, 6);
+    let q = kb.quantize();
+
+    let mut h = 0xcbf2_9ce4_8422_2325;
+    let mut rng = seeded_rng(26);
+    let inputs: Vec<Vec<f32>> = (0..5).map(|_| source.sample(&mut rng).0).collect();
+    let refs: Vec<&[f32]> = inputs.iter().map(Vec::as_slice).collect();
+    fold_f32s(&mut h, q.encode_batch(&refs).as_slice());
+    fold_u64(&mut h, q.size_bytes() as u64);
+    h
+}
+
 fn text_digest() -> u64 {
     let lang = LanguageConfig::tiny().build(0);
     let pairs: Vec<(usize, usize)> = CorpusGenerator::new(&lang, 4)
@@ -213,4 +243,11 @@ fn int8_concept_decode_is_bit_identical_to_the_recorded_digest() {
         int8_decode_digest(&GlyphSet::new(6, 1)),
     ];
     assert_eq!(got, INT8_DECODE, "got {:#018x} {:#018x}", got[0], got[1]);
+}
+
+/// Serial training again (12-row minibatches), so any worker count.
+#[test]
+fn video_int8_encode_is_bit_identical_to_the_recorded_digest() {
+    let got = int8_encode_digest(&VideoSet::new(2, 1));
+    assert_eq!(got, VIDEO_INT8_ENCODE, "got {got:#018x}");
 }
