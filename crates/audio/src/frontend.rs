@@ -10,7 +10,7 @@ use semcom_nn::Tensor;
 /// Hidden width of the MLP front end.
 const HIDDEN: usize = 32;
 
-/// The audio front end of a [`ConceptKb`](semcom_codec::concept::ConceptKb):
+/// The audio front end of a [`KnowledgeBase`](semcom_codec::KnowledgeBase):
 /// `Linear(64→32) → ReLU` over the raw waveform.
 #[derive(Debug, Clone)]
 pub struct MlpFrontend {
@@ -28,6 +28,10 @@ pub struct QuantizedMlpFrontend {
 impl Frontend for MlpFrontend {
     type Input = Tensor;
     type Quantized = QuantizedMlpFrontend;
+
+    fn in_len(&self) -> usize {
+        self.linear.in_dim()
+    }
 
     fn out_len(&self) -> usize {
         self.linear.out_dim()
@@ -61,6 +65,10 @@ impl Frontend for MlpFrontend {
 }
 
 impl QuantizedFrontend<Tensor> for QuantizedMlpFrontend {
+    fn in_len(&self) -> usize {
+        self.linear.in_dim()
+    }
+
     fn project_into(
         &self,
         proj: &QuantizedLinear,
@@ -85,10 +93,6 @@ impl ConceptSource for ToneSet {
         self.len()
     }
 
-    fn input_len(&self) -> usize {
-        WAVE_SAMPLES
-    }
-
     fn sample(&self, rng: &mut dyn RngCore) -> (Vec<f32>, usize) {
         ToneSet::sample(self, rng)
     }
@@ -105,7 +109,8 @@ impl ConceptSource for ToneSet {
 mod tests {
     use super::*;
     use semcom_channel::{AwgnChannel, NoiselessChannel};
-    use semcom_codec::concept::{ConceptKb, ConceptTrainConfig};
+    use semcom_codec::concept::ConceptTrainConfig;
+    use semcom_codec::KnowledgeBase;
     use semcom_nn::rng::seeded_rng;
 
     fn quick() -> ConceptTrainConfig {
@@ -129,9 +134,9 @@ mod tests {
         // at milder SNRs both models saturate and the comparison is vacuous.
         let harsh = AwgnChannel::new(-4.0);
         for train_seed in 6..10 {
-            let mut clean = ConceptKb::new(&t, 8, 3);
+            let mut clean = KnowledgeBase::for_source(&t, 8, 3);
             clean.train(&t, &quick(), train_seed);
-            let mut robust = ConceptKb::new(&t, 8, 3);
+            let mut robust = KnowledgeBase::for_source(&t, 8, 3);
             robust.train(
                 &t,
                 &ConceptTrainConfig {
@@ -152,7 +157,7 @@ mod tests {
     #[test]
     fn training_learns_the_melodies() {
         let t = ToneSet::new(6, 1);
-        let mut kb = ConceptKb::new(&t, 8, 2);
+        let mut kb = KnowledgeBase::for_source(&t, 8, 2);
         let mut rng = seeded_rng(4);
         let before = kb.accuracy(&t, &NoiselessChannel, 100, &mut rng);
         let loss = kb.train(&t, &quick(), 5);

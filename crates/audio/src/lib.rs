@@ -9,9 +9,9 @@
 //!   waveform; samples add Gaussian acoustic noise and amplitude jitter, so
 //!   ground-truth meaning is exactly known;
 //! * [`MlpFrontend`] — the `Linear(64→32) → ReLU` front end that makes
-//!   `ConceptKb::new(&tones, …)` (semcom-codec's generic
-//!   [`ConceptKb`](semcom_codec::concept::ConceptKb)) an MLP knowledge base
-//!   sending `feature_dim` analog symbols per melody;
+//!   `KnowledgeBase::for_source(&tones, …)` (semcom-codec's one
+//!   [`KnowledgeBase`](semcom_codec::KnowledgeBase) type) an MLP knowledge
+//!   base sending `feature_dim` analog symbols per melody;
 //! * [`MatchedFilter`] — the classical receiver baseline: ship the raw
 //!   waveform as analog I/Q samples (32 channel symbols) and classify at
 //!   the receiver by correlation against the known prototypes.
@@ -24,17 +24,15 @@
 //! ```
 //! use semcom_audio::ToneSet;
 //! use semcom_channel::AwgnChannel;
-//! use semcom_codec::concept::{ConceptKb, ConceptTrainConfig};
+//! use semcom_codec::concept::ConceptTrainConfig;
+//! use semcom_codec::KnowledgeBase;
 //! use semcom_nn::rng::seeded_rng;
 //!
 //! let tones = ToneSet::new(6, 1);
-//! let mut kb = ConceptKb::new(&tones, 8, 2);
+//! let mut kb = KnowledgeBase::for_source(&tones, 8, 2);
 //! kb.train(&tones, &ConceptTrainConfig { epochs: 4, ..Default::default() }, 3);
-//! let mut rng = seeded_rng(4);
-//! let (wave, label) = tones.sample(&mut rng);
-//! let decoded = kb.transmit(&kb, &wave, &AwgnChannel::new(15.0), &mut rng);
-//! assert!(decoded < 6);
-//! let _ = label;
+//! let acc = kb.accuracy(&tones, &AwgnChannel::new(15.0), 100, &mut seeded_rng(4));
+//! assert!(acc > 0.8, "accuracy {acc}");
 //! ```
 
 #![forbid(unsafe_code)]

@@ -19,8 +19,7 @@ const SEGMENT: usize = WAVE_SAMPLES / NOTES;
 /// correlation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ToneSet {
-    /// `melodies[c]` = the three frequency indices of concept `c`.
-    melodies: Vec<[usize; NOTES]>,
+    /// `prototypes[c]` = the clean waveform of concept `c`'s melody.
     prototypes: Vec<Vec<f32>>,
     /// Standard deviation of additive acoustic noise in samples.
     pub acoustic_noise: f32,
@@ -72,7 +71,6 @@ impl ToneSet {
             })
             .collect();
         ToneSet {
-            melodies,
             prototypes,
             acoustic_noise: 0.15,
         }
@@ -80,12 +78,12 @@ impl ToneSet {
 
     /// Number of auditory concepts.
     pub fn len(&self) -> usize {
-        self.melodies.len()
+        self.prototypes.len()
     }
 
     /// Whether the set is empty (never: `new` rejects zero).
     pub fn is_empty(&self) -> bool {
-        self.melodies.is_empty()
+        self.prototypes.is_empty()
     }
 
     /// The clean prototype waveform of a concept.
@@ -97,18 +95,9 @@ impl ToneSet {
         &self.prototypes[concept]
     }
 
-    /// The melody (frequency indices) of a concept.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `concept` is out of range.
-    pub fn melody_of(&self, concept: usize) -> [usize; NOTES] {
-        self.melodies[concept]
-    }
-
     /// Draws a random concept and a noisy rendering of it.
     pub fn sample(&self, rng: &mut dyn RngCore) -> (Vec<f32>, usize) {
-        let concept = rng.gen_range(0..self.melodies.len());
+        let concept = rng.gen_range(0..self.prototypes.len());
         (self.render(concept, rng), concept)
     }
 
@@ -182,7 +171,7 @@ mod tests {
         assert_eq!(a, b);
         for i in 0..12 {
             for j in (i + 1)..12 {
-                assert_ne!(a.melody_of(i), a.melody_of(j));
+                assert_ne!(a.prototype_of(i), a.prototype_of(j));
             }
         }
     }

@@ -2,13 +2,15 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use semcom_channel::AwgnChannel;
-use semcom_codec::concept::{ConceptKb, ConceptTrainConfig};
+use semcom_codec::concept::ConceptTrainConfig;
+use semcom_codec::KnowledgeBase;
 use semcom_nn::rng::seeded_rng;
+use semcom_nn::Tensor;
 use semcom_vision::GlyphSet;
 
 fn bench_vision(c: &mut Criterion) {
     let glyphs = GlyphSet::new(8, 1);
-    let mut kb = ConceptKb::new(&glyphs, 8, 2);
+    let mut kb = KnowledgeBase::for_source(&glyphs, 8, 2);
     kb.train(
         &glyphs,
         &ConceptTrainConfig {
@@ -33,6 +35,7 @@ fn bench_vision(c: &mut Criterion) {
     c.bench_function("vision/transmit_end_to_end", |b| {
         let ch = AwgnChannel::new(8.0);
         let mut rng = seeded_rng(5);
+        let img = Tensor::row_from_slice(&img);
         b.iter(|| kb.transmit(&kb, &img, &ch, &mut rng))
     });
 

@@ -4,7 +4,8 @@
 use semcom_audio::{MatchedFilter, ToneSet};
 use semcom_bench::banner;
 use semcom_channel::{AwgnChannel, Channel, RayleighChannel};
-use semcom_codec::concept::{ConceptKb, ConceptTrainConfig};
+use semcom_codec::concept::ConceptTrainConfig;
+use semcom_codec::KnowledgeBase;
 use semcom_nn::rng::seeded_rng;
 
 fn main() {
@@ -17,7 +18,7 @@ fn main() {
 
     let tones = ToneSet::new(16, 1);
     println!("\ntraining the audio KB ({} melodies)…", tones.len());
-    let mut kb = ConceptKb::new(&tones, 8, 2);
+    let mut kb = KnowledgeBase::for_source(&tones, 8, 2);
     kb.train(
         &tones,
         &ConceptTrainConfig {
@@ -32,12 +33,11 @@ fn main() {
 
     println!(
         "channel uses per melody: semantic {} symbols, raw waveform {} symbols ({}x)",
-        kb.symbols_per_concept(),
+        kb.symbols_for(1),
         mf.symbols_per_melody(),
-        mf.symbols_per_melody() / kb.symbols_per_concept()
+        mf.symbols_per_melody() / kb.symbols_for(1)
     );
-    let handicap =
-        10.0 * (mf.symbols_per_melody() as f64 / kb.symbols_per_concept() as f64).log10();
+    let handicap = 10.0 * (mf.symbols_per_melody() as f64 / kb.symbols_for(1) as f64).log10();
     println!("equal-resource handicap for the raw leg: {handicap:.1} dB");
 
     for fading in [false, true] {

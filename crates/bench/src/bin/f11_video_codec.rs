@@ -4,7 +4,8 @@
 use semcom_bench::banner;
 use semcom_channel::coding::HammingCode74;
 use semcom_channel::{AwgnChannel, BitPipeline, Modulation};
-use semcom_codec::concept::{ConceptKb, ConceptTrainConfig};
+use semcom_codec::concept::ConceptTrainConfig;
+use semcom_codec::KnowledgeBase;
 use semcom_nn::rng::seeded_rng;
 use semcom_vision::{VideoSet, CLIP_SAMPLES};
 
@@ -20,7 +21,7 @@ fn main() {
         "\ntraining the video KB ({} motion concepts)…",
         videos.len()
     );
-    let mut kb = ConceptKb::new(&videos, 8, 2);
+    let mut kb = KnowledgeBase::for_source(&videos, 8, 2);
     kb.train(
         &videos,
         &ConceptTrainConfig {
@@ -38,11 +39,11 @@ fn main() {
     let pixel_symbols = pipeline.symbols_for(CLIP_SAMPLES);
     println!(
         "channel uses per clip: semantic {} symbols, pixels {} symbols ({}x)",
-        kb.symbols_per_concept(),
+        kb.symbols_for(1),
         pixel_symbols,
-        pixel_symbols / kb.symbols_per_concept()
+        pixel_symbols / kb.symbols_for(1)
     );
-    let handicap = 10.0 * (pixel_symbols as f64 / kb.symbols_per_concept() as f64).log10();
+    let handicap = 10.0 * (pixel_symbols as f64 / kb.symbols_for(1) as f64).log10();
     println!("equal-resource handicap for the pixel leg: {handicap:.1} dB");
 
     println!("\nsnr_db,semantic_acc,pixel_acc_same_symbol_snr,pixel_acc_equal_resources");

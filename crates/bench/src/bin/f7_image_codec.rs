@@ -4,7 +4,8 @@
 use semcom_bench::banner;
 use semcom_channel::coding::HammingCode74;
 use semcom_channel::{AwgnChannel, Channel, Modulation, RayleighChannel};
-use semcom_codec::concept::{ConceptKb, ConceptTrainConfig};
+use semcom_codec::concept::ConceptTrainConfig;
+use semcom_codec::KnowledgeBase;
 use semcom_nn::rng::seeded_rng;
 use semcom_vision::{GlyphSet, PixelBaseline};
 
@@ -21,7 +22,7 @@ fn main() {
         "\ntraining the CNN image KB ({} visual concepts)…",
         glyphs.len()
     );
-    let mut kb = ConceptKb::new(&glyphs, 8, 2);
+    let mut kb = KnowledgeBase::for_source(&glyphs, 8, 2);
     kb.train(
         &glyphs,
         &ConceptTrainConfig {
@@ -36,9 +37,9 @@ fn main() {
 
     println!(
         "\nchannel uses per image: semantic {} symbols, pixels {} symbols ({}x)",
-        kb.symbols_per_concept(),
+        kb.symbols_for(1),
         baseline.symbols_per_image(),
-        baseline.symbols_per_image() / kb.symbols_per_concept()
+        baseline.symbols_per_image() / kb.symbols_for(1)
     );
 
     // The pixel pipeline spends 63x the channel uses; at a fixed
@@ -46,7 +47,7 @@ fn main() {
     // image. The "equal_resources" column gives both legs the same energy
     // budget per image by shifting the pixel leg's SNR down accordingly.
     let handicap_db =
-        10.0 * (baseline.symbols_per_image() as f64 / kb.symbols_per_concept() as f64).log10();
+        10.0 * (baseline.symbols_per_image() as f64 / kb.symbols_for(1) as f64).log10();
     println!("equal-resource handicap for the pixel leg: {handicap_db:.1} dB");
 
     for fading in [false, true] {

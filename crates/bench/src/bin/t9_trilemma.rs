@@ -28,7 +28,7 @@ use std::time::Instant;
 use semcom_audio::ToneSet;
 use semcom_bench::banner;
 use semcom_channel::NoiselessChannel;
-use semcom_codec::concept::{ConceptKb, ConceptTrainConfig};
+use semcom_codec::concept::ConceptTrainConfig;
 use semcom_codec::eval::{evaluate_semantic, evaluate_semantic_quantized};
 use semcom_codec::train::{TrainConfig, Trainer};
 use semcom_codec::{CodecConfig, EncodeScratch, KbScope, KnowledgeBase};
@@ -151,7 +151,7 @@ fn main() {
 
     // Image.
     let glyphs = GlyphSet::new(16, 1);
-    let mut ikb = ConceptKb::new(&glyphs, 8, 2);
+    let mut ikb = KnowledgeBase::for_source(&glyphs, 8, 2);
     ikb.train(
         &glyphs,
         &ConceptTrainConfig {
@@ -185,7 +185,7 @@ fn main() {
 
     // Audio.
     let tones = ToneSet::new(16, 1);
-    let mut akb = ConceptKb::new(&tones, 8, 2);
+    let mut akb = KnowledgeBase::for_source(&tones, 8, 2);
     akb.train(
         &tones,
         &ConceptTrainConfig {

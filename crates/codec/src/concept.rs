@@ -1,19 +1,18 @@
-//! One semantic codec for every non-text modality (paper §III-B: "text,
-//! image, video, and audio").
-//!
-//! A modality is a [`ConceptSource`]: labelled samples of a fixed length
-//! and the [`Frontend`] that reads them. Everything after the front end is
-//! the text KB's — a [`SemanticEncoder`] over that front end, a
-//! [`SemanticDecoder`], the training step [`SemanticEncoder::backprop`]
-//! (AWGN between encoder and decoder) and their int8 forms — so encode,
-//! decode, transmit, accuracy, training and quantization are written once,
-//! in [`ConceptKb`].
+//! The non-text modalities (paper §III-B: "text, image, video, and
+//! audio"). A modality is a [`ConceptSource`]: labelled samples and the
+//! [`Frontend`] that reads them. Its KB is the text KB's type,
+//! [`KnowledgeBase<F>`] (int8: [`QuantizedKb<F>`]), built with
+//! [`KnowledgeBase::for_source`]; this module adds what only sample-valued
+//! KBs need — encoding `&[f32]` samples, single-sample decode, accuracy
+//! over fresh draws and training on generated batches.
 
-use crate::{Frontend, QuantizedDecoder, QuantizedEncoder, SemanticDecoder, SemanticEncoder};
+use crate::{
+    Frontend, KbScope, KnowledgeBase, QuantizedFrontend, QuantizedKb, SemanticDecoder,
+    SemanticEncoder,
+};
 use rand::RngCore;
 use semcom_channel::{AwgnChannel, Channel};
 use semcom_nn::optim::{shard_count, sharded_step, Adam};
-use semcom_nn::params::Param;
 use semcom_nn::rng::{derive_seed, seeded_rng};
 use semcom_nn::Tensor;
 use serde::{Deserialize, Serialize};
@@ -25,17 +24,13 @@ const HIDDEN: usize = 32;
 /// overhead outweighs the parallel speedup.
 const MIN_SHARD_ROWS: usize = 8;
 
-/// A modality: labelled samples of a fixed length, and the front end that
-/// encodes them.
+/// A modality: labelled samples, and the front end that encodes them.
 pub trait ConceptSource {
     /// The front end a KB for this source uses.
     type Frontend: Frontend<Input = Tensor>;
 
     /// Number of concepts (decoder classes).
     fn classes(&self) -> usize;
-
-    /// Length of one flattened sample.
-    fn input_len(&self) -> usize;
 
     /// Draws a random concept and a noisy rendering of it.
     fn sample(&self, rng: &mut dyn RngCore) -> (Vec<f32>, usize);
@@ -44,7 +39,7 @@ pub trait ConceptSource {
     fn frontend(&self, seed: u64) -> Self::Frontend;
 }
 
-/// Training hyper-parameters for a [`ConceptKb`].
+/// Training hyper-parameters for a KB over a [`ConceptSource`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ConceptTrainConfig {
     /// Passes over the generated training set.
@@ -71,20 +66,17 @@ impl Default for ConceptTrainConfig {
     }
 }
 
-/// A concept knowledge base over front end `F`: encoder a
-/// [`SemanticEncoder<F>`], decoder a [`SemanticDecoder`].
-#[derive(Debug, Clone)]
-pub struct ConceptKb<F> {
-    encoder: SemanticEncoder<F>,
-    decoder: SemanticDecoder,
-    input_len: usize,
-}
-
-impl<F: Frontend<Input = Tensor>> ConceptKb<F> {
-    /// Creates an untrained KB for `source` with `feature_dim` features per
-    /// sample.
-    pub fn new<S: ConceptSource<Frontend = F>>(source: &S, feature_dim: usize, seed: u64) -> Self {
-        ConceptKb {
+impl<F: Frontend<Input = Tensor>> KnowledgeBase<F> {
+    /// Creates an untrained general KB for `source` with `feature_dim`
+    /// features per sample.
+    pub fn for_source<S: ConceptSource<Frontend = F>>(
+        source: &S,
+        feature_dim: usize,
+        seed: u64,
+    ) -> Self {
+        KnowledgeBase {
+            scope: KbScope::General,
+            version: 0,
             encoder: SemanticEncoder::new(
                 source.frontend(derive_seed(seed, 0)),
                 feature_dim,
@@ -96,36 +88,7 @@ impl<F: Frontend<Input = Tensor>> ConceptKb<F> {
                 source.classes(),
                 [2, 3].map(|i| derive_seed(seed, i)),
             ),
-            input_len: source.input_len(),
         }
-    }
-
-    /// Features per sample.
-    pub fn feature_dim(&self) -> usize {
-        self.encoder.feature_dim()
-    }
-
-    /// Complex channel symbols per transmitted sample.
-    pub fn symbols_per_concept(&self) -> usize {
-        self.feature_dim().div_ceil(2)
-    }
-
-    /// The trainable parameters: encoder (front end, projection), decoder.
-    pub fn params_mut(&mut self) -> Vec<&mut Param> {
-        let mut ps = self.encoder.params_mut();
-        ps.extend(self.decoder.params_mut());
-        ps
-    }
-
-    /// Total trainable scalar count.
-    pub fn param_count(&self) -> usize {
-        self.encoder.param_count() + self.decoder.param_count()
-    }
-
-    /// Storage size in bytes: 4 per parameter, the power norm's scale and
-    /// shift, and a 64-byte header.
-    pub fn size_bytes(&self) -> usize {
-        self.param_count() * 4 + 2 * self.feature_dim() * 4 + 64
     }
 
     /// Encodes one sample to power-normalized features.
@@ -146,24 +109,13 @@ impl<F: Frontend<Input = Tensor>> ConceptKb<F> {
     ///
     /// Panics if `samples` is empty or any sample has the wrong length.
     pub fn encode_batch(&self, samples: &[&[f32]]) -> Tensor {
-        self.encoder.encode(&stack(samples, self.input_len))
+        let x = stack(samples, self.encoder.frontend().in_len());
+        self.encoder.encode(&x)
     }
 
     /// Decodes received features to the most likely concept.
     pub fn decode(&self, features: &[f32]) -> usize {
         self.decoder.predict(&Tensor::row_from_slice(features))[0].index()
-    }
-
-    /// End-to-end transmission: `self` encodes, `receiver` decodes.
-    pub fn transmit(
-        &self,
-        receiver: &Self,
-        sample: &[f32],
-        channel: &dyn Channel,
-        rng: &mut dyn RngCore,
-    ) -> usize {
-        let received = channel.transmit_f32(&self.encode(sample), rng);
-        receiver.decode(&received)
     }
 
     /// Classification accuracy over `n` fresh samples through `channel`.
@@ -175,23 +127,15 @@ impl<F: Frontend<Input = Tensor>> ConceptKb<F> {
         rng: &mut dyn RngCore,
     ) -> f64 {
         accuracy(source, n, rng, |x, rng| {
-            self.transmit(self, x, channel, rng)
+            self.decode(&channel.transmit_f32(&self.encode(x), rng))
         })
     }
 
-    /// Converts this trained KB into its int8 inference twin.
-    pub fn quantize(&self) -> QuantizedConceptKb<F> {
-        QuantizedConceptKb {
-            encoder: QuantizedEncoder::from_encoder(&self.encoder),
-            decoder: QuantizedDecoder::from_decoder(&self.decoder),
-            input_len: self.input_len,
-        }
-    }
-
     /// Trains encoder and decoder jointly with channel-noise injection;
-    /// returns the mean loss of the last epoch. Each minibatch takes one
-    /// [`sharded_step`] over [`shard_count`] shards: data-parallel at two
-    /// or more, otherwise serial with noise drawn from the main RNG.
+    /// returns the mean loss of the last epoch and bumps the version. Each
+    /// minibatch takes one [`sharded_step`] over [`shard_count`] shards:
+    /// data-parallel at two or more, otherwise serial with noise drawn from
+    /// the main RNG.
     pub fn train<S: ConceptSource<Frontend = F>>(
         &mut self,
         source: &S,
@@ -201,6 +145,7 @@ impl<F: Frontend<Input = Tensor>> ConceptKb<F> {
         let mut rng = seeded_rng(seed);
         let mut opt = Adam::new(config.learning_rate);
         let channel = config.train_snr_db.map(AwgnChannel::new);
+        let in_len = self.encoder.frontend().in_len();
         let mut last_loss = 0.0;
         for _ in 0..config.epochs {
             let mut epoch_loss = 0.0;
@@ -219,7 +164,7 @@ impl<F: Frontend<Input = Tensor>> ConceptKb<F> {
                     &mut rng,
                     &mut opt,
                     |kb, rows, rng| {
-                        let x = stack(&xs[rows.clone()], kb.input_len);
+                        let x = stack(&xs[rows.clone()], in_len);
                         let labels = &labels[rows];
                         kb.encoder
                             .backprop(&mut kb.decoder, &x, labels, channel.as_ref(), rng)
@@ -232,33 +177,12 @@ impl<F: Frontend<Input = Tensor>> ConceptKb<F> {
                 last_loss = epoch_loss / batches as f32;
             }
         }
+        self.bump_version();
         last_loss
     }
 }
 
-/// Int8 post-training-quantized twin of a [`ConceptKb`] for inference: a
-/// [`QuantizedEncoder`] (the front end's int8 form, quantized projection,
-/// f32 power norm) and a [`QuantizedDecoder`] (exact integer accumulation).
-#[derive(Debug, Clone)]
-pub struct QuantizedConceptKb<F: Frontend> {
-    encoder: QuantizedEncoder<F>,
-    decoder: QuantizedDecoder,
-    input_len: usize,
-}
-
-impl<F: Frontend<Input = Tensor>> QuantizedConceptKb<F> {
-    /// Features per sample (the air interface of the fp32 KB).
-    pub fn feature_dim(&self) -> usize {
-        self.encoder.feature_dim()
-    }
-
-    /// Storage size in bytes, counted like [`ConceptKb::size_bytes`]:
-    /// encoder (int8 front end and projection, f32 norm), decoder, 64-byte
-    /// header.
-    pub fn size_bytes(&self) -> usize {
-        self.encoder.size_bytes() + self.decoder.size_bytes() + 64
-    }
-
+impl<F: Frontend<Input = Tensor>> QuantizedKb<F> {
     /// Encodes one sample to power-normalized features.
     ///
     /// # Panics
@@ -274,7 +198,8 @@ impl<F: Frontend<Input = Tensor>> QuantizedConceptKb<F> {
     ///
     /// Panics if `samples` is empty or any sample has the wrong length.
     pub fn encode_batch(&self, samples: &[&[f32]]) -> Tensor {
-        self.encoder.encode(&stack(samples, self.input_len))
+        let x = stack(samples, self.encoder.frontend().in_len());
+        self.encoder.encode(&x)
     }
 
     /// Decodes received features to the most likely concept.
@@ -283,8 +208,8 @@ impl<F: Frontend<Input = Tensor>> QuantizedConceptKb<F> {
     }
 
     /// Classification accuracy over `n` fresh samples through `channel` —
-    /// the protocol of [`ConceptKb::accuracy`], so fp32 and int8 accuracy
-    /// are directly comparable at equal seeds.
+    /// the protocol of [`KnowledgeBase::accuracy`], so fp32 and int8
+    /// accuracy are directly comparable at equal seeds.
     pub fn accuracy<S: ConceptSource<Frontend = F>>(
         &self,
         source: &S,
@@ -298,14 +223,14 @@ impl<F: Frontend<Input = Tensor>> QuantizedConceptKb<F> {
     }
 }
 
-/// Packs equal-length samples into one `[samples.len(), input_len]` batch.
-fn stack(samples: &[&[f32]], input_len: usize) -> Tensor {
-    let mut flat = Vec::with_capacity(samples.len() * input_len);
+/// Packs equal-length samples into one `[samples.len(), in_len]` batch.
+fn stack(samples: &[&[f32]], in_len: usize) -> Tensor {
+    let mut flat = Vec::with_capacity(samples.len() * in_len);
     for s in samples {
-        assert_eq!(s.len(), input_len, "wrong sample length");
+        assert_eq!(s.len(), in_len, "wrong sample length");
         flat.extend_from_slice(s);
     }
-    Tensor::from_vec(samples.len(), input_len, flat).expect("lengths checked")
+    Tensor::from_vec(samples.len(), in_len, flat).expect("lengths checked")
 }
 
 /// Share of `n` fresh samples that `transmit` decodes to their concept.

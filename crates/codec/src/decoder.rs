@@ -7,10 +7,9 @@ use semcom_nn::Tensor;
 use semcom_text::ConceptId;
 use serde::{Deserialize, Serialize};
 
-/// The semantic decoder of every knowledge base — the text
-/// [`KnowledgeBase`](crate::KnowledgeBase) and each
-/// [`ConceptKb`](crate::concept::ConceptKb): performs the paper's "semantic
-/// restoration" (§I), mapping noisy received features to **concepts**.
+/// The semantic decoder of every [`KnowledgeBase`](crate::KnowledgeBase),
+/// whatever its modality: performs the paper's "semantic restoration"
+/// (§I), mapping noisy received features to **concepts**.
 ///
 /// Architecture: feature → [`Linear`] → ReLU → [`Linear`] → concept logits.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -45,6 +44,11 @@ impl SemanticDecoder {
     /// Feature dimensionality expected on input.
     pub fn feature_dim(&self) -> usize {
         self.l1.in_dim()
+    }
+
+    /// Hidden width.
+    pub fn hidden_dim(&self) -> usize {
+        self.l1.out_dim()
     }
 
     /// Computes concept logits `[n, concepts]` without caching.
@@ -103,11 +107,7 @@ impl SemanticDecoder {
         rng: &mut dyn RngCore,
     ) -> (f32, Tensor) {
         let received = match channel {
-            Some(ch) => {
-                let noisy = ch.transmit_f32(features.as_slice(), rng);
-                Tensor::from_vec(features.rows(), features.cols(), noisy)
-                    .expect("channel preserves length")
-            }
+            Some(ch) => over_channel(features, ch, rng),
             None => features,
         };
         let logits = self.forward(&received);
@@ -137,6 +137,25 @@ impl SemanticDecoder {
             .map(|l| l.weight().len() + l.bias().len())
             .sum()
     }
+
+    /// Serialized size in bytes: 4 per trainable scalar.
+    pub fn size_bytes(&self) -> usize {
+        self.param_count() * 4
+    }
+}
+
+/// `features` after `channel`, shape kept; an empty batch draws no noise.
+pub(crate) fn over_channel(
+    features: Tensor,
+    channel: &dyn Channel,
+    rng: &mut dyn RngCore,
+) -> Tensor {
+    if features.is_empty() {
+        return features;
+    }
+    let received = channel.transmit_f32(features.as_slice(), rng);
+    Tensor::from_vec(features.rows(), features.cols(), received)
+        .expect("channel preserves feature length")
 }
 
 #[cfg(test)]

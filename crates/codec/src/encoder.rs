@@ -7,9 +7,9 @@ use semcom_nn::quant::{QuantScratch, QuantizedLinear, QuantizedTable};
 use semcom_nn::Tensor;
 use std::fmt::Debug;
 
-/// The modality-specific input stage of a [`SemanticEncoder`]: one input
-/// in, `out_len()`-wide activation rows out. Text's is the [`Embedding`]
-/// table; the other modalities' come from their
+/// The modality-specific input stage of a [`SemanticEncoder`]:
+/// `in_len()`-wide input rows in, `out_len()`-wide activation rows out.
+/// Text's is the [`Embedding`] table; the other modalities' come from their
 /// [`ConceptSource`](crate::concept::ConceptSource).
 pub trait Frontend: Clone + Debug + Send + Sync {
     /// What one pass reads: token ids for text, flattened sample rows
@@ -18,6 +18,10 @@ pub trait Frontend: Clone + Debug + Send + Sync {
 
     /// The int8 inference form of this front end.
     type Quantized: QuantizedFrontend<Self::Input>;
+
+    /// Width of one input row: the length of one flattened sample (one
+    /// token id for text).
+    fn in_len(&self) -> usize;
 
     /// Width of one output row (the projection's input width).
     fn out_len(&self) -> usize;
@@ -44,6 +48,9 @@ pub trait Frontend: Clone + Debug + Send + Sync {
 /// The inference-only form of a [`Frontend`] over inputs `I` inside a
 /// [`QuantizedEncoder`](crate::QuantizedEncoder).
 pub trait QuantizedFrontend<I: ?Sized>: Clone + Debug + Send + Sync {
+    /// Width of one input row, that of the fp32 front end.
+    fn in_len(&self) -> usize;
+
     /// Runs this front end and then `proj` over `x`, writing the
     /// `[rows, proj.out_dim()]` result into `out` (resized and fully
     /// overwritten); `scratch` lends the activation-code buffers.
@@ -62,6 +69,10 @@ pub trait QuantizedFrontend<I: ?Sized>: Clone + Debug + Send + Sync {
 impl Frontend for Embedding {
     type Input = [usize];
     type Quantized = QuantizedTable;
+
+    fn in_len(&self) -> usize {
+        1
+    }
 
     fn out_len(&self) -> usize {
         self.dim()
@@ -93,6 +104,10 @@ impl Frontend for Embedding {
 }
 
 impl QuantizedFrontend<[usize]> for QuantizedTable {
+    fn in_len(&self) -> usize {
+        1
+    }
+
     fn project_into(
         &self,
         proj: &QuantizedLinear,
@@ -112,10 +127,9 @@ impl QuantizedFrontend<[usize]> for QuantizedTable {
     }
 }
 
-/// The semantic encoder of every knowledge base — the text
-/// [`KnowledgeBase`](crate::KnowledgeBase) (front end an [`Embedding`]) and
-/// each [`ConceptKb`](crate::concept::ConceptKb): performs the paper's
-/// "semantic feature extraction" (§I).
+/// The semantic encoder of every [`KnowledgeBase`](crate::KnowledgeBase) —
+/// text (front end an [`Embedding`]) and every other modality: performs the
+/// paper's "semantic feature extraction" (§I).
 ///
 /// Architecture: front end → [`Linear`] projection → frozen power
 /// normalization. The normalization keeps every transmitted feature row at
@@ -209,6 +223,12 @@ impl<F: Frontend> SemanticEncoder<F> {
     /// Number of trainable scalars.
     pub fn param_count(&self) -> usize {
         self.frontend.param_count() + self.proj.weight().len() + self.proj.bias().len()
+    }
+
+    /// Serialized size in bytes: 4 per trainable scalar plus the frozen
+    /// power norm's scale and shift.
+    pub fn size_bytes(&self) -> usize {
+        (self.param_count() + 2 * self.norm.dim()) * 4
     }
 }
 

@@ -1,6 +1,6 @@
 use crate::config::CodecConfig;
-use crate::decoder::SemanticDecoder;
-use crate::encoder::SemanticEncoder;
+use crate::decoder::{over_channel, SemanticDecoder};
+use crate::encoder::{Frontend, SemanticEncoder};
 use rand::RngCore;
 use semcom_channel::Channel;
 use semcom_nn::layers::Embedding;
@@ -39,26 +39,29 @@ impl fmt::Display for KbScope {
     }
 }
 
-/// A knowledge base: a trained semantic encoder/decoder pair.
+/// A knowledge base: a trained semantic encoder/decoder pair over front end
+/// `F` — the token [`Embedding`] for text (the default), a
+/// [`ConceptSource`](crate::concept::ConceptSource)'s front end for image,
+/// audio and video (built with [`KnowledgeBase::for_source`]).
 ///
 /// KBs are the objects the semantic cache stores, the federated protocol
-/// synchronizes, and the edge servers execute. They are serializable
-/// (transfer from cloud to edge) and report their wire/storage size.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct KnowledgeBase {
-    scope: KbScope,
-    config: CodecConfig,
+/// synchronizes, and the edge servers execute. They report their
+/// wire/storage size; [`KnowledgeBase::quantize`] converts one into its
+/// int8 inference twin, a [`QuantizedKb`](crate::QuantizedKb).
+#[derive(Debug, Clone)]
+pub struct KnowledgeBase<F: Frontend = Embedding> {
+    pub(crate) scope: KbScope,
     /// Monotonically increasing model version (bumped on every training
     /// round; used by the sync protocol to detect staleness).
-    version: u64,
+    pub(crate) version: u64,
     /// The semantic encoder.
-    pub encoder: SemanticEncoder,
+    pub encoder: SemanticEncoder<F>,
     /// The semantic decoder.
     pub decoder: SemanticDecoder,
 }
 
 impl KnowledgeBase {
-    /// Creates an untrained KB.
+    /// Creates an untrained text KB.
     pub fn new(
         config: CodecConfig,
         vocab_size: usize,
@@ -69,7 +72,6 @@ impl KnowledgeBase {
         let s = derive_seed(seed, 10);
         KnowledgeBase {
             scope,
-            config,
             version: 0,
             encoder: SemanticEncoder::new(
                 Embedding::new(vocab_size, config.embed_dim, derive_seed(s, 1)),
@@ -84,15 +86,27 @@ impl KnowledgeBase {
             ),
         }
     }
+}
 
+impl<F: Frontend> KnowledgeBase<F> {
     /// The scope this KB is specialized for.
     pub fn scope(&self) -> KbScope {
         self.scope
     }
 
-    /// The architecture configuration.
-    pub fn config(&self) -> &CodecConfig {
-        &self.config
+    /// The architecture, read off the layers: front-end width, features
+    /// per row, decoder hidden width.
+    pub fn config(&self) -> CodecConfig {
+        CodecConfig {
+            embed_dim: self.encoder.frontend().out_len(),
+            feature_dim: self.feature_dim(),
+            hidden_dim: self.decoder.hidden_dim(),
+        }
+    }
+
+    /// Features per transmitted row (token or sample).
+    pub fn feature_dim(&self) -> usize {
+        self.encoder.feature_dim()
     }
 
     /// Current model version.
@@ -108,7 +122,7 @@ impl KnowledgeBase {
     /// Derives a user-specific KB from this (domain-general) KB: same
     /// weights, new scope — the paper's `e_u^m, d_u^m … evolved from the
     /// general models` (§II-D).
-    pub fn derive_user_model(&self, user: u64, domain: Domain) -> KnowledgeBase {
+    pub fn derive_user_model(&self, user: u64, domain: Domain) -> Self {
         let mut kb = self.clone();
         kb.scope = KbScope::UserSpecific { user, domain };
         kb.version = 0;
@@ -116,7 +130,7 @@ impl KnowledgeBase {
     }
 
     /// Encoder then decoder parameters, the order the optimizer keys on.
-    pub(crate) fn params_mut(&mut self) -> Vec<&mut Param> {
+    pub fn params_mut(&mut self) -> Vec<&mut Param> {
         let mut ps = self.encoder.params_mut();
         ps.extend(self.decoder.params_mut());
         ps
@@ -127,44 +141,40 @@ impl KnowledgeBase {
         self.encoder.param_count() + self.decoder.param_count()
     }
 
-    /// Storage/transfer size in bytes (4 bytes per parameter plus a small
-    /// fixed metadata overhead) — the size the cache accounts against its
-    /// capacity and the cloud→edge fetch cost in the simulator.
+    /// Storage/transfer size in bytes — encoder (its frozen power norm
+    /// included), decoder and a 64-byte header, the rule of both
+    /// precisions: the size the cache accounts against its capacity and
+    /// the cloud→edge fetch cost in the simulator.
     pub fn size_bytes(&self) -> usize {
-        self.param_count() * 4 + 64
+        self.encoder.size_bytes() + self.decoder.size_bytes() + 64
     }
 
-    /// Transmits a token sequence end-to-end: encode with `self`'s encoder,
-    /// pass the features through `channel`, decode with `receiver`'s
-    /// decoder. Returns the decoded concept sequence.
+    /// Transmits `x` (token ids, or sample rows) end-to-end: encode with
+    /// `self`'s encoder, pass the features through `channel`, decode with
+    /// `receiver`'s decoder. Returns one decoded concept per row.
     ///
     /// # Panics
     ///
     /// Panics if the feature dimensions of the two KBs differ.
     pub fn transmit(
         &self,
-        receiver: &KnowledgeBase,
-        tokens: &[usize],
+        receiver: &Self,
+        x: &F::Input,
         channel: &dyn Channel,
         rng: &mut dyn RngCore,
     ) -> Vec<ConceptId> {
         assert_eq!(
-            self.config.feature_dim, receiver.config.feature_dim,
+            self.feature_dim(),
+            receiver.feature_dim(),
             "encoder/decoder feature dimensions differ"
         );
-        if tokens.is_empty() {
-            return Vec::new();
-        }
-        let features = self.encoder.encode(tokens);
-        let received = channel.transmit_f32(features.as_slice(), rng);
-        let received = semcom_nn::Tensor::from_vec(features.rows(), features.cols(), received)
-            .expect("channel preserves feature length");
+        let received = over_channel(self.encoder.encode(x), channel, rng);
         receiver.decoder.predict(&received)
     }
 
-    /// Complex channel symbols needed to transmit `n_tokens` tokens.
-    pub fn symbols_for(&self, n_tokens: usize) -> usize {
-        n_tokens * self.config.symbols_per_token()
+    /// Complex channel symbols needed to transmit `rows` tokens or samples.
+    pub fn symbols_for(&self, rows: usize) -> usize {
+        rows * self.feature_dim().div_ceil(2)
     }
 }
 
@@ -210,7 +220,9 @@ mod tests {
             + (c.hidden_dim + 1) * concepts;
         assert_eq!(live, architecture);
         assert_eq!(k.param_count(), live);
-        assert_eq!(k.size_bytes(), live * 4 + 64);
+        // 4 bytes per parameter, the frozen power norm's γ and β, a header.
+        assert_eq!(k.size_bytes(), (live + 2 * c.feature_dim) * 4 + 64);
+        assert_eq!(k.config(), c);
     }
 
     #[test]

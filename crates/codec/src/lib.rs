@@ -12,25 +12,25 @@
 //! * [`SemanticEncoder`] — input → [`Frontend`] (for text the token
 //!   embedding) → linear projection → power normalization →
 //!   `feature_dim`-float semantic symbols transmitted as analog I/Q
-//!   samples; like the decoder, one encoder for both owners, with
-//!   [`QuantizedEncoder`] as its int8 form;
-//! * [`SemanticDecoder`] — noisy features → MLP → **concept** logits, the
-//!   one decoder of both owners: every [`KnowledgeBase`] and every
-//!   [`concept::ConceptKb`] (with [`QuantizedDecoder`] as its int8 form in
-//!   both). The decoder emits meanings, not words: this is what makes
-//!   domain polysemy and user idiolects measurable (see [`semcom_text`]);
-//! * [`KnowledgeBase`] — an encoder/decoder pair tagged with its scope
-//!   (general, domain-specialized `e_i^m`, or user-specific `e_{u}^m`),
-//!   trainable with [`train::Trainer`] and serializable (KBs are the cached
-//!   objects of the semantic cache);
+//!   samples, with [`QuantizedEncoder`] as its int8 form;
+//! * [`SemanticDecoder`] — noisy features → MLP → **concept** logits, with
+//!   [`QuantizedDecoder`] as its int8 form. The decoder emits meanings, not
+//!   words: this is what makes domain polysemy and user idiolects
+//!   measurable (see [`semcom_text`]);
+//! * [`KnowledgeBase<F>`] — an encoder/decoder pair over front end `F`
+//!   tagged with its scope (general, domain-specialized `e_i^m`, or
+//!   user-specific `e_{u}^m`), the one fp32 KB of every modality: text (the
+//!   default, trainable with [`train::Trainer`]) and, built with
+//!   [`KnowledgeBase::for_source`] over a [`concept::ConceptSource`], the
+//!   non-text modalities of §III-B — `semcom-audio` (MLP front end) and
+//!   `semcom-vision` (CNN, images and video). [`QuantizedKb<F>`] is its
+//!   one int8 form. KBs are the cached objects of the semantic cache, and
+//!   both precisions count their bytes by one rule;
 //! * [`mismatch::mismatch_rate`] — the encoder/decoder mismatch `ε(e, d)`
 //!   the sender edge measures with its **decoder copy** (§II-C);
 //! * [`TraditionalCodec`] — Huffman source coding + channel coding +
 //!   modulation: the "transmit data bit by bit" baseline (§I), including
-//!   its receiver-side lexicon interpretation;
-//! * [`concept::ConceptKb`] — the same semantic codec for the non-text
-//!   modalities (§III-B): one KB generic over a modality front end, used
-//!   by `semcom-audio` (MLP) and `semcom-vision` (CNN, images and video).
+//!   its receiver-side lexicon interpretation.
 //!
 //! # Example: train a domain KB and transmit a sentence
 //!

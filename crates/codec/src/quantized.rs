@@ -16,10 +16,9 @@
 //! per-row power normalization), so packing users into one activation
 //! matrix changes throughput, never results.
 
-use crate::config::CodecConfig;
-use crate::decoder::SemanticDecoder;
+use crate::decoder::{over_channel, SemanticDecoder};
 use crate::encoder::{Frontend, QuantizedFrontend, SemanticEncoder};
-use crate::kb::{KbScope, KnowledgeBase};
+use crate::kb::KnowledgeBase;
 use rand::RngCore;
 use semcom_channel::Channel;
 use semcom_nn::layers::{Embedding, LayerNorm};
@@ -81,6 +80,11 @@ impl<F: Frontend> QuantizedEncoder<F> {
     /// Feature dimensionality per row.
     pub fn feature_dim(&self) -> usize {
         self.proj.out_dim()
+    }
+
+    /// The int8 front end (read-only).
+    pub(crate) fn frontend(&self) -> &F::Quantized {
+        &self.frontend
     }
 
     /// Encodes `x` (for text, the concatenation of one or many users' token
@@ -181,102 +185,81 @@ impl QuantizedDecoder {
     }
 }
 
-/// An int8 post-training-quantized [`KnowledgeBase`]: same scope, config,
-/// and version as the f32 model it was converted from, ~4x smaller, for
-/// inference only.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct QuantizedKb {
-    scope: KbScope,
-    config: CodecConfig,
-    version: u64,
+/// An int8 post-training-quantized [`KnowledgeBase`] over front end `F`,
+/// for inference only: ~4x smaller, same air interface.
+#[derive(Debug, Clone)]
+pub struct QuantizedKb<F: Frontend = Embedding> {
     /// The quantized encoder.
-    pub encoder: QuantizedEncoder,
+    pub encoder: QuantizedEncoder<F>,
     /// The quantized decoder.
     pub decoder: QuantizedDecoder,
 }
 
-/// Converts a trained f32 knowledge base into its int8 inference twin.
-pub fn quantize_model(kb: &KnowledgeBase) -> QuantizedKb {
-    QuantizedKb {
-        scope: kb.scope(),
-        config: *kb.config(),
-        version: kb.version(),
-        encoder: QuantizedEncoder::from_encoder(&kb.encoder),
-        decoder: QuantizedDecoder::from_decoder(&kb.decoder),
+/// Converts a trained f32 knowledge base into its int8 inference twin
+/// (see [`KnowledgeBase::quantize`]).
+pub fn quantize_model<F: Frontend>(kb: &KnowledgeBase<F>) -> QuantizedKb<F> {
+    kb.quantize()
+}
+
+impl<F: Frontend> KnowledgeBase<F> {
+    /// Converts this trained KB into its int8 inference twin.
+    pub fn quantize(&self) -> QuantizedKb<F> {
+        QuantizedKb {
+            encoder: QuantizedEncoder::from_encoder(&self.encoder),
+            decoder: QuantizedDecoder::from_decoder(&self.decoder),
+        }
     }
 }
 
-impl KnowledgeBase {
-    /// Converts this trained KB into its int8 inference twin
-    /// (see [`quantize_model`]).
-    pub fn quantize(&self) -> QuantizedKb {
-        quantize_model(self)
-    }
-}
-
-impl QuantizedKb {
-    /// The scope inherited from the source KB.
-    pub fn scope(&self) -> KbScope {
-        self.scope
+impl<F: Frontend> QuantizedKb<F> {
+    /// Features per transmitted row (the air interface of the fp32 KB).
+    pub fn feature_dim(&self) -> usize {
+        self.encoder.feature_dim()
     }
 
-    /// The architecture configuration.
-    pub fn config(&self) -> &CodecConfig {
-        &self.config
-    }
-
-    /// The f32 model version this quantization was taken from (used to
-    /// detect staleness after a sync round).
-    pub fn version(&self) -> u64 {
-        self.version
-    }
-
-    /// Storage/transfer size in bytes, the quantized counterpart of
-    /// [`KnowledgeBase::size_bytes`] (same fixed metadata overhead).
+    /// Storage/transfer size in bytes, the rule of
+    /// [`KnowledgeBase::size_bytes`]: encoder (int8 front end and
+    /// projection, f32 norm), decoder and a 64-byte header.
     pub fn size_bytes(&self) -> usize {
         self.encoder.size_bytes() + self.decoder.size_bytes() + 64
     }
 
-    /// Transmits a token sequence end-to-end through the quantized codec:
-    /// encode with `self`'s encoder, pass features through `channel`,
-    /// decode with `receiver`'s decoder — the int8 twin of
-    /// [`KnowledgeBase::transmit`].
+    /// The int8 twin of [`KnowledgeBase::transmit`]: encode `x` with
+    /// `self`'s encoder, pass the features through `channel`, decode with
+    /// `receiver`'s decoder.
     ///
     /// # Panics
     ///
     /// Panics if the feature dimensions of the two KBs differ.
     pub fn transmit(
         &self,
-        receiver: &QuantizedKb,
-        tokens: &[usize],
+        receiver: &Self,
+        x: &F::Input,
         channel: &dyn Channel,
         rng: &mut dyn RngCore,
     ) -> Vec<ConceptId> {
         assert_eq!(
-            self.config.feature_dim, receiver.config.feature_dim,
+            self.feature_dim(),
+            receiver.feature_dim(),
             "encoder/decoder feature dimensions differ"
         );
-        if tokens.is_empty() {
-            return Vec::new();
-        }
-        let features = self.encoder.encode(tokens);
-        let received = channel.transmit_f32(features.as_slice(), rng);
-        let received = Tensor::from_vec(features.rows(), features.cols(), received)
-            .expect("channel preserves feature length");
+        let received = over_channel(self.encoder.encode(x), channel, rng);
         receiver.decoder.predict(&received)
     }
 
-    /// Complex channel symbols needed to transmit `n_tokens` tokens
-    /// (identical to the f32 model: quantization changes model bytes, not
-    /// the air interface).
-    pub fn symbols_for(&self, n_tokens: usize) -> usize {
-        n_tokens * self.config.symbols_per_token()
+    /// Complex channel symbols needed to transmit `rows` tokens or samples
+    /// (those of the f32 model: quantization changes model bytes, not the
+    /// air interface).
+    pub fn symbols_for(&self, rows: usize) -> usize {
+        rows * self.feature_dim().div_ceil(2)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::CodecConfig;
+    use crate::kb::KbScope;
     use semcom_channel::NoiselessChannel;
     use semcom_nn::rng::seeded_rng;
 
@@ -300,8 +283,6 @@ mod tests {
         let tiny = kb();
         let qt = tiny.quantize();
         assert!(qt.size_bytes() < tiny.size_bytes());
-        assert_eq!(qt.scope(), tiny.scope());
-        assert_eq!(qt.version(), tiny.version());
         assert_eq!(qt.symbols_for(7), tiny.symbols_for(7));
     }
 
@@ -324,7 +305,7 @@ mod tests {
         };
         let default = sizes(CodecConfig::default(), LanguageConfig::default());
         let tiny = sizes(CodecConfig::tiny(), LanguageConfig::tiny());
-        assert_eq!([default, tiny], [(100_576, 35_496), (8_296, 4_136)]);
+        assert_eq!([default, tiny], [(100_640, 35_496), (8_344, 4_136)]);
     }
 
     #[test]

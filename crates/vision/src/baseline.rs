@@ -7,10 +7,11 @@ use semcom_channel::{BitPipeline, Channel, Modulation};
 /// channel-coded bit pipeline, classify at the receiver by nearest
 /// prototype.
 ///
-/// Contrasts with the CNN [`ConceptKb`](semcom_codec::concept::ConceptKb)
-/// exactly as the text baseline contrasts with the text KBs: pixels (syntax) on the wire instead of the
-/// concept (semantics), costing `GLYPH_PIXELS / rate / bits-per-symbol`
-/// channel uses instead of a handful of analog symbols.
+/// Contrasts with the CNN [`KnowledgeBase`](semcom_codec::KnowledgeBase)
+/// exactly as the text baseline contrasts with the text KBs: pixels
+/// (syntax) on the wire instead of the concept (semantics), costing
+/// `GLYPH_PIXELS / rate / bits-per-symbol` channel uses instead of a
+/// handful of analog symbols.
 pub struct PixelBaseline {
     pipeline: BitPipeline,
 }

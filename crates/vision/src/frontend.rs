@@ -1,5 +1,5 @@
 use crate::glyphs::{GlyphSet, GLYPH_PIXELS, GLYPH_SIDE};
-use crate::video::{VideoSet, CLIP_SAMPLES, FRAMES};
+use crate::video::{VideoSet, FRAMES};
 use rand::RngCore;
 use semcom_codec::concept::ConceptSource;
 use semcom_codec::{Frontend, QuantizedFrontend};
@@ -11,7 +11,7 @@ use semcom_nn::Tensor;
 const CONV_CH: usize = 4;
 const KERNEL: usize = 3;
 
-/// The vision front end of a [`ConceptKb`](semcom_codec::concept::ConceptKb):
+/// The vision front end of a [`KnowledgeBase`](semcom_codec::KnowledgeBase):
 /// `Conv2d(in_ch→4, 3×3) → ReLU → MaxPool(2×2)` over 12×12 planes. Images
 /// have one input channel; a video clip's frames enter as channels, so the
 /// kernels see temporal differences directly. Its int8 form is itself: the
@@ -37,6 +37,10 @@ impl ConvFrontend {
 impl Frontend for ConvFrontend {
     type Input = Tensor;
     type Quantized = ConvFrontend;
+
+    fn in_len(&self) -> usize {
+        self.conv.in_len()
+    }
 
     fn out_len(&self) -> usize {
         self.pool.out_len()
@@ -73,6 +77,10 @@ impl Frontend for ConvFrontend {
 }
 
 impl QuantizedFrontend<Tensor> for ConvFrontend {
+    fn in_len(&self) -> usize {
+        self.conv.in_len()
+    }
+
     fn project_into(
         &self,
         proj: &QuantizedLinear,
@@ -96,10 +104,6 @@ impl ConceptSource for GlyphSet {
         self.len()
     }
 
-    fn input_len(&self) -> usize {
-        GLYPH_PIXELS
-    }
-
     fn sample(&self, rng: &mut dyn RngCore) -> (Vec<f32>, usize) {
         GlyphSet::sample(self, rng)
     }
@@ -116,10 +120,6 @@ impl ConceptSource for VideoSet {
         self.len()
     }
 
-    fn input_len(&self) -> usize {
-        CLIP_SAMPLES
-    }
-
     fn sample(&self, rng: &mut dyn RngCore) -> (Vec<f32>, usize) {
         VideoSet::sample(self, rng)
     }
@@ -133,7 +133,8 @@ impl ConceptSource for VideoSet {
 mod tests {
     use super::*;
     use semcom_channel::NoiselessChannel;
-    use semcom_codec::concept::{ConceptKb, ConceptTrainConfig};
+    use semcom_codec::concept::ConceptTrainConfig;
+    use semcom_codec::KnowledgeBase;
     use semcom_nn::rng::seeded_rng;
 
     fn quick(epochs: usize, samples_per_epoch: usize) -> ConceptTrainConfig {
@@ -148,7 +149,7 @@ mod tests {
     #[test]
     fn training_learns_the_glyphs() {
         let g = GlyphSet::new(6, 1);
-        let mut kb = ConceptKb::new(&g, 8, 2);
+        let mut kb = KnowledgeBase::for_source(&g, 8, 2);
         let mut rng = seeded_rng(4);
         let before = kb.accuracy(&g, &NoiselessChannel, 100, &mut rng);
         let loss = kb.train(&g, &quick(6, 240), 5);
@@ -161,7 +162,7 @@ mod tests {
     #[test]
     fn video_kb_learns_motion_concepts() {
         let v = VideoSet::new(3, 1);
-        let mut kb = ConceptKb::new(&v, 8, 2);
+        let mut kb = KnowledgeBase::for_source(&v, 8, 2);
         let mut rng = seeded_rng(4);
         let before = kb.accuracy(&v, &NoiselessChannel, 100, &mut rng);
         kb.train(&v, &quick(8, 320), 5);

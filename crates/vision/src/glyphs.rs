@@ -88,24 +88,10 @@ impl GlyphSet {
     ///
     /// Panics if `concept` is out of range.
     pub fn render(&self, concept: usize, rng: &mut dyn RngCore) -> Vec<f32> {
-        let proto = &self.prototypes[concept];
-        let dy = rng.gen_range(-1i32..=1);
-        let dx = rng.gen_range(-1i32..=1);
+        let shift = (rng.gen_range(-1i32..=1), rng.gen_range(-1i32..=1));
         let mut img = vec![0.0f32; GLYPH_PIXELS];
-        for y in 0..GLYPH_SIDE {
-            for x in 0..GLYPH_SIDE {
-                let sy = y as i32 - dy;
-                let sx = x as i32 - dx;
-                if (0..GLYPH_SIDE as i32).contains(&sy) && (0..GLYPH_SIDE as i32).contains(&sx) {
-                    img[y * GLYPH_SIDE + x] = proto[sy as usize * GLYPH_SIDE + sx as usize];
-                }
-            }
-        }
-        for p in &mut img {
-            if rng.gen::<f64>() < self.pixel_noise {
-                *p = 1.0 - *p;
-            }
-        }
+        shift_into(&self.prototypes[concept], shift, &mut img);
+        flip_pixels(&mut img, self.pixel_noise, rng);
         img
     }
 
@@ -114,37 +100,50 @@ impl GlyphSet {
     /// penalize the true class) — the receiver-side interpreter of the
     /// pixel baseline.
     pub fn classify(&self, image: &[f32]) -> usize {
-        let mut best = 0;
-        let mut best_d = usize::MAX;
+        // (distance, concept): the first concept at the least distance.
+        let mut best = (usize::MAX, 0);
+        let mut shifted = vec![0.0f32; GLYPH_PIXELS];
         for (c, proto) in self.prototypes.iter().enumerate() {
             for dy in -1i32..=1 {
                 for dx in -1i32..=1 {
-                    let mut d = 0usize;
-                    for y in 0..GLYPH_SIDE {
-                        for x in 0..GLYPH_SIDE {
-                            let sy = y as i32 - dy;
-                            let sx = x as i32 - dx;
-                            let pv = if (0..GLYPH_SIDE as i32).contains(&sy)
-                                && (0..GLYPH_SIDE as i32).contains(&sx)
-                            {
-                                proto[sy as usize * GLYPH_SIDE + sx as usize] >= 0.5
-                            } else {
-                                false
-                            };
-                            if pv != (image[y * GLYPH_SIDE + x] >= 0.5) {
-                                d += 1;
-                            }
-                        }
-                    }
-                    if d < best_d {
-                        best_d = d;
-                        best = c;
-                    }
+                    shifted.fill(0.0);
+                    shift_into(proto, (dy, dx), &mut shifted);
+                    best = best.min((hamming(&shifted, image), c));
                 }
             }
         }
-        best
+        best.1
     }
+}
+
+/// Copies `proto` moved by `(dy, dx)` pixels into the zeroed `out`;
+/// pixels that would come from outside the canvas stay 0.
+pub(crate) fn shift_into(proto: &[f32], (dy, dx): (i32, i32), out: &mut [f32]) {
+    for y in 0..GLYPH_SIDE {
+        for x in 0..GLYPH_SIDE {
+            let (sy, sx) = (y as i32 - dy, x as i32 - dx);
+            if (0..GLYPH_SIDE as i32).contains(&sy) && (0..GLYPH_SIDE as i32).contains(&sx) {
+                out[y * GLYPH_SIDE + x] = proto[sy as usize * GLYPH_SIDE + sx as usize];
+            }
+        }
+    }
+}
+
+/// Flips each pixel independently with probability `p`.
+pub(crate) fn flip_pixels(pixels: &mut [f32], p: f64, rng: &mut dyn RngCore) {
+    for px in pixels {
+        if rng.gen::<f64>() < p {
+            *px = 1.0 - *px;
+        }
+    }
+}
+
+/// Pixels on which the binarized `a` and `b` differ.
+pub(crate) fn hamming(a: &[f32], b: &[f32]) -> usize {
+    a.iter()
+        .zip(b)
+        .filter(|(a, b)| (**a >= 0.5) != (**b >= 0.5))
+        .count()
 }
 
 #[cfg(test)]

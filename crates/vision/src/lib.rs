@@ -14,16 +14,16 @@
 //!   renderings, so ground-truth *meaning* is exactly known (the same
 //!   trick the text modality uses);
 //! * [`ConvFrontend`] — the Conv → ReLU → MaxPool front end that makes
-//!   `ConceptKb::new(&glyphs, …)` (semcom-codec's generic
-//!   [`ConceptKb`](semcom_codec::concept::ConceptKb)) a CNN knowledge base
-//!   sending a handful of analog symbols per image;
+//!   `KnowledgeBase::for_source(&glyphs, …)` (semcom-codec's one
+//!   [`KnowledgeBase`](semcom_codec::KnowledgeBase) type) a CNN knowledge
+//!   base sending a handful of analog symbols per image;
 //! * [`PixelBaseline`] — the traditional leg: 1-bit pixels through a
 //!   channel-coded bit pipeline, classified at the receiver by nearest
 //!   prototype;
 //! * [`VideoSet`] — the **video** leg: short clips whose meaning is a
-//!   `(glyph, motion)` pair; `ConceptKb::new(&videos, …)` encodes them with
-//!   the same front end, its input channels the frames (temporal
-//!   differences visible to the kernels).
+//!   `(glyph, motion)` pair; `KnowledgeBase::for_source(&videos, …)`
+//!   encodes them with the same front end, its input channels the frames
+//!   (temporal differences visible to the kernels).
 //!
 //! Experiment F7 (`semcom-bench`, `f7_image_codec`) sweeps SNR and
 //! compares accuracy and channel uses.
@@ -33,17 +33,15 @@
 //! ```
 //! use semcom_vision::GlyphSet;
 //! use semcom_channel::AwgnChannel;
-//! use semcom_codec::concept::{ConceptKb, ConceptTrainConfig};
+//! use semcom_codec::concept::ConceptTrainConfig;
+//! use semcom_codec::KnowledgeBase;
 //! use semcom_nn::rng::seeded_rng;
 //!
 //! let glyphs = GlyphSet::new(6, 1);
-//! let mut kb = ConceptKb::new(&glyphs, 8, 2);
+//! let mut kb = KnowledgeBase::for_source(&glyphs, 8, 2);
 //! kb.train(&glyphs, &ConceptTrainConfig { epochs: 4, ..Default::default() }, 3);
-//! let mut rng = seeded_rng(4);
-//! let (img, label) = glyphs.sample(&mut rng);
-//! let decoded = kb.transmit(&kb, &img, &AwgnChannel::new(15.0), &mut rng);
-//! assert!(decoded < 6);
-//! let _ = label;
+//! let acc = kb.accuracy(&glyphs, &AwgnChannel::new(15.0), 100, &mut seeded_rng(4));
+//! assert!(acc > 0.8, "accuracy {acc}");
 //! ```
 
 #![forbid(unsafe_code)]

@@ -7,7 +7,7 @@
 //! identify the concept — which is exactly what distinguishes video from
 //! image coding.
 
-use crate::glyphs::{GlyphSet, GLYPH_PIXELS, GLYPH_SIDE};
+use crate::glyphs::{flip_pixels, hamming, shift_into, GlyphSet, GLYPH_PIXELS};
 use rand::{Rng, RngCore};
 use semcom_nn::rng::{derive_seed, seeded_rng};
 
@@ -97,25 +97,9 @@ impl VideoSet {
         let (dy, dx) = motion.delta();
         let proto = self.glyphs.prototype_of(glyph);
         let mut clip = vec![0.0f32; CLIP_SAMPLES];
-        for f in 0..FRAMES {
-            let off_y = dy * f as i32;
-            let off_x = dx * f as i32;
-            let frame = &mut clip[f * GLYPH_PIXELS..(f + 1) * GLYPH_PIXELS];
-            for y in 0..GLYPH_SIDE {
-                for x in 0..GLYPH_SIDE {
-                    let sy = y as i32 - off_y;
-                    let sx = x as i32 - off_x;
-                    if (0..GLYPH_SIDE as i32).contains(&sy) && (0..GLYPH_SIDE as i32).contains(&sx)
-                    {
-                        frame[y * GLYPH_SIDE + x] = proto[sy as usize * GLYPH_SIDE + sx as usize];
-                    }
-                }
-            }
-            for p in frame.iter_mut() {
-                if rng.gen::<f64>() < self.pixel_noise {
-                    *p = 1.0 - *p;
-                }
-            }
+        for (f, frame) in clip.chunks_exact_mut(GLYPH_PIXELS).enumerate() {
+            shift_into(proto, (dy * f as i32, dx * f as i32), frame);
+            flip_pixels(frame, self.pixel_noise, rng);
         }
         clip
     }
@@ -123,25 +107,13 @@ impl VideoSet {
     /// Nearest-prototype classification over whole clips (clean renders of
     /// every concept as the reference bank) — the baseline receiver.
     pub fn classify(&self, clip: &[f32]) -> usize {
-        let mut best = 0;
-        let mut best_d = usize::MAX;
+        // Clean references: renders with zero pixel noise.
+        let mut clean = self.clone();
+        clean.pixel_noise = 0.0;
         let mut scratch = seeded_rng(0);
-        for c in 0..self.len() {
-            // Clean reference: render with zero pixel noise.
-            let mut clean = self.clone();
-            clean.pixel_noise = 0.0;
-            let reference = clean.render(c, &mut scratch);
-            let d = reference
-                .iter()
-                .zip(clip)
-                .filter(|(a, b)| (**a >= 0.5) != (**b >= 0.5))
-                .count();
-            if d < best_d {
-                best_d = d;
-                best = c;
-            }
-        }
-        best
+        (0..self.len())
+            .min_by_key(|&c| hamming(&clean.render(c, &mut scratch), clip))
+            .expect("video sets are non-empty")
     }
 }
 

@@ -7,7 +7,8 @@
 
 use semcom_channel::coding::HammingCode74;
 use semcom_channel::{AwgnChannel, Modulation};
-use semcom_codec::concept::{ConceptKb, ConceptTrainConfig};
+use semcom_codec::concept::ConceptTrainConfig;
+use semcom_codec::KnowledgeBase;
 use semcom_nn::rng::seeded_rng;
 use semcom_vision::{GlyphSet, PixelBaseline, GLYPH_SIDE};
 
@@ -35,7 +36,7 @@ fn main() {
     }
 
     println!("\ntraining the CNN knowledge base…");
-    let mut kb = ConceptKb::new(&glyphs, 8, 1);
+    let mut kb = KnowledgeBase::for_source(&glyphs, 8, 1);
     kb.train(
         &glyphs,
         &ConceptTrainConfig {
@@ -49,14 +50,13 @@ fn main() {
 
     println!(
         "payload per image: semantic {} symbols vs pixel pipeline {} symbols\n",
-        kb.symbols_per_concept(),
+        kb.symbols_for(1),
         baseline.symbols_per_image()
     );
 
     println!("  SNR(dB) | semantic acc | pixel acc (equal energy/image)");
     println!("  --------+--------------+-------------------------------");
-    let handicap =
-        10.0 * (baseline.symbols_per_image() as f64 / kb.symbols_per_concept() as f64).log10();
+    let handicap = 10.0 * (baseline.symbols_per_image() as f64 / kb.symbols_for(1) as f64).log10();
     for snr in [-3.0, 0.0, 3.0, 6.0, 12.0] {
         let mut rng = seeded_rng(50 + snr as i64 as u64);
         let sem = kb.accuracy(&glyphs, &AwgnChannel::new(snr), 300, &mut rng);

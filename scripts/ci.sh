@@ -44,7 +44,7 @@ cargo bench -p semcom-bench --bench pipeline -- --test
 # the policy step and the adaptive/offload fleet replays must keep running.
 cargo bench -p semcom-bench --bench adapt -- --test
 # `system` pre-trains a SemanticEdgeSystem and `vision` trains an image
-# ConceptKb: both run the optimizer, loss and matmul kernels end to end (as
+# KnowledgeBase: both run the optimizer, loss and matmul kernels end to end (as
 # does the `fit_pairs` routine of the codec bench above).
 cargo bench -p semcom-bench --bench system -- --test
 cargo bench -p semcom-bench --bench vision -- --test

@@ -5,8 +5,8 @@
 
 use semcom_audio::{MatchedFilter, ToneSet};
 use semcom_channel::{AwgnChannel, NoiselessChannel};
-use semcom_codec::concept::{ConceptKb, ConceptSource, ConceptTrainConfig};
-use semcom_codec::{Frontend, QuantizedFrontend};
+use semcom_codec::concept::{ConceptSource, ConceptTrainConfig};
+use semcom_codec::{CodecConfig, Frontend, KbScope, KnowledgeBase, QuantizedFrontend};
 use semcom_nn::layers::{Embedding, Linear};
 use semcom_nn::quant::{QuantScratch, QuantizedLinear};
 use semcom_nn::rng::seeded_rng;
@@ -19,23 +19,23 @@ fn every_modality_transmits_meaning_in_a_handful_of_symbols() {
     // use the same budget: 8 features = 4 complex channel symbols per unit
     // of meaning, regardless of how many raw samples the source has.
     let glyphs = GlyphSet::new(6, 1);
-    let image_kb = ConceptKb::new(&glyphs, 8, 2);
-    assert_eq!(image_kb.symbols_per_concept(), 4);
+    let image_kb = KnowledgeBase::for_source(&glyphs, 8, 2);
+    assert_eq!(image_kb.symbols_for(1), 4);
 
     let videos = VideoSet::new(2, 1);
-    let video_kb = ConceptKb::new(&videos, 8, 2);
-    assert_eq!(video_kb.symbols_per_concept(), 4);
+    let video_kb = KnowledgeBase::for_source(&videos, 8, 2);
+    assert_eq!(video_kb.symbols_for(1), 4);
 
     let tones = ToneSet::new(6, 1);
-    let audio_kb = ConceptKb::new(&tones, 8, 2);
-    assert_eq!(audio_kb.symbols_per_concept(), 4);
+    let audio_kb = KnowledgeBase::for_source(&tones, 8, 2);
+    assert_eq!(audio_kb.symbols_for(1), 4);
 }
 
 #[test]
 fn trained_image_kb_beats_untrained_over_the_same_channel() {
     let glyphs = GlyphSet::new(8, 3);
-    let untrained = ConceptKb::new(&glyphs, 8, 4);
-    let mut trained = ConceptKb::new(&glyphs, 8, 4);
+    let untrained = KnowledgeBase::for_source(&glyphs, 8, 4);
+    let mut trained = KnowledgeBase::for_source(&glyphs, 8, 4);
     trained.train(
         &glyphs,
         &ConceptTrainConfig {
@@ -55,7 +55,7 @@ fn trained_image_kb_beats_untrained_over_the_same_channel() {
 #[test]
 fn video_kb_separates_motions_of_the_same_glyph() {
     let videos = VideoSet::new(2, 7);
-    let mut kb = ConceptKb::new(&videos, 8, 1);
+    let mut kb = KnowledgeBase::for_source(&videos, 8, 1);
     kb.train(
         &videos,
         &ConceptTrainConfig {
@@ -73,8 +73,8 @@ fn video_kb_separates_motions_of_the_same_glyph() {
     let n = 25;
     for concept in 0..4usize {
         for _ in 0..n {
-            let clip = videos.render(concept, &mut rng);
-            if kb.transmit(&kb, &clip, &NoiselessChannel, &mut rng) == concept {
+            let clip = Tensor::row_from_slice(&videos.render(concept, &mut rng));
+            if kb.transmit(&kb, &clip, &NoiselessChannel, &mut rng)[0].index() == concept {
                 correct += 1;
             }
         }
@@ -86,7 +86,7 @@ fn video_kb_separates_motions_of_the_same_glyph() {
 #[test]
 fn audio_semantic_codec_survives_noise_that_breaks_equal_budget_raw_audio() {
     let tones = ToneSet::new(12, 2);
-    let mut kb = ConceptKb::new(&tones, 8, 3);
+    let mut kb = KnowledgeBase::for_source(&tones, 8, 3);
     kb.train(
         &tones,
         &ConceptTrainConfig {
@@ -100,8 +100,7 @@ fn audio_semantic_codec_survives_noise_that_breaks_equal_budget_raw_audio() {
     let mf = MatchedFilter::new(&tones);
     // Equal energy per melody: the raw leg spends 8x the symbols, so its
     // per-symbol SNR drops by 9 dB at a fixed energy budget.
-    let handicap =
-        10.0 * (mf.symbols_per_melody() as f64 / kb.symbols_per_concept() as f64).log10();
+    let handicap = 10.0 * (mf.symbols_per_melody() as f64 / kb.symbols_for(1) as f64).log10();
     let snr = 0.0;
     let mut rng = seeded_rng(9);
     let sem = kb.accuracy(&tones, &AwgnChannel::new(snr), 250, &mut rng);
@@ -130,8 +129,8 @@ fn modal_codecs_are_independent_of_each_other() {
     // depend on their own inputs (no shared global state).
     let glyphs = GlyphSet::new(4, 1);
     let tones = ToneSet::new(4, 1);
-    let image_kb = ConceptKb::new(&glyphs, 8, 2);
-    let audio_kb = ConceptKb::new(&tones, 8, 2);
+    let image_kb = KnowledgeBase::for_source(&glyphs, 8, 2);
+    let audio_kb = KnowledgeBase::for_source(&tones, 8, 2);
     let mut rng1 = seeded_rng(10);
     let (img, _) = glyphs.sample(&mut rng1);
     let before = image_kb.encode(&img);
@@ -148,8 +147,8 @@ fn samples<S: ConceptSource>(source: &S, n: usize) -> Vec<Vec<f32>> {
     (0..n).map(|_| source.sample(&mut rng).0).collect()
 }
 
-fn quick_trained<S: ConceptSource>(source: &S) -> ConceptKb<S::Frontend> {
-    let mut kb = ConceptKb::new(source, 8, 2);
+fn quick_trained<S: ConceptSource>(source: &S) -> KnowledgeBase<S::Frontend> {
+    let mut kb = KnowledgeBase::for_source(source, 8, 2);
     let config = ConceptTrainConfig {
         epochs: 6,
         samples_per_epoch: 240,
@@ -172,7 +171,7 @@ macro_rules! for_each_modality {
 #[test]
 fn features_are_power_normalized_in_every_modality() {
     fn check<S: ConceptSource>(source: &S) {
-        let kb = ConceptKb::new(source, 8, 2);
+        let kb = KnowledgeBase::for_source(source, 8, 2);
         for f in samples(source, 3).iter().map(|x| kb.encode(x)) {
             let power: f32 = f.iter().map(|v| v * v).sum::<f32>() / f.len() as f32;
             assert!((power - 1.0).abs() < 0.02, "power {power}");
@@ -202,9 +201,11 @@ fn encode_batch_is_bit_identical_to_single_encodes_in_every_modality() {
 fn symbols_are_half_the_features_rounded_up_in_every_modality() {
     fn check<S: ConceptSource>(source: &S) {
         for (features, symbols) in [(8, 4), (9, 5), (10, 5)] {
-            let kb = ConceptKb::new(source, features, 1);
-            assert_eq!(kb.symbols_per_concept(), symbols);
+            let kb = KnowledgeBase::for_source(source, features, 1);
+            assert_eq!(kb.symbols_for(1), symbols);
+            assert_eq!(kb.symbols_for(3), 3 * symbols);
             assert_eq!(kb.quantize().feature_dim(), features);
+            assert_eq!(kb.quantize().symbols_for(1), symbols);
         }
     }
     for_each_modality!(check);
@@ -213,8 +214,8 @@ fn symbols_are_half_the_features_rounded_up_in_every_modality() {
 #[test]
 fn wrong_sample_length_panics_in_every_modality() {
     fn check<S: ConceptSource>(source: &S) {
-        let kb = ConceptKb::new(source, 8, 1);
-        let short = vec![0.0; source.input_len() - 1];
+        let kb = KnowledgeBase::for_source(source, 8, 1);
+        let short = vec![0.0; kb.encoder.frontend().in_len() - 1];
         let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| kb.encode(&short)))
             .unwrap_err();
         let message = panicked.downcast_ref::<String>().expect("assert message");
@@ -246,22 +247,46 @@ fn int8_twin_tracks_fp32_accuracy_and_is_smaller_in_every_modality() {
     for_each_modality!(check);
 }
 
+/// One size rule for every KB, text and every other modality, in both
+/// precisions: encoder (its frozen power norm's γ and β included), decoder
+/// and a 64-byte header, at 4 bytes per fp32 scalar.
 #[test]
 fn fp32_size_counts_parameters_norm_and_header() {
-    let glyphs = GlyphSet::new(4, 1);
-    let mut kb = ConceptKb::new(&glyphs, 8, 1);
-    let counted: usize = kb.params_mut().iter().map(|p| p.len()).sum();
-    assert_eq!(kb.param_count(), counted);
-    assert!(kb.param_count() > 1000);
-    // 4 bytes per parameter, the power norm's γ and β, a 64-byte header.
-    assert_eq!(kb.size_bytes(), kb.param_count() * 4 + 2 * 8 * 4 + 64);
+    fn check<F: Frontend>(mut kb: KnowledgeBase<F>) {
+        let counted: usize = kb.params_mut().iter().map(|p| p.len()).sum();
+        assert_eq!(kb.param_count(), counted);
+        assert!(kb.param_count() > 1000);
+        let norm = 2 * kb.feature_dim() * 4;
+        assert_eq!(kb.size_bytes(), counted * 4 + norm + 64);
+
+        let linears = [kb.encoder.proj(), kb.decoder.l1(), kb.decoder.l2()];
+        let int8_linears: usize = linears
+            .iter()
+            .map(|l| QuantizedLinear::from_linear(l).size_bytes())
+            .sum();
+        let int8_frontend = kb.encoder.frontend().quantize().size_bytes();
+        let q = kb.quantize();
+        assert_eq!(q.size_bytes(), int8_frontend + int8_linears + norm + 64);
+        assert!(q.size_bytes() < kb.size_bytes());
+    }
+    check(KnowledgeBase::new(
+        CodecConfig::tiny(),
+        100,
+        12,
+        KbScope::General,
+        1,
+    ));
+    check(KnowledgeBase::for_source(&ToneSet::new(4, 1), 8, 1));
+    check(KnowledgeBase::for_source(&GlyphSet::new(4, 1), 8, 1));
+    check(KnowledgeBase::for_source(&VideoSet::new(2, 1), 8, 1));
 }
 
 /// The contract every [`Frontend`] keeps, text's [`Embedding`] table
 /// included: `forward` computes `infer`'s bits, `param_count` counts what
-/// `params_mut` hands the optimizer, and the int8 `project_into` depends on
-/// its input only — not on what an earlier, larger call left in the
-/// scratch or output buffers.
+/// `params_mut` hands the optimizer, the int8 form reads inputs of the
+/// same width, and the int8 `project_into` depends on its input only — not
+/// on what an earlier, larger call left in the scratch or output buffers.
+/// A source's front end reads samples of the width the source draws.
 #[test]
 fn every_front_end_keeps_the_frontend_contract() {
     fn check<F: Frontend>(mut frontend: F, x: &F::Input, larger: &F::Input) {
@@ -273,6 +298,7 @@ fn every_front_end_keeps_the_frontend_contract() {
 
         let proj = QuantizedLinear::from_linear(&Linear::new(frontend.out_len(), 8, 3));
         let q = frontend.quantize();
+        assert_eq!(q.in_len(), frontend.in_len());
         let mut fresh = Vec::new();
         q.project_into(&proj, x, &mut QuantScratch::new(), &mut fresh);
         let (mut scratch, mut warm) = (QuantScratch::new(), Vec::new());
@@ -282,12 +308,16 @@ fn every_front_end_keeps_the_frontend_contract() {
         assert_eq!(bits(&warm), bits(&fresh));
     }
     fn batch<S: ConceptSource>(source: &S, n: usize) -> Tensor {
-        let flat = samples(source, n).concat();
-        Tensor::from_vec(n, source.input_len(), flat).expect("samples of input_len")
+        let xs = samples(source, n);
+        Tensor::from_vec(n, xs[0].len(), xs.concat()).expect("equal-length samples")
     }
     fn check_source<S: ConceptSource>(source: &S) {
-        check(source.frontend(4), &batch(source, 3), &batch(source, 7));
+        let frontend = source.frontend(4);
+        assert_eq!(frontend.in_len(), samples(source, 1)[0].len());
+        check(frontend, &batch(source, 3), &batch(source, 7));
     }
-    check(Embedding::new(30, 12, 4), &[3, 0, 29, 3], &[1; 9]);
+    let embedding = Embedding::new(30, 12, 4);
+    assert_eq!(embedding.in_len(), 1);
+    check(embedding, &[3, 0, 29, 3], &[1; 9]);
     for_each_modality!(check_source);
 }

@@ -21,16 +21,18 @@
 //! and scoring accuracy at 3 dB. It does not depend on the worker count.
 //! A third pins the video int8 twin's `encode_batch` and model bytes
 //! ([`VIDEO_INT8_ENCODE`]), which the first test folds for audio and image
-//! only.
+//! only. A fourth pins the text KB's end-to-end `transmit`, fp32 and int8,
+//! and its `symbols_for` ([`TEXT_TRANSMIT`]).
 
 use semcom_audio::ToneSet;
 use semcom_channel::{AwgnChannel, Channel};
-use semcom_codec::concept::{ConceptKb, ConceptSource, ConceptTrainConfig};
+use semcom_codec::concept::{ConceptSource, ConceptTrainConfig};
 use semcom_codec::train::{TrainConfig, Trainer};
 use semcom_codec::{CodecConfig, KbScope, KnowledgeBase};
 use semcom_fl::param_digest;
 use semcom_nn::params::ParamVec;
 use semcom_nn::rng::seeded_rng;
+use semcom_nn::Tensor;
 use semcom_text::{CorpusGenerator, Domain, LanguageConfig, Rendering};
 use semcom_vision::{GlyphSet, VideoSet};
 
@@ -61,15 +63,21 @@ const TEXT: [u64; 3] = [
     0x138b_2cbf_02be_86f2,
 ];
 
-/// `QuantizedConceptKb::decode` and `accuracy`, audio then image; recorded
-/// while the int8 concept decoder was a bare `QuantizedModel` of its own.
+/// `QuantizedKb::decode` and `accuracy`, audio then image; recorded while
+/// the int8 concept decoder was a bare `QuantizedModel` of its own.
 const INT8_DECODE: [u64; 2] = [0x9fba_cb16_bb2d_3051, 0x4281_06c8_1a98_0e3d];
 
 /// The video int8 twin's `encode_batch` and model bytes (its conv front end
 /// reads `FRAMES` input channels), trained serially like [`INT8_DECODE`];
 /// recorded while the int8 concept encoder was a front end, a quantized
-/// projection and a norm held by `QuantizedConceptKb` itself.
+/// projection and a norm held by the int8 concept KB itself.
 const VIDEO_INT8_ENCODE: u64 = 0xbd38_7b1e_3731_2d6f;
+
+/// fp32 and int8 `transmit` of 30 fixed tiny-language sentences through a
+/// 3 dB channel, and `symbols_for` of each, from a text KB trained serially
+/// (64-pair minibatches never shard); recorded while the text KB and the
+/// concept KBs were separate types.
+const TEXT_TRANSMIT: u64 = 0x1de9_9104_4f5e_73c6;
 
 fn fold(h: &mut u64, bytes: &[u8]) {
     for &b in bytes {
@@ -89,7 +97,7 @@ fn fold_u64(h: &mut u64, v: u64) {
 }
 
 fn concept_digest<S: ConceptSource>(source: &S, with_int8: bool) -> u64 {
-    let mut kb = ConceptKb::new(source, 8, 2);
+    let mut kb = KnowledgeBase::for_source(source, 8, 2);
     let config = ConceptTrainConfig {
         epochs: 2,
         samples_per_epoch: 100,
@@ -110,7 +118,11 @@ fn concept_digest<S: ConceptSource>(source: &S, with_int8: bool) -> u64 {
     let mut rng = seeded_rng(22);
     for _ in 0..50 {
         let (x, _) = source.sample(&mut rng);
-        fold_u64(&mut h, kb.transmit(&kb, &x, &noisy, &mut rng) as u64);
+        let x = Tensor::row_from_slice(&x);
+        fold_u64(
+            &mut h,
+            kb.transmit(&kb, &x, &noisy, &mut rng)[0].index() as u64,
+        );
     }
     let acc = kb.accuracy(source, &AwgnChannel::new(3.0), 200, &mut seeded_rng(23));
     fold_u64(&mut h, (acc * 200.0).round() as u64);
@@ -123,7 +135,7 @@ fn concept_digest<S: ConceptSource>(source: &S, with_int8: bool) -> u64 {
 }
 
 fn int8_decode_digest<S: ConceptSource>(source: &S) -> u64 {
-    let mut kb = ConceptKb::new(source, 8, 5);
+    let mut kb = KnowledgeBase::for_source(source, 8, 5);
     let config = ConceptTrainConfig {
         epochs: 2,
         samples_per_epoch: 60,
@@ -149,7 +161,7 @@ fn int8_decode_digest<S: ConceptSource>(source: &S) -> u64 {
 }
 
 fn int8_encode_digest<S: ConceptSource>(source: &S) -> u64 {
-    let mut kb = ConceptKb::new(source, 8, 5);
+    let mut kb = KnowledgeBase::for_source(source, 8, 5);
     let config = ConceptTrainConfig {
         epochs: 2,
         samples_per_epoch: 60,
@@ -204,6 +216,40 @@ fn text_digest() -> u64 {
     h
 }
 
+fn text_transmit_digest() -> u64 {
+    let lang = LanguageConfig::tiny().build(0);
+    let mut gen = CorpusGenerator::new(&lang, 5);
+    let train = gen.sentences(Domain::News, Rendering::Mixed(0.2), 40);
+    let mut kb = KnowledgeBase::new(
+        CodecConfig::tiny(),
+        lang.vocab().len(),
+        lang.concept_count(),
+        KbScope::DomainGeneral(Domain::News),
+        8,
+    );
+    Trainer::new(TrainConfig {
+        epochs: 3,
+        ..TrainConfig::default()
+    })
+    .fit(&mut kb, &train, 12);
+    let q = kb.quantize();
+
+    let mut h = 0xcbf2_9ce4_8422_2325;
+    let channel = AwgnChannel::new(3.0);
+    let mut rng = seeded_rng(27);
+    for s in gen.sentences(Domain::News, Rendering::Canonical, 30) {
+        for concept in kb.transmit(&kb, &s.tokens, &channel, &mut rng) {
+            fold_u64(&mut h, concept.index() as u64);
+        }
+        for concept in q.transmit(&q, &s.tokens, &channel, &mut rng) {
+            fold_u64(&mut h, concept.index() as u64);
+        }
+        fold_u64(&mut h, kb.symbols_for(s.tokens.len()) as u64);
+        fold_u64(&mut h, q.symbols_for(s.tokens.len()) as u64);
+    }
+    h
+}
+
 /// One test, so no other test moves the process-global worker count
 /// under it.
 #[test]
@@ -250,4 +296,11 @@ fn int8_concept_decode_is_bit_identical_to_the_recorded_digest() {
 fn video_int8_encode_is_bit_identical_to_the_recorded_digest() {
     let got = int8_encode_digest(&VideoSet::new(2, 1));
     assert_eq!(got, VIDEO_INT8_ENCODE, "got {got:#018x}");
+}
+
+/// Text training here is serial (64-pair minibatches), so any worker count.
+#[test]
+fn text_transmit_is_bit_identical_to_the_recorded_digest() {
+    let got = text_transmit_digest();
+    assert_eq!(got, TEXT_TRANSMIT, "got {got:#018x}");
 }
