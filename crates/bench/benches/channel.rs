@@ -1,55 +1,27 @@
-//! Criterion microbenchmarks for the physical-layer substrate.
+//! Criterion microbenchmarks for the physical-layer substrate: each PHY
+//! stage of the word-packed `BitVec` path, and the full transmit chain.
+//! Payloads are 1 kB (8192 bits) and 64 kB (524288 bits).
 //!
-//! Every benchmark comes as a `legacy_*`/`packed_*` pair: the legacy side
-//! drives the byte-per-bit reference methods (unchanged since before the
-//! word-packing refactor), the packed side drives the `BitVec` hot path,
-//! so before/after numbers come from one binary. Payloads are 1 kB
-//! (8192 bits) and 64 kB (524288 bits).
-//!
-//! The headline full-transmit pair runs Hamming(7,4) + 16-QAM over the
+//! The headline full-transmit routine runs Hamming(7,4) + 16-QAM over the
 //! noiseless channel: AWGN noise synthesis is RNG-bound and frozen by the
 //! bit-identical determinism contract, so it would dominate and mask the
-//! pipeline cost being measured. The AWGN 64 kB pair is recorded separately
-//! for honesty.
+//! pipeline cost being measured. The AWGN 64 kB routine is recorded
+//! separately for honesty.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use semcom_channel::coding::{BlockCode, CodeScratch, ConvolutionalCode, HammingCode74};
 use semcom_channel::{
-    AwgnChannel, BitPipeline, BitVec, Channel, Modulation, NoiselessChannel, TransmitScratch,
+    AwgnChannel, BitPipeline, BitVec, Modulation, NoiselessChannel, TransmitScratch,
 };
 use semcom_nn::rng::seeded_rng;
 
-/// The pre-refactor transmit chain, reconstructed from the legacy
-/// (reference) trait methods.
-fn legacy_transmit(
-    p: &BitPipeline,
-    bits: &[u8],
-    channel: &dyn Channel,
-    rng: &mut dyn rand::RngCore,
-) -> Vec<u8> {
-    let coded = p.code().encode(bits);
-    let tx = p.modulation().modulate(&coded);
-    let rx = channel.transmit(&tx, rng);
-    let mut demod = p.modulation().demodulate(&rx);
-    demod.truncate(coded.len());
-    let mut decoded = p.code().decode(&demod);
-    decoded.truncate(bits.len());
-    decoded
-}
-
-fn u8_bits(n: usize) -> Vec<u8> {
-    (0..n).map(|i| ((i * 7) % 2) as u8).collect()
+fn bits(n: usize) -> BitVec {
+    (0..n).map(|i| (i * 7) % 2 == 1).collect()
 }
 
 fn bench_pack(c: &mut Criterion) {
     for (tag, n_bytes) in [("1k", 1usize << 10), ("64k", 1usize << 16)] {
         let bytes: Vec<u8> = (0..n_bytes).map(|i| (i * 37 + 11) as u8).collect();
-        c.bench_function(&format!("channel/legacy_pack_roundtrip_{tag}"), |b| {
-            b.iter(|| {
-                let bits = semcom_channel::bytes_to_bits(std::hint::black_box(&bytes));
-                semcom_channel::bits_to_bytes(&bits)
-            })
-        });
         let mut packed = BitVec::new();
         let mut back = Vec::new();
         c.bench_function(&format!("channel/packed_pack_roundtrip_{tag}"), |b| {
@@ -64,11 +36,6 @@ fn bench_pack(c: &mut Criterion) {
         let a = BitVec::from_bytes(&bytes);
         let mut bv = BitVec::from_bytes(&bytes);
         bv.set(n_bytes * 4, !bv.get(n_bytes * 4));
-        let a_u8 = a.to_u8_bits();
-        let b_u8 = bv.to_u8_bits();
-        c.bench_function(&format!("channel/legacy_hamming_distance_{tag}"), |b| {
-            b.iter(|| semcom_channel::hamming_distance(std::hint::black_box(&a_u8), &b_u8))
-        });
         c.bench_function(&format!("channel/packed_hamming_distance_{tag}"), |b| {
             b.iter(|| std::hint::black_box(&a).hamming_distance(&bv))
         });
@@ -77,21 +44,14 @@ fn bench_pack(c: &mut Criterion) {
 
 fn bench_coding(c: &mut Criterion) {
     for (tag, n_bits) in [("1k", 8192usize), ("64k", 524_288usize)] {
-        let bits = u8_bits(n_bits);
-        let packed = BitVec::from_u8_bits(&bits);
-        c.bench_function(&format!("channel/legacy_hamming74_encode_{tag}"), |b| {
-            b.iter(|| HammingCode74.encode(std::hint::black_box(&bits)))
-        });
+        let packed = bits(n_bits);
         let mut enc = BitVec::new();
         c.bench_function(&format!("channel/packed_hamming74_encode_{tag}"), |b| {
             b.iter(|| HammingCode74.encode_packed(std::hint::black_box(&packed), &mut enc))
         });
 
-        let coded = HammingCode74.encode(&bits);
-        let coded_packed = BitVec::from_u8_bits(&coded);
-        c.bench_function(&format!("channel/legacy_hamming74_decode_{tag}"), |b| {
-            b.iter(|| HammingCode74.decode(std::hint::black_box(&coded)))
-        });
+        let mut coded_packed = BitVec::new();
+        HammingCode74.encode_packed(&packed, &mut coded_packed);
         let mut dec = BitVec::new();
         let mut scratch = CodeScratch::new();
         c.bench_function(&format!("channel/packed_hamming74_decode_{tag}"), |b| {
@@ -105,20 +65,13 @@ fn bench_coding(c: &mut Criterion) {
         });
     }
 
-    // Viterbi is O(states × steps) either way; 1 kB keeps the pair cheap.
-    let bits = u8_bits(8192);
-    let packed = BitVec::from_u8_bits(&bits);
-    let conv_coded = ConvolutionalCode.encode(&bits);
-    let conv_coded_packed = BitVec::from_u8_bits(&conv_coded);
-    c.bench_function("channel/legacy_conv_encode_1k", |b| {
-        b.iter(|| ConvolutionalCode.encode(std::hint::black_box(&bits)))
-    });
+    // Viterbi is O(states × steps); 1 kB keeps the routine cheap.
+    let packed = bits(8192);
+    let mut conv_coded_packed = BitVec::new();
+    ConvolutionalCode.encode_packed(&packed, &mut conv_coded_packed);
     let mut enc = BitVec::new();
     c.bench_function("channel/packed_conv_encode_1k", |b| {
         b.iter(|| ConvolutionalCode.encode_packed(std::hint::black_box(&packed), &mut enc))
-    });
-    c.bench_function("channel/legacy_viterbi_decode_1k", |b| {
-        b.iter(|| ConvolutionalCode.decode(std::hint::black_box(&conv_coded)))
     });
     let mut dec = BitVec::new();
     let mut scratch = CodeScratch::new();
@@ -135,20 +88,14 @@ fn bench_coding(c: &mut Criterion) {
 
 fn bench_modulation(c: &mut Criterion) {
     for (tag, n_bits) in [("1k", 8192usize), ("64k", 524_288usize)] {
-        let bits = u8_bits(n_bits);
-        let packed = BitVec::from_u8_bits(&bits);
-        c.bench_function(&format!("channel/legacy_qam16_modulate_{tag}"), |b| {
-            b.iter(|| Modulation::Qam16.modulate(std::hint::black_box(&bits)))
-        });
+        let packed = bits(n_bits);
         let mut tx = Vec::new();
         c.bench_function(&format!("channel/packed_qam16_modulate_{tag}"), |b| {
             b.iter(|| Modulation::Qam16.modulate_into(std::hint::black_box(&packed), &mut tx))
         });
 
-        let symbols = Modulation::Qam16.modulate(&bits);
-        c.bench_function(&format!("channel/legacy_qam16_demodulate_{tag}"), |b| {
-            b.iter(|| Modulation::Qam16.demodulate(std::hint::black_box(&symbols)))
-        });
+        let mut symbols = Vec::new();
+        Modulation::Qam16.modulate_into(&packed, &mut symbols);
         let mut demod = BitVec::new();
         c.bench_function(&format!("channel/packed_qam16_demodulate_{tag}"), |b| {
             b.iter(|| Modulation::Qam16.demodulate_into(std::hint::black_box(&symbols), &mut demod))
@@ -157,17 +104,11 @@ fn bench_modulation(c: &mut Criterion) {
 }
 
 fn bench_full_transmit(c: &mut Criterion) {
-    // Headline pair: Hamming(7,4) + 16-QAM, noiseless channel (see module
-    // docs for why noise synthesis is excluded from the headline).
+    // Headline: Hamming(7,4) + 16-QAM, noiseless channel (see module docs
+    // for why noise synthesis is excluded from the headline).
     for (tag, n_bits) in [("1k", 8192usize), ("64k", 524_288usize)] {
-        let bits = u8_bits(n_bits);
-        let packed = BitVec::from_u8_bits(&bits);
+        let packed = bits(n_bits);
         let p = BitPipeline::new(Box::new(HammingCode74), Modulation::Qam16);
-
-        let mut rng = seeded_rng(2);
-        c.bench_function(&format!("channel/legacy_full_transmit_{tag}"), |b| {
-            b.iter(|| legacy_transmit(&p, std::hint::black_box(&bits), &NoiselessChannel, &mut rng))
-        });
         let mut scratch = TransmitScratch::new();
         let mut rng = seeded_rng(2);
         c.bench_function(&format!("channel/packed_full_transmit_{tag}"), |b| {
@@ -183,16 +124,11 @@ fn bench_full_transmit(c: &mut Criterion) {
         });
     }
 
-    // AWGN pair at 64 kB, recorded for honesty: Box–Muller noise synthesis
-    // dominates and is bit-frozen, so the speedup here is modest.
-    let bits = u8_bits(524_288);
-    let packed = BitVec::from_u8_bits(&bits);
+    // AWGN at 64 kB, recorded for honesty: Box–Muller noise synthesis
+    // dominates and is bit-frozen.
+    let packed = bits(524_288);
     let p = BitPipeline::new(Box::new(HammingCode74), Modulation::Qam16);
     let ch = AwgnChannel::new(8.0);
-    let mut rng = seeded_rng(3);
-    c.bench_function("channel/legacy_full_transmit_awgn_64k", |b| {
-        b.iter(|| legacy_transmit(&p, std::hint::black_box(&bits), &ch, &mut rng))
-    });
     let mut scratch = TransmitScratch::new();
     let mut rng = seeded_rng(3);
     c.bench_function("channel/packed_full_transmit_awgn_64k", |b| {
@@ -200,15 +136,6 @@ fn bench_full_transmit(c: &mut Criterion) {
             p.transmit_packed(std::hint::black_box(&packed), &ch, &mut rng, &mut scratch)
                 .len()
         })
-    });
-
-    // Batch path: 16 × 4 kB frames per call through transmit_batch.
-    let frames: Vec<BitVec> = (0..16)
-        .map(|f| BitVec::from_u8_bits(&u8_bits(32_768 + f)))
-        .collect();
-    let mut rng = seeded_rng(4);
-    c.bench_function("channel/packed_transmit_batch_16x4k", |b| {
-        b.iter(|| p.transmit_batch(std::hint::black_box(&frames), &NoiselessChannel, &mut rng))
     });
 }
 

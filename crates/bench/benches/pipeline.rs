@@ -8,9 +8,6 @@
 //! 2. `pipeline/send_stream_4workers`: the same trace with windows fanned
 //!    out over four workers — a gain only where there are cores to run
 //!    them.
-//! 3. The `pipeline/paced_*` pair wraps the channel in a [`PacedChannel`]
-//!    (deterministic per-symbol `thread::sleep`, bit-identical output), so
-//!    each worker's PHY leg sleeps while the others compute.
 //!
 //! Training is disabled (threshold above buffer capacity) so every
 //! iteration serves a stationary workload: no mid-trace training rounds,
@@ -18,19 +15,13 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use semcom::{ChannelModel, SemanticEdgeSystem, SystemConfig, UserId};
-use semcom_channel::{AwgnChannel, PacedChannel};
 use semcom_codec::CodecConfig;
 use semcom_text::Domain;
 
 /// Messages per measured iteration.
 const TRACE_LEN: usize = 64;
 
-/// Airtime per complex symbol for the paced pair. Sized so per-message
-/// airtime lands in the same range as the per-message CPU encode+decode
-/// cost of the bench codec, so neither leg hides the other.
-const NS_PER_SYMBOL: u64 = 1_100;
-
-fn build(paced: bool) -> (SemanticEdgeSystem, Vec<UserId>) {
+fn build() -> (SemanticEdgeSystem, Vec<UserId>) {
     let mut config = SystemConfig::tiny();
     config.n_edges = 3;
     config.channel = ChannelModel::Awgn { snr_db: 10.0 };
@@ -49,12 +40,6 @@ fn build(paced: bool) -> (SemanticEdgeSystem, Vec<UserId>) {
     config.buffer_capacity = 1_000_000;
     config.buffer_threshold = 1_000_000;
     let mut system = SemanticEdgeSystem::build(config, 7);
-    if paced {
-        system.set_channel(Box::new(PacedChannel::new(
-            AwgnChannel::new(10.0),
-            NS_PER_SYMBOL,
-        )));
-    }
     let users = (0..8)
         .map(|i| {
             system.register_user_at(
@@ -75,7 +60,7 @@ fn trace(users: &[UserId]) -> Vec<UserId> {
 }
 
 fn bench_cpu_paths(c: &mut Criterion) {
-    let (mut seq, users) = build(false);
+    let (mut seq, users) = build();
     let order = trace(&users);
     c.bench_function("pipeline/sequential_send_message", |b| {
         b.iter(|| {
@@ -85,14 +70,14 @@ fn bench_cpu_paths(c: &mut Criterion) {
         })
     });
 
-    let (mut stream1, users) = build(false);
+    let (mut stream1, users) = build();
     let order = trace(&users);
     semcom_par::set_workers(1);
     c.bench_function("pipeline/send_stream_1worker", |b| {
         b.iter(|| std::hint::black_box(stream1.send_stream(&order)))
     });
 
-    let (mut stream4, users) = build(false);
+    let (mut stream4, users) = build();
     let order = trace(&users);
     semcom_par::set_workers(4);
     c.bench_function("pipeline/send_stream_4workers", |b| {
@@ -101,26 +86,5 @@ fn bench_cpu_paths(c: &mut Criterion) {
     semcom_par::reset_workers();
 }
 
-fn bench_paced_overlap(c: &mut Criterion) {
-    let (mut seq, users) = build(true);
-    let order = trace(&users);
-    semcom_par::set_workers(1);
-    c.bench_function("pipeline/paced_sequential_send_message", |b| {
-        b.iter(|| {
-            for &u in &order {
-                std::hint::black_box(seq.send_message(u));
-            }
-        })
-    });
-
-    let (mut stream4, users) = build(true);
-    let order = trace(&users);
-    semcom_par::set_workers(4);
-    c.bench_function("pipeline/paced_send_stream_4workers", |b| {
-        b.iter(|| std::hint::black_box(stream4.send_stream(&order)))
-    });
-    semcom_par::reset_workers();
-}
-
-criterion_group!(benches, bench_cpu_paths, bench_paced_overlap);
+criterion_group!(benches, bench_cpu_paths);
 criterion_main!(benches);

@@ -3,7 +3,7 @@
 
 use semcom_bench::banner;
 use semcom_channel::coding::HammingCode74;
-use semcom_channel::{AwgnChannel, BitPipeline, Modulation};
+use semcom_channel::{AwgnChannel, BitPipeline, BitVec, Modulation, TransmitScratch};
 use semcom_codec::concept::ConceptTrainConfig;
 use semcom_codec::KnowledgeBase;
 use semcom_nn::rng::seeded_rng;
@@ -53,13 +53,14 @@ fn main() {
 
         let pixel_at = |s: f64, rng: &mut rand::rngs::StdRng| {
             let ch = AwgnChannel::new(s);
+            let mut scratch = TransmitScratch::new();
             let mut correct = 0;
             let n = 120; // pixel leg is ~60x slower per clip
             for _ in 0..n {
                 let (clip, label) = videos.sample(rng);
-                let bits: Vec<u8> = clip.iter().map(|&p| (p >= 0.5) as u8).collect();
-                let rx_bits = pipeline.transmit(&bits, &ch, rng);
-                let rx_clip: Vec<f32> = rx_bits.iter().map(|&b| b as f32).collect();
+                let bits: BitVec = clip.iter().map(|&p| p >= 0.5).collect();
+                let rx_bits = pipeline.transmit_packed(&bits, &ch, rng, &mut scratch);
+                let rx_clip: Vec<f32> = rx_bits.iter().map(|b| f32::from(u8::from(b))).collect();
                 if videos.classify(&rx_clip) == label {
                     correct += 1;
                 }

@@ -91,11 +91,9 @@ impl ArqPipeline {
         self.max_attempts
     }
 
-    /// Delivers a frame, retransmitting on CRC failure.
-    ///
-    /// Framing and transmission run on the packed hot path with per-thread
-    /// scratch; outputs and RNG consumption are bit-identical to the
-    /// original byte-per-bit implementation.
+    /// Delivers a frame of byte-per-bit `{0, 1}` values, retransmitting on
+    /// CRC failure. Framing and transmission run on the packed path with
+    /// per-thread scratch.
     pub fn transmit(
         &self,
         bits: &[u8],
@@ -117,9 +115,9 @@ impl ArqPipeline {
     }
 
     /// [`Self::transmit`] for a payload of whole bytes, packed in and out:
-    /// the same frame, symbols and RNG draws as transmitting
-    /// `bytes_to_bits(payload)`, without the one-`u8`-per-bit copies on
-    /// either side (a migrated model is a 50 KB frame).
+    /// the same frame, symbols and RNG draws as transmitting the payload's
+    /// bits MSB-first, without the one-`u8`-per-bit copies on either side
+    /// (a migrated model is a 50 KB frame).
     pub fn transmit_bytes(
         &self,
         payload: &[u8],
@@ -282,7 +280,6 @@ mod tests {
 
     #[test]
     fn byte_payloads_match_their_bit_expansion() {
-        use crate::bits::{bits_to_bytes, bytes_to_bits};
         use rand::Rng;
         // 3 dB without FEC: most frames need retransmissions, some fail.
         let (a, channel) = (arq(false, 3), AwgnChannel::new(3.0));
@@ -290,9 +287,11 @@ mod tests {
         let mut failed = 0;
         for len in [0usize, 1, 7, 64, 300] {
             let payload: Vec<u8> = (0..len).map(|i| (i * 37 + len) as u8).collect();
-            let by_bit = a.transmit(&bytes_to_bits(&payload), &channel, &mut rng_bits);
+            let bits = BitVec::from_bytes(&payload).to_u8_bits();
+            let by_bit = a.transmit(&bits, &channel, &mut rng_bits);
             let by_byte = a.transmit_bytes(&payload, &channel, &mut rng_bytes);
-            assert_eq!(by_byte.bytes, bits_to_bytes(&by_bit.bits), "len {len}");
+            let delivered = BitVec::from_u8_bits(&by_bit.bits).to_bytes();
+            assert_eq!(by_byte.bytes, delivered, "len {len}");
             assert_eq!(
                 (by_byte.attempts, by_byte.delivered, by_byte.symbols),
                 (by_bit.attempts, by_bit.delivered, by_bit.symbols),

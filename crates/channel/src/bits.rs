@@ -1,65 +1,20 @@
-//! Bit/byte packing helpers and the word-packed [`BitVec`].
+//! The word-packed [`BitVec`] every PHY stage runs on.
 //!
-//! Two representations coexist:
-//!
-//! * the legacy one-`u8`-per-bit `&[u8]` form — simple to inspect in tests
-//!   and kept as the *reference implementation* for the property tests; and
-//! * [`BitVec`] — 64 bits per machine word, MSB-first, the representation
-//!   every PHY hot path (coding, modulation, [`crate::BitPipeline`]) runs
-//!   on. Packing, unpacking, and Hamming distance are word-level
-//!   (`u64::from_be_bytes` shuffles, popcounts), roughly 30–60× denser in
-//!   memory traffic than the byte-per-bit form.
+//! 64 bits per machine word, MSB-first: coding, modulation and
+//! [`crate::BitPipeline`] all read and write it. Packing, unpacking, and
+//! Hamming distance are word-level (`u64::from_be_bytes` shuffles,
+//! popcounts). The one-`u8`-per-bit form survives only at the edges
+//! ([`BitVec::from_u8_bits`], [`BitVec::to_u8_bits`]) for callers that
+//! hold bits that way.
 //!
 //! # Bit order
 //!
 //! Bit `i` of a [`BitVec`] lives in word `i / 64` at bit `63 - (i % 64)`:
-//! the first bit pushed is the most significant bit of the first word,
-//! matching the MSB-first convention of [`bytes_to_bits`]. Unused bits of
+//! the first bit pushed is the most significant bit of the first word, and
+//! [`BitVec::from_bytes`] unpacks each byte MSB-first. Unused bits of
 //! the final partial word are always zero — an invariant every mutating
 //! method maintains, which is what makes word-wise equality, popcounts,
 //! and byte extraction correct without per-bit masking.
-
-/// Unpacks bytes into bits, most-significant bit first.
-///
-/// Legacy byte-per-bit form; the packed equivalent is
-/// [`BitVec::from_bytes`].
-pub fn bytes_to_bits(bytes: &[u8]) -> Vec<u8> {
-    let mut bits = Vec::with_capacity(bytes.len() * 8);
-    for &b in bytes {
-        for i in (0..8).rev() {
-            bits.push((b >> i) & 1);
-        }
-    }
-    bits
-}
-
-/// Packs bits (MSB first) into bytes, zero-padding the final partial byte.
-///
-/// Bit values must be 0 or 1; this is checked in debug builds only (the
-/// packed [`BitVec`] API makes invalid bit values unrepresentable, so
-/// release hot paths skip the validation).
-pub fn bits_to_bytes(bits: &[u8]) -> Vec<u8> {
-    let mut bytes = Vec::with_capacity(bits.len().div_ceil(8));
-    for chunk in bits.chunks(8) {
-        let mut b = 0u8;
-        for (i, &bit) in chunk.iter().enumerate() {
-            debug_assert!(bit <= 1, "bit values must be 0 or 1, got {bit}");
-            b |= bit << (7 - i);
-        }
-        bytes.push(b);
-    }
-    bytes
-}
-
-/// Counts positions where two bit strings differ (up to the shorter length),
-/// plus the length difference.
-///
-/// Legacy byte-per-bit form; the packed equivalent is
-/// [`BitVec::hamming_distance`].
-pub fn hamming_distance(a: &[u8], b: &[u8]) -> usize {
-    let common = a.iter().zip(b.iter()).filter(|(x, y)| x != y).count();
-    common + a.len().abs_diff(b.len())
-}
 
 /// The low-`n` bit mask (`n <= 64`).
 #[inline]
@@ -251,7 +206,7 @@ impl BitVec {
         }
     }
 
-    /// Packs bytes into bits MSB-first (the packed [`bytes_to_bits`]).
+    /// Packs bytes into bits, MSB-first.
     pub fn from_bytes(bytes: &[u8]) -> Self {
         let mut v = BitVec::with_capacity(bytes.len() * 8);
         v.extend_from_bytes(bytes);
@@ -278,8 +233,7 @@ impl BitVec {
         }
     }
 
-    /// Unpacks to bytes, zero-padding the final partial byte (the packed
-    /// [`bits_to_bytes`]).
+    /// Unpacks to bytes, zero-padding the final partial byte.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
         self.write_bytes_into(&mut out);
@@ -298,7 +252,7 @@ impl BitVec {
         out.truncate(n_bytes);
     }
 
-    /// Packs a legacy `{0, 1}` byte-per-bit slice.
+    /// Packs a `{0, 1}` byte-per-bit slice.
     ///
     /// Nonzero values are treated as 1; inputs outside `{0, 1}` are
     /// rejected in debug builds.
@@ -308,7 +262,7 @@ impl BitVec {
         v
     }
 
-    /// Appends a legacy `{0, 1}` byte-per-bit slice (64 bits per word op).
+    /// Appends a `{0, 1}` byte-per-bit slice (64 bits per word op).
     pub fn extend_from_u8_bits(&mut self, bits: &[u8]) {
         for chunk in bits.chunks(64) {
             let mut w = 0u64;
@@ -320,24 +274,16 @@ impl BitVec {
         }
     }
 
-    /// Unpacks to the legacy byte-per-bit form.
+    /// Unpacks to the byte-per-bit form.
     pub fn to_u8_bits(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.write_u8_bits_into(&mut out);
-        out
-    }
-
-    /// Writes the legacy byte-per-bit form into a caller-owned buffer
-    /// (cleared first).
-    pub fn write_u8_bits_into(&self, out: &mut Vec<u8>) {
-        out.clear();
-        out.reserve(self.len);
+        let mut out = Vec::with_capacity(self.len);
         for (wi, &w) in self.words.iter().enumerate() {
             let bits_here = (self.len - wi * 64).min(64);
             for i in 0..bits_here {
                 out.push(((w >> (63 - i)) & 1) as u8);
             }
         }
+        out
     }
 
     /// Number of one bits.
@@ -431,27 +377,46 @@ impl ExactSizeIterator for Bits<'_> {}
 mod tests {
     use super::*;
 
+    /// Byte-per-bit unpacking, MSB-first, one shift per bit.
+    fn naive_bits(bytes: &[u8]) -> Vec<u8> {
+        bytes
+            .iter()
+            .flat_map(|&b| (0..8).rev().map(move |i| (b >> i) & 1))
+            .collect()
+    }
+
+    /// Positions where two byte-per-bit strings differ, plus the length
+    /// difference.
+    fn naive_distance(a: &[u8], b: &[u8]) -> usize {
+        a.iter().zip(b).filter(|(x, y)| x != y).count() + a.len().abs_diff(b.len())
+    }
+
     #[test]
     fn roundtrip_bytes() {
         let data = vec![0x00, 0xFF, 0xA5, 0x3C];
-        assert_eq!(bits_to_bytes(&bytes_to_bits(&data)), data);
+        assert_eq!(BitVec::from_bytes(&data).to_bytes(), data);
     }
 
     #[test]
     fn msb_first_ordering() {
-        assert_eq!(bytes_to_bits(&[0b1000_0001]), vec![1, 0, 0, 0, 0, 0, 0, 1]);
+        assert_eq!(
+            BitVec::from_bytes(&[0b1000_0001]).to_u8_bits(),
+            vec![1, 0, 0, 0, 0, 0, 0, 1]
+        );
     }
 
     #[test]
     fn partial_byte_is_zero_padded() {
-        assert_eq!(bits_to_bytes(&[1, 1]), vec![0b1100_0000]);
+        assert_eq!(BitVec::from_u8_bits(&[1, 1]).to_bytes(), vec![0b1100_0000]);
     }
 
     #[test]
     fn hamming_distance_counts_diffs_and_length() {
-        assert_eq!(hamming_distance(&[0, 1, 1], &[0, 1, 1]), 0);
-        assert_eq!(hamming_distance(&[0, 1, 1], &[1, 1, 0]), 2);
-        assert_eq!(hamming_distance(&[0, 1], &[0, 1, 1, 1]), 2);
+        let d =
+            |a: &[u8], b: &[u8]| BitVec::from_u8_bits(a).hamming_distance(&BitVec::from_u8_bits(b));
+        assert_eq!(d(&[0, 1, 1], &[0, 1, 1]), 0);
+        assert_eq!(d(&[0, 1, 1], &[1, 1, 0]), 2);
+        assert_eq!(d(&[0, 1], &[0, 1, 1, 1]), 2);
     }
 
     #[test]
@@ -460,7 +425,7 @@ mod tests {
             let data: Vec<u8> = (0..len).map(|i| (i * 37 + 11) as u8).collect();
             let packed = BitVec::from_bytes(&data);
             assert_eq!(packed.len(), len * 8);
-            assert_eq!(packed.to_u8_bits(), bytes_to_bits(&data), "len {len}");
+            assert_eq!(packed.to_u8_bits(), naive_bits(&data), "len {len}");
             assert_eq!(packed.to_bytes(), data, "len {len}");
         }
     }
@@ -510,8 +475,8 @@ mod tests {
         let a: Vec<u8> = (0..150).map(|i| ((i * 13 + 1) % 2) as u8).collect();
         let b: Vec<u8> = (0..130).map(|i| ((i * 7) % 2) as u8).collect();
         let (pa, pb) = (BitVec::from_u8_bits(&a), BitVec::from_u8_bits(&b));
-        assert_eq!(pa.hamming_distance(&pb), hamming_distance(&a, &b));
-        assert_eq!(pb.hamming_distance(&pa), hamming_distance(&b, &a));
+        assert_eq!(pa.hamming_distance(&pb), naive_distance(&a, &b));
+        assert_eq!(pb.hamming_distance(&pa), naive_distance(&b, &a));
         assert_eq!(pa.hamming_distance(&pa), 0);
     }
 

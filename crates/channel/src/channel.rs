@@ -9,20 +9,16 @@ use serde::{Deserialize, Serialize};
 ///
 /// The trait is object-safe; experiments sweep over boxed channels.
 pub trait Channel {
-    /// Passes symbols through the channel, returning the (equalized)
-    /// received symbols.
-    fn transmit(&self, symbols: &[Complex], rng: &mut dyn RngCore) -> Vec<Complex>;
+    /// Passes symbols through the channel, writing the (equalized) received
+    /// symbols into a caller-owned buffer (cleared first), so warm
+    /// transmits allocate nothing.
+    fn transmit_into(&self, symbols: &[Complex], out: &mut Vec<Complex>, rng: &mut dyn RngCore);
 
-    /// Like [`Self::transmit`], but writes into a caller-owned buffer
-    /// (cleared first), so warm transmits allocate nothing.
-    ///
-    /// Consumes the RNG in exactly the same per-symbol order as
-    /// [`Self::transmit`]; the channels in this crate override the default
-    /// bridging implementation.
-    fn transmit_into(&self, symbols: &[Complex], out: &mut Vec<Complex>, rng: &mut dyn RngCore) {
-        let received = self.transmit(symbols, rng);
-        out.clear();
-        out.extend_from_slice(&received);
+    /// [`Self::transmit_into`] into a fresh buffer.
+    fn transmit(&self, symbols: &[Complex], rng: &mut dyn RngCore) -> Vec<Complex> {
+        let mut out = Vec::new();
+        self.transmit_into(symbols, &mut out, rng);
+        out
     }
 
     /// Transmits real-valued features as I/Q pairs (semantic-codec path).
@@ -95,61 +91,6 @@ impl FeatureScratch {
     }
 }
 
-/// Wraps a channel with a deterministic per-symbol airtime cost, modeled
-/// as a real `thread::sleep` during transmission.
-///
-/// Received values are **bit-identical** to the inner channel's (pacing
-/// happens before the inner transmit and consumes no RNG), so goldens and
-/// equivalence tests are unaffected. The staged serving pipeline uses this
-/// to demonstrate stage overlap on hosts where pure-CPU work cannot
-/// parallelize (NN encode/decode for message N+1 proceeds while message
-/// N's symbols are "on the air").
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PacedChannel<C> {
-    inner: C,
-    ns_per_symbol: u64,
-}
-
-impl<C: Channel> PacedChannel<C> {
-    /// Wraps `inner`, charging `ns_per_symbol` nanoseconds of airtime per
-    /// complex symbol transmitted.
-    pub fn new(inner: C, ns_per_symbol: u64) -> Self {
-        PacedChannel {
-            inner,
-            ns_per_symbol,
-        }
-    }
-
-    /// The wrapped channel.
-    pub fn inner(&self) -> &C {
-        &self.inner
-    }
-
-    /// Configured airtime per symbol in nanoseconds.
-    pub fn ns_per_symbol(&self) -> u64 {
-        self.ns_per_symbol
-    }
-
-    fn pace(&self, n_symbols: usize) {
-        let ns = self.ns_per_symbol.saturating_mul(n_symbols as u64);
-        if ns > 0 {
-            std::thread::sleep(std::time::Duration::from_nanos(ns));
-        }
-    }
-}
-
-impl<C: Channel> Channel for PacedChannel<C> {
-    fn transmit(&self, symbols: &[Complex], rng: &mut dyn RngCore) -> Vec<Complex> {
-        self.pace(symbols.len());
-        self.inner.transmit(symbols, rng)
-    }
-
-    fn transmit_into(&self, symbols: &[Complex], out: &mut Vec<Complex>, rng: &mut dyn RngCore) {
-        self.pace(symbols.len());
-        self.inner.transmit_into(symbols, out, rng);
-    }
-}
-
 /// A rejected channel configuration: a NaN or infinite SNR would turn
 /// into NaN noise sigma and silently poison every downstream sample, so
 /// it is caught at construction with a typed error (the
@@ -185,10 +126,6 @@ fn validate_snr(snr_db: f64) -> Result<f64, ChannelError> {
 pub struct NoiselessChannel;
 
 impl Channel for NoiselessChannel {
-    fn transmit(&self, symbols: &[Complex], _rng: &mut dyn RngCore) -> Vec<Complex> {
-        symbols.to_vec()
-    }
-
     fn transmit_into(&self, symbols: &[Complex], out: &mut Vec<Complex>, _rng: &mut dyn RngCore) {
         out.clear();
         out.extend_from_slice(symbols);
@@ -231,12 +168,6 @@ impl AwgnChannel {
 const NOISE_BLOCK: usize = 128;
 
 impl Channel for AwgnChannel {
-    fn transmit(&self, symbols: &[Complex], rng: &mut dyn RngCore) -> Vec<Complex> {
-        let mut out = Vec::new();
-        self.transmit_into(symbols, &mut out, rng);
-        out
-    }
-
     fn transmit_into(&self, symbols: &[Complex], out: &mut Vec<Complex>, rng: &mut dyn RngCore) {
         let sigma = snr_db_to_noise_sigma(self.snr_db);
         out.clear();
@@ -309,12 +240,6 @@ impl RayleighChannel {
 }
 
 impl Channel for RayleighChannel {
-    fn transmit(&self, symbols: &[Complex], rng: &mut dyn RngCore) -> Vec<Complex> {
-        let mut out = Vec::new();
-        self.transmit_into(symbols, &mut out, rng);
-        out
-    }
-
     fn transmit_into(&self, symbols: &[Complex], out: &mut Vec<Complex>, rng: &mut dyn RngCore) {
         let sigma = snr_db_to_noise_sigma(self.snr_db);
         out.clear();
@@ -370,22 +295,8 @@ impl BinarySymmetricChannel {
         self.flip_prob
     }
 
-    /// Transmits bits, flipping each with the crossover probability.
-    pub fn transmit_bits(&self, bits: &[u8], rng: &mut dyn RngCore) -> Vec<u8> {
-        bits.iter()
-            .map(|&b| {
-                if rng.gen::<f64>() < self.flip_prob {
-                    1 - b
-                } else {
-                    b
-                }
-            })
-            .collect()
-    }
-
-    /// Packed variant of [`Self::transmit_bits`]: copies `bits` into `out`
-    /// and flips each with the crossover probability, consuming the RNG in
-    /// the same per-bit order.
+    /// Copies `bits` into `out` and flips each with the crossover
+    /// probability: one uniform draw per bit, in bit order.
     pub fn transmit_bits_into(&self, bits: &BitVec, out: &mut BitVec, rng: &mut dyn RngCore) {
         out.copy_from(bits);
         for i in 0..out.len() {
@@ -424,12 +335,6 @@ impl ErasureChannel {
 }
 
 impl Channel for ErasureChannel {
-    fn transmit(&self, symbols: &[Complex], rng: &mut dyn RngCore) -> Vec<Complex> {
-        let mut out = Vec::new();
-        self.transmit_into(symbols, &mut out, rng);
-        out
-    }
-
     fn transmit_into(&self, symbols: &[Complex], out: &mut Vec<Complex>, rng: &mut dyn RngCore) {
         out.clear();
         out.reserve(symbols.len());
@@ -448,6 +353,18 @@ mod tests {
     use super::*;
     use crate::Modulation;
     use semcom_nn::rng::seeded_rng;
+
+    fn bpsk(bits: &BitVec) -> Vec<Complex> {
+        let mut symbols = Vec::new();
+        Modulation::Bpsk.modulate_into(bits, &mut symbols);
+        symbols
+    }
+
+    fn bpsk_decide(symbols: &[Complex]) -> BitVec {
+        let mut bits = BitVec::new();
+        Modulation::Bpsk.demodulate_into(symbols, &mut bits);
+        bits
+    }
 
     #[test]
     fn noiseless_is_identity() {
@@ -474,24 +391,19 @@ mod tests {
         // Uncoded BPSK at 6 dB ≈ 2.4e-3 theoretical BER; accept an
         // order-of-magnitude window given finite samples.
         let mut rng = seeded_rng(2);
-        let bits: Vec<u8> = (0..60_000).map(|i| (i % 2) as u8).collect();
-        let tx = Modulation::Bpsk.modulate(&bits);
-        let rx = AwgnChannel::new(6.0).transmit(&tx, &mut rng);
-        let out = Modulation::Bpsk.demodulate(&rx);
-        let errors: usize = bits.iter().zip(&out).filter(|(a, b)| a != b).count();
-        let ber = errors as f64 / bits.len() as f64;
+        let bits: BitVec = (0..60_000).map(|i| i % 2 == 1).collect();
+        let rx = AwgnChannel::new(6.0).transmit(&bpsk(&bits), &mut rng);
+        let ber = bits.hamming_distance(&bpsk_decide(&rx)) as f64 / bits.len() as f64;
         assert!(ber > 1e-4 && ber < 1e-2, "ber {ber}");
     }
 
     #[test]
     fn rayleigh_is_worse_than_awgn_at_same_snr() {
         let mut rng = seeded_rng(3);
-        let bits: Vec<u8> = (0..40_000).map(|i| ((i * 13) % 2) as u8).collect();
-        let tx = Modulation::Bpsk.modulate(&bits);
-        let ber = |rx: Vec<Complex>| {
-            let out = Modulation::Bpsk.demodulate(&rx);
-            bits.iter().zip(&out).filter(|(a, b)| a != b).count() as f64 / bits.len() as f64
-        };
+        let bits: BitVec = (0..40_000).map(|i| (i * 13) % 2 == 1).collect();
+        let tx = bpsk(&bits);
+        let ber =
+            |rx: Vec<Complex>| bits.hamming_distance(&bpsk_decide(&rx)) as f64 / bits.len() as f64;
         let awgn = ber(AwgnChannel::new(8.0).transmit(&tx, &mut rng));
         let ray = ber(RayleighChannel::new(8.0).transmit(&tx, &mut rng));
         assert!(ray > awgn, "rayleigh {ray} vs awgn {awgn}");
@@ -500,20 +412,20 @@ mod tests {
     #[test]
     fn bsc_flip_rate_matches_probability() {
         let mut rng = seeded_rng(4);
-        let bits = vec![0u8; 50_000];
-        let out = BinarySymmetricChannel::new(0.1).transmit_bits(&bits, &mut rng);
-        let flips = out.iter().filter(|&&b| b == 1).count() as f64 / bits.len() as f64;
+        let bits: BitVec = std::iter::repeat_n(false, 50_000).collect();
+        let mut out = BitVec::new();
+        BinarySymmetricChannel::new(0.1).transmit_bits_into(&bits, &mut out, &mut rng);
+        let flips = out.count_ones() as f64 / bits.len() as f64;
         assert!((flips - 0.1).abs() < 0.01, "{flips}");
     }
 
     #[test]
     fn bsc_zero_is_identity() {
         let mut rng = seeded_rng(5);
-        let bits = vec![1, 0, 1, 1, 0];
-        assert_eq!(
-            BinarySymmetricChannel::new(0.0).transmit_bits(&bits, &mut rng),
-            bits
-        );
+        let bits = BitVec::from_u8_bits(&[1, 0, 1, 1, 0]);
+        let mut out = BitVec::new();
+        BinarySymmetricChannel::new(0.0).transmit_bits_into(&bits, &mut out, &mut rng);
+        assert_eq!(out, bits);
     }
 
     #[test]
@@ -588,7 +500,7 @@ mod tests {
     #[test]
     fn transmit_into_matches_transmit_bit_for_bit() {
         // Same seed through both paths must reproduce the exact symbol
-        // stream — the buffered overrides share the legacy RNG draw order.
+        // stream, and a dirty output buffer must be cleared first.
         let symbols: Vec<Complex> = (0..257)
             .map(|i| Complex::new((i % 5) as f64 - 2.0, (i % 3) as f64 - 1.0))
             .collect();
@@ -599,11 +511,11 @@ mod tests {
             Box::new(ErasureChannel::new(0.2)),
         ];
         for ch in &channels {
-            let legacy = ch.transmit(&symbols, &mut seeded_rng(99));
+            let fresh = ch.transmit(&symbols, &mut seeded_rng(99));
             let mut buffered = vec![Complex::ZERO; 3]; // must be cleared
             ch.transmit_into(&symbols, &mut buffered, &mut seeded_rng(99));
-            assert_eq!(buffered.len(), legacy.len());
-            for (a, b) in buffered.iter().zip(&legacy) {
+            assert_eq!(buffered.len(), fresh.len());
+            for (a, b) in buffered.iter().zip(&fresh) {
                 assert_eq!(a.re.to_bits(), b.re.to_bits());
                 assert_eq!(a.im.to_bits(), b.im.to_bits());
             }
@@ -622,11 +534,11 @@ mod tests {
         let mut scratch = FeatureScratch::new();
         for ch in &channels {
             for len in [0usize, 1, 2, 5, 513] {
-                let legacy = ch.transmit_f32(&feats[..len], &mut seeded_rng(41));
+                let fresh = ch.transmit_f32(&feats[..len], &mut seeded_rng(41));
                 let mut in_place = feats[..len].to_vec();
                 ch.transmit_f32_in_place(&mut in_place, &mut scratch, &mut seeded_rng(41));
-                assert_eq!(in_place.len(), legacy.len());
-                for (a, b) in in_place.iter().zip(&legacy) {
+                assert_eq!(in_place.len(), fresh.len());
+                for (a, b) in in_place.iter().zip(&fresh) {
                     assert_eq!(a.to_bits(), b.to_bits());
                 }
             }
@@ -634,27 +546,15 @@ mod tests {
     }
 
     #[test]
-    fn paced_channel_output_is_bit_identical_to_inner() {
-        let symbols: Vec<Complex> = (0..97)
-            .map(|i| Complex::new((i % 7) as f64 - 3.0, (i % 4) as f64))
-            .collect();
-        let inner = AwgnChannel::new(5.0);
-        let paced = PacedChannel::new(inner, 10);
-        let a = inner.transmit(&symbols, &mut seeded_rng(77));
-        let b = paced.transmit(&symbols, &mut seeded_rng(77));
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.re.to_bits(), y.re.to_bits());
-            assert_eq!(x.im.to_bits(), y.im.to_bits());
-        }
-    }
-
-    #[test]
     fn bsc_packed_matches_legacy_bit_for_bit() {
-        use crate::bits::BitVec;
+        // The per-bit recipe: one uniform draw per bit, in bit order.
         let bits: Vec<u8> = (0..300).map(|i| ((i * 7) % 2) as u8).collect();
         let bsc = BinarySymmetricChannel::new(0.3);
-        let legacy = bsc.transmit_bits(&bits, &mut seeded_rng(12));
+        let mut rng = seeded_rng(12);
+        let legacy: Vec<u8> = bits
+            .iter()
+            .map(|&b| b ^ u8::from(rng.gen::<f64>() < bsc.flip_prob()))
+            .collect();
         let mut out = BitVec::new();
         bsc.transmit_bits_into(&BitVec::from_u8_bits(&bits), &mut out, &mut seeded_rng(12));
         assert_eq!(out.to_u8_bits(), legacy);

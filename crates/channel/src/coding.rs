@@ -1,19 +1,16 @@
 //! Channel coding: block codes, a convolutional code with Viterbi decoding,
-//! CRC error detection, and interleaving.
+//! and CRC error detection.
 //!
 //! All codes implement [`BlockCode`] and are exercised by the traditional
 //! (bit-level) communication baseline and the channel-coding ablation
 //! experiment (F6).
 //!
-//! Every code carries two implementations: the legacy byte-per-bit
-//! `encode`/`decode` pair (kept as the reference the property tests compare
-//! against) and the packed hot path ([`BlockCode::encode_packed`] /
-//! [`BlockCode::decode_packed`]) operating on [`BitVec`] words with
-//! precomputed lookup tables — Hamming(7,4) runs nibble→codeword and
-//! 7-bit-syndrome LUTs, the convolutional encoder steps four input bits per
-//! table lookup, and Viterbi reuses its survivor storage through
-//! [`CodeScratch`] so decoding allocates nothing once warm. Both paths are
-//! bit-for-bit identical by construction and by test.
+//! Every code encodes and decodes [`BitVec`] words with precomputed lookup
+//! tables: Hamming(7,4) runs nibble→codeword and 7-bit-syndrome LUTs, the
+//! convolutional encoder steps four input bits per table lookup, and
+//! Viterbi reuses its survivor storage through [`CodeScratch`] so decoding
+//! allocates nothing once warm. `tests/properties.rs` checks each code
+//! against a naive byte-per-bit oracle.
 
 use crate::bits::BitVec;
 use serde::{Deserialize, Serialize};
@@ -38,63 +35,31 @@ impl CodeScratch {
 /// A forward-error-correcting code over bit strings.
 ///
 /// Implementations must satisfy `decode(encode(bits)) == bits` on a
-/// noiseless channel for any input (checked by property tests), and the
-/// packed paths must match the legacy ones bit-for-bit on any input,
-/// including corrupted ones.
+/// noiseless channel for any input (checked by property tests). A code may
+/// zero-pad its input (Hamming(7,4) to whole nibbles) or append flush bits
+/// (the convolutional code); decoding drops the flush bits, and callers
+/// trim any padding to the length they encoded.
 pub trait BlockCode {
-    /// Encodes an information bit string into a (longer) coded bit string.
-    ///
-    /// Legacy byte-per-bit reference path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any element is not 0 or 1.
-    fn encode(&self, bits: &[u8]) -> Vec<u8>;
-
-    /// Decodes a coded bit string, correcting errors where possible.
-    ///
-    /// The decoded output has exactly the length that was encoded if the
-    /// coded length is one this code produces; trailing padding introduced
-    /// by `encode` is removed by the caller (codes here are
-    /// length-preserving given their own padding conventions).
-    ///
-    /// Legacy byte-per-bit reference path.
-    fn decode(&self, coded: &[u8]) -> Vec<u8>;
-
     /// Information bits per coded bit (`k/n`).
     fn rate(&self) -> f64;
 
     /// Short human-readable name for reports.
     fn name(&self) -> &'static str;
 
-    /// Coded length produced for `k` information bits.
-    ///
-    /// The default derives it by encoding `k` zero bits; the codes in this
-    /// crate override it with the closed form so pipelines can size frames
-    /// in O(1).
-    fn coded_len(&self, k: usize) -> usize {
-        self.encode(&vec![0; k]).len()
-    }
+    /// Coded length produced for `k` information bits, in closed form so
+    /// pipelines can size frames in O(1).
+    fn coded_len(&self, k: usize) -> usize;
 
-    /// Packed-word encode into a caller-owned buffer (cleared first).
-    ///
-    /// The default bridges through the legacy path (allocating); the codes
-    /// in this crate override it with word/LUT implementations that only
-    /// write into `out`.
-    fn encode_packed(&self, bits: &BitVec, out: &mut BitVec) {
-        out.clear();
-        out.extend_from_u8_bits(&self.encode(&bits.to_u8_bits()));
-    }
+    /// Encodes `bits` into a caller-owned buffer (cleared first).
+    fn encode_packed(&self, bits: &BitVec, out: &mut BitVec);
 
-    /// Packed-word decode into a caller-owned buffer (cleared first),
-    /// using `scratch` for any per-call workspace.
-    ///
-    /// Must equal the legacy [`Self::decode`] bit-for-bit on every input.
-    fn decode_packed(&self, coded: &BitVec, out: &mut BitVec, scratch: &mut CodeScratch) {
-        let _ = scratch;
-        out.clear();
-        out.extend_from_u8_bits(&self.decode(&coded.to_u8_bits()));
-    }
+    /// Decodes `coded` into a caller-owned buffer (cleared first),
+    /// correcting errors where possible and using `scratch` for any
+    /// per-call workspace. Any coded length is accepted: a partial final
+    /// block decodes as if zero-padded (Hamming), by majority over the bits
+    /// present (repetition), or is ignored (an odd trailing convolutional
+    /// bit).
+    fn decode_packed(&self, coded: &BitVec, out: &mut BitVec, scratch: &mut CodeScratch);
 }
 
 /// The trivial rate-1 code (uncoded transmission).
@@ -102,15 +67,6 @@ pub trait BlockCode {
 pub struct IdentityCode;
 
 impl BlockCode for IdentityCode {
-    fn encode(&self, bits: &[u8]) -> Vec<u8> {
-        validate(bits);
-        bits.to_vec()
-    }
-
-    fn decode(&self, coded: &[u8]) -> Vec<u8> {
-        coded.to_vec()
-    }
-
     fn rate(&self) -> f64 {
         1.0
     }
@@ -156,23 +112,6 @@ impl RepetitionCode {
 }
 
 impl BlockCode for RepetitionCode {
-    fn encode(&self, bits: &[u8]) -> Vec<u8> {
-        validate(bits);
-        bits.iter()
-            .flat_map(|&b| std::iter::repeat_n(b, self.n))
-            .collect()
-    }
-
-    fn decode(&self, coded: &[u8]) -> Vec<u8> {
-        coded
-            .chunks(self.n)
-            .map(|c| {
-                let ones: usize = c.iter().map(|&b| b as usize).sum();
-                (ones * 2 > c.len()) as u8
-            })
-            .collect()
-    }
-
     fn rate(&self) -> f64 {
         1.0 / self.n as f64
     }
@@ -232,8 +171,8 @@ const fn ham74_encode_nibble(d: u8) -> u8 {
 }
 
 /// 7 received bits (MSB-first in the low 7 bits) → the syndrome-corrected
-/// 4 data bits (MSB-first in the low nibble). One table lookup replaces the
-/// per-block syndrome computation of the legacy decoder.
+/// 4 data bits (MSB-first in the low nibble). Run once per word to build
+/// [`HAM74_DEC`], so decoding is one table lookup per block.
 const fn ham74_decode_word(c7: u8) -> u8 {
     let mut c = [
         (c7 >> 6) & 1,
@@ -285,39 +224,6 @@ const HAM74_DEC: [u8; 128] = {
 pub struct HammingCode74;
 
 impl BlockCode for HammingCode74 {
-    fn encode(&self, bits: &[u8]) -> Vec<u8> {
-        validate(bits);
-        let mut out = Vec::with_capacity(bits.len().div_ceil(4) * 7);
-        for chunk in bits.chunks(4) {
-            let mut d = [0u8; 4];
-            d[..chunk.len()].copy_from_slice(chunk);
-            // Codeword layout [p1 p2 d1 p3 d2 d3 d4] (positions 1..=7).
-            let p1 = d[0] ^ d[1] ^ d[3];
-            let p2 = d[0] ^ d[2] ^ d[3];
-            let p3 = d[1] ^ d[2] ^ d[3];
-            out.extend_from_slice(&[p1, p2, d[0], p3, d[1], d[2], d[3]]);
-        }
-        out
-    }
-
-    fn decode(&self, coded: &[u8]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(coded.len() / 7 * 4);
-        for chunk in coded.chunks(7) {
-            let mut c = [0u8; 7];
-            c[..chunk.len()].copy_from_slice(chunk);
-            // Syndrome bits select the erroneous position (1-indexed).
-            let s1 = c[0] ^ c[2] ^ c[4] ^ c[6];
-            let s2 = c[1] ^ c[2] ^ c[5] ^ c[6];
-            let s3 = c[3] ^ c[4] ^ c[5] ^ c[6];
-            let pos = (s1 as usize) + 2 * (s2 as usize) + 4 * (s3 as usize);
-            if pos != 0 {
-                c[pos - 1] ^= 1;
-            }
-            out.extend_from_slice(&[c[2], c[4], c[5], c[6]]);
-        }
-        out
-    }
-
     fn rate(&self) -> f64 {
         4.0 / 7.0
     }
@@ -350,8 +256,7 @@ impl BlockCode for HammingCode74 {
             pos += 4;
         }
         if pos < n {
-            // Final partial nibble, zero-padded at the tail like the
-            // legacy chunked path.
+            // Final partial nibble, zero-padded at the tail.
             let m = n - pos;
             let nibble = (bits.get_bits(pos, m) << (4 - m)) as usize;
             out.push_bits(HAM74_ENC[nibble] as u64, 7);
@@ -430,82 +335,9 @@ pub struct ConvolutionalCode;
 
 impl ConvolutionalCode {
     const STATES: usize = 4; // 2^(K-1), K = 3
-
-    fn output(state: usize, input: u8) -> (u8, u8) {
-        let pair = conv_step(state, input).0;
-        (pair >> 1, pair & 1)
-    }
-
-    fn next_state(state: usize, input: u8) -> usize {
-        ((input as usize) << 1) | (state >> 1)
-    }
 }
 
 impl BlockCode for ConvolutionalCode {
-    fn encode(&self, bits: &[u8]) -> Vec<u8> {
-        validate(bits);
-        let mut out = Vec::with_capacity((bits.len() + 2) * 2);
-        let mut state = 0usize;
-        for &b in bits.iter().chain([0u8, 0u8].iter()) {
-            let (g1, g2) = Self::output(state, b);
-            out.push(g1);
-            out.push(g2);
-            state = Self::next_state(state, b);
-        }
-        out
-    }
-
-    fn decode(&self, coded: &[u8]) -> Vec<u8> {
-        let steps = coded.len() / 2;
-        if steps == 0 {
-            return Vec::new();
-        }
-        const INF: u32 = u32::MAX / 2;
-        let mut metrics = [INF; Self::STATES];
-        metrics[0] = 0;
-        // survivors[t][state] = (prev_state, input bit)
-        let mut survivors: Vec<[(usize, u8); Self::STATES]> = vec![[(0, 0); Self::STATES]; steps];
-
-        for t in 0..steps {
-            let r = (coded[2 * t], coded[2 * t + 1]);
-            let mut next = [INF; Self::STATES];
-            let mut surv = [(0usize, 0u8); Self::STATES];
-            for (state, &metric) in metrics.iter().enumerate() {
-                if metric >= INF {
-                    continue;
-                }
-                for input in 0..=1u8 {
-                    let (g1, g2) = Self::output(state, input);
-                    let cost = (g1 != r.0) as u32 + (g2 != r.1) as u32;
-                    let ns = Self::next_state(state, input);
-                    let m = metric + cost;
-                    if m < next[ns] {
-                        next[ns] = m;
-                        surv[ns] = (state, input);
-                    }
-                }
-            }
-            metrics = next;
-            survivors[t] = surv;
-        }
-
-        // Zero-tail termination: trace back from state 0 when reachable.
-        let mut state = if metrics[0] < INF {
-            0
-        } else {
-            (0..Self::STATES).min_by_key(|&s| metrics[s]).unwrap_or(0)
-        };
-        let mut decoded = vec![0u8; steps];
-        for t in (0..steps).rev() {
-            let (prev, input) = survivors[t][state];
-            decoded[t] = input;
-            state = prev;
-        }
-        // Drop the two flush bits.
-        decoded.truncate(steps.saturating_sub(2));
-        decoded
-    }
-
     fn rate(&self) -> f64 {
         0.5
     }
@@ -592,63 +424,6 @@ impl BlockCode for ConvolutionalCode {
     }
 }
 
-/// A block interleaver writing row-wise and reading column-wise, spreading
-/// burst errors across codewords.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct BlockInterleaver {
-    rows: usize,
-}
-
-impl BlockInterleaver {
-    /// Creates an interleaver with the given depth (number of rows).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rows == 0`.
-    pub fn new(rows: usize) -> Self {
-        assert!(rows > 0, "interleaver depth must be positive");
-        BlockInterleaver { rows }
-    }
-
-    /// Permutes bits; pads internally and returns `(permuted, original_len)`
-    /// is unnecessary because the permutation is length-preserving: bits are
-    /// laid out row-wise into `rows x ceil(n/rows)` and read column-wise,
-    /// skipping padding cells.
-    pub fn interleave(&self, bits: &[u8]) -> Vec<u8> {
-        self.permute(bits, false)
-    }
-
-    /// Inverts [`Self::interleave`].
-    pub fn deinterleave(&self, bits: &[u8]) -> Vec<u8> {
-        self.permute(bits, true)
-    }
-
-    fn permute(&self, bits: &[u8], invert: bool) -> Vec<u8> {
-        let n = bits.len();
-        let cols = n.div_ceil(self.rows);
-        let mut order: Vec<usize> = Vec::with_capacity(n);
-        for c in 0..cols {
-            for r in 0..self.rows {
-                let idx = r * cols + c;
-                if idx < n {
-                    order.push(idx);
-                }
-            }
-        }
-        let mut out = vec![0u8; n];
-        if invert {
-            for (i, &src) in order.iter().enumerate() {
-                out[src] = bits[i];
-            }
-        } else {
-            for (i, &src) in order.iter().enumerate() {
-                out[i] = bits[src];
-            }
-        }
-        out
-    }
-}
-
 /// CRC-16/CCITT-FALSE checksum.
 pub fn crc16(data: &[u8]) -> u16 {
     let mut crc: u16 = 0xFFFF;
@@ -681,21 +456,15 @@ pub fn crc32(data: &[u8]) -> u32 {
     !crc
 }
 
-fn validate(bits: &[u8]) {
-    for &b in bits {
-        assert!(b <= 1, "bit values must be 0 or 1, got {b}");
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::Rng;
     use semcom_nn::rng::seeded_rng;
 
-    fn random_bits(n: usize, seed: u64) -> Vec<u8> {
+    fn random_bits(n: usize, seed: u64) -> BitVec {
         let mut rng = seeded_rng(seed);
-        (0..n).map(|_| rng.gen_range(0..=1u8)).collect()
+        (0..n).map(|_| rng.gen_range(0..=1u8) == 1).collect()
     }
 
     fn codes() -> Vec<Box<dyn BlockCode>> {
@@ -707,13 +476,29 @@ mod tests {
         ]
     }
 
+    fn encode(code: &dyn BlockCode, bits: &BitVec) -> BitVec {
+        let mut out = BitVec::new();
+        code.encode_packed(bits, &mut out);
+        out
+    }
+
+    fn decode(code: &dyn BlockCode, coded: &BitVec) -> BitVec {
+        let mut out = BitVec::new();
+        code.decode_packed(coded, &mut out, &mut CodeScratch::new());
+        out
+    }
+
+    fn flip(bits: &mut BitVec, i: usize) {
+        let b = bits.get(i);
+        bits.set(i, !b);
+    }
+
     #[test]
     fn noiseless_roundtrip_all_codes() {
         for code in codes() {
             for len in [0usize, 1, 4, 7, 16, 33] {
                 let bits = random_bits(len, len as u64 + 1);
-                let coded = code.encode(&bits);
-                let mut decoded = code.decode(&coded);
+                let mut decoded = decode(code.as_ref(), &encode(code.as_ref(), &bits));
                 decoded.truncate(bits.len());
                 assert_eq!(decoded, bits, "{} len {len}", code.name());
             }
@@ -721,78 +506,67 @@ mod tests {
     }
 
     #[test]
-    fn packed_paths_match_legacy_bit_for_bit() {
-        let mut scratch = CodeScratch::new();
-        let (mut enc, mut dec) = (BitVec::new(), BitVec::new());
-        for code in codes() {
-            for len in [0usize, 1, 3, 4, 7, 8, 31, 64, 65, 129, 500] {
-                let bits = random_bits(len, len as u64 + 31);
-                let packed = BitVec::from_u8_bits(&bits);
-                let coded_legacy = code.encode(&bits);
-                code.encode_packed(&packed, &mut enc);
-                assert_eq!(
-                    enc.to_u8_bits(),
-                    coded_legacy,
-                    "{} encode len {len}",
-                    code.name()
-                );
-
-                // Corrupt a scattering of coded bits; both decoders must
-                // agree on the corrupted input, error cases included.
-                let mut corrupted = coded_legacy.clone();
-                for i in (0..corrupted.len()).step_by(5) {
-                    corrupted[i] ^= 1;
-                }
-                let corrupted_packed = BitVec::from_u8_bits(&corrupted);
-                code.decode_packed(&corrupted_packed, &mut dec, &mut scratch);
-                assert_eq!(
-                    dec.to_u8_bits(),
-                    code.decode(&corrupted),
-                    "{} decode len {len}",
-                    code.name()
-                );
-            }
-        }
-    }
-
-    #[test]
     fn packed_decoders_handle_partial_trailing_blocks() {
         // Arbitrary (non-codeword-multiple) lengths reach the decoders via
-        // raw-BSC property tests; legacy zero-pads the tail block.
-        let mut scratch = CodeScratch::new();
-        let mut out = BitVec::new();
-        for code in codes() {
-            for len in [1usize, 2, 5, 6, 9, 13, 20] {
-                let coded = random_bits(len, 77 + len as u64);
-                let packed = BitVec::from_u8_bits(&coded);
-                code.decode_packed(&packed, &mut out, &mut scratch);
-                assert_eq!(
-                    out.to_u8_bits(),
-                    code.decode(&coded),
-                    "{} raw len {len}",
-                    code.name()
-                );
+        // raw-BSC links. A partial final block decodes as if zero-padded
+        // (Hamming), by majority over the bits present (repetition), or is
+        // ignored (an odd trailing convolutional bit).
+        for len in [1usize, 2, 5, 6, 9, 13, 20] {
+            let coded = random_bits(len, 77 + len as u64);
+            assert_eq!(decode(&IdentityCode, &coded), coded);
+
+            let mut padded = BitVec::new();
+            padded.copy_from(&coded);
+            padded.resize(len.next_multiple_of(7));
+            assert_eq!(
+                decode(&HammingCode74, &coded),
+                decode(&HammingCode74, &padded),
+                "hamming len {len}"
+            );
+
+            let mut even = BitVec::new();
+            even.copy_from(&coded);
+            even.truncate(len / 2 * 2);
+            assert_eq!(
+                decode(&ConvolutionalCode, &coded),
+                decode(&ConvolutionalCode, &even),
+                "conv len {len}"
+            );
+
+            let majority = decode(&RepetitionCode::new(3), &coded);
+            assert_eq!(majority.len(), len.div_ceil(3));
+            for (i, bit) in majority.iter().enumerate() {
+                let present = (len - 3 * i).min(3);
+                let ones = coded.get_bits(3 * i, present).count_ones() as usize;
+                assert_eq!(bit, ones * 2 > present, "repetition len {len} block {i}");
             }
         }
     }
 
     #[test]
     fn hamming_luts_match_reference_formulas() {
-        // Exhaustive: every nibble encodes identically, every 7-bit word
-        // decodes identically to the syndrome path.
+        // Exhaustive: every codeword [p1 p2 d1 p3 d2 d3 d4] carries its
+        // nibble in d1..d4 and satisfies the three parity checks, and every
+        // 7-bit word (each lies within one flip of exactly one codeword)
+        // decodes to that codeword's nibble.
+        let bit = |w: u8, pos: usize| (w >> (7 - pos)) & 1; // pos in 1..=7
         for nib in 0..16u8 {
-            let bits: Vec<u8> = (0..4).map(|i| (nib >> (3 - i)) & 1).collect();
-            let legacy = HammingCode74.encode(&bits);
-            let lut = HAM74_ENC[nib as usize];
-            let lut_bits: Vec<u8> = (0..7).map(|i| (lut >> (6 - i)) & 1).collect();
-            assert_eq!(lut_bits, legacy, "nibble {nib}");
-        }
-        for word in 0..128u8 {
-            let bits: Vec<u8> = (0..7).map(|i| (word >> (6 - i)) & 1).collect();
-            let legacy = HammingCode74.decode(&bits);
-            let lut = HAM74_DEC[word as usize];
-            let lut_bits: Vec<u8> = (0..4).map(|i| (lut >> (3 - i)) & 1).collect();
-            assert_eq!(lut_bits, legacy, "word {word:07b}");
+            let c = HAM74_ENC[nib as usize];
+            assert_eq!(
+                bit(c, 3) << 3 | bit(c, 5) << 2 | bit(c, 6) << 1 | bit(c, 7),
+                nib
+            );
+            assert_eq!(bit(c, 1) ^ bit(c, 3) ^ bit(c, 5) ^ bit(c, 7), 0, "s1 {nib}");
+            assert_eq!(bit(c, 2) ^ bit(c, 3) ^ bit(c, 6) ^ bit(c, 7), 0, "s2 {nib}");
+            assert_eq!(bit(c, 4) ^ bit(c, 5) ^ bit(c, 6) ^ bit(c, 7), 0, "s3 {nib}");
+            assert_eq!(HAM74_DEC[c as usize], nib);
+            for flip in 0..7 {
+                assert_eq!(
+                    HAM74_DEC[(c ^ 1 << flip) as usize],
+                    nib,
+                    "{c:07b} ^ bit {flip}"
+                );
+            }
         }
     }
 
@@ -803,10 +577,9 @@ mod tests {
                 let mut s = state;
                 let mut expect = 0u8;
                 for i in 0..4 {
-                    let input = ((nib >> (3 - i)) & 1) as u8;
-                    let (g1, g2) = ConvolutionalCode::output(s, input);
-                    expect = (expect << 2) | (g1 << 1) | g2;
-                    s = ConvolutionalCode::next_state(s, input);
+                    let (pair, next) = conv_step(s, ((nib >> (3 - i)) & 1) as u8);
+                    expect = (expect << 2) | pair;
+                    s = next;
                 }
                 assert_eq!(entry, (expect, s as u8));
             }
@@ -819,7 +592,7 @@ mod tests {
             for k in [0usize, 1, 3, 4, 7, 64, 100] {
                 assert_eq!(
                     code.coded_len(k),
-                    code.encode(&vec![0; k]).len(),
+                    encode(code.as_ref(), &random_bits(k, 3)).len(),
                     "{} k={k}",
                     code.name()
                 );
@@ -845,35 +618,34 @@ mod tests {
     #[test]
     fn hamming_corrects_any_single_error_per_block() {
         let bits = random_bits(4, 9);
-        let coded = HammingCode74.encode(&bits);
+        let coded = encode(&HammingCode74, &bits);
         for i in 0..7 {
             let mut corrupted = coded.clone();
-            corrupted[i] ^= 1;
-            assert_eq!(HammingCode74.decode(&corrupted), bits, "error at {i}");
+            flip(&mut corrupted, i);
+            assert_eq!(decode(&HammingCode74, &corrupted), bits, "error at {i}");
         }
     }
 
     #[test]
     fn repetition_corrects_minority_errors() {
         let code = RepetitionCode::new(5);
-        let bits = vec![1, 0, 1];
-        let mut coded = code.encode(&bits);
+        let bits = BitVec::from_u8_bits(&[1, 0, 1]);
+        let mut coded = encode(&code, &bits);
         // Two errors in the first block of five: majority still wins.
-        coded[0] ^= 1;
-        coded[1] ^= 1;
-        assert_eq!(code.decode(&coded), bits);
+        flip(&mut coded, 0);
+        flip(&mut coded, 1);
+        assert_eq!(decode(&code, &coded), bits);
     }
 
     #[test]
     fn convolutional_corrects_scattered_errors() {
         let bits = random_bits(100, 17);
-        let coded = ConvolutionalCode.encode(&bits);
-        let mut corrupted = coded.clone();
+        let mut corrupted = encode(&ConvolutionalCode, &bits);
         // Flip isolated bits, far enough apart for free-distance recovery.
         for i in (0..corrupted.len()).step_by(25) {
-            corrupted[i] ^= 1;
+            flip(&mut corrupted, i);
         }
-        let mut decoded = ConvolutionalCode.decode(&corrupted);
+        let mut decoded = decode(&ConvolutionalCode, &corrupted);
         decoded.truncate(bits.len());
         assert_eq!(decoded, bits);
     }
@@ -884,52 +656,20 @@ mod tests {
         let mut rng = seeded_rng(23);
         let bits = random_bits(4000, 5);
         let bsc = BinarySymmetricChannel::new(0.04);
+        let mut rx = BitVec::new();
 
-        let uncoded_rx = bsc.transmit_bits(&bits, &mut rng);
-        let uncoded_err = bits.iter().zip(&uncoded_rx).filter(|(a, b)| a != b).count();
+        bsc.transmit_bits_into(&bits, &mut rx, &mut rng);
+        let uncoded_err = bits.hamming_distance(&rx);
 
-        let coded = ConvolutionalCode.encode(&bits);
-        let coded_rx = bsc.transmit_bits(&coded, &mut rng);
-        let mut decoded = ConvolutionalCode.decode(&coded_rx);
+        bsc.transmit_bits_into(&encode(&ConvolutionalCode, &bits), &mut rx, &mut rng);
+        let mut decoded = decode(&ConvolutionalCode, &rx);
         decoded.truncate(bits.len());
-        let coded_err = bits.iter().zip(&decoded).filter(|(a, b)| a != b).count();
+        let coded_err = bits.hamming_distance(&decoded);
 
         assert!(
             coded_err * 3 < uncoded_err,
             "coded {coded_err} vs uncoded {uncoded_err}"
         );
-    }
-
-    #[test]
-    fn interleaver_roundtrips() {
-        let il = BlockInterleaver::new(4);
-        for len in [0usize, 1, 5, 16, 23] {
-            let bits = random_bits(len, len as u64);
-            assert_eq!(il.deinterleave(&il.interleave(&bits)), bits, "len {len}");
-        }
-    }
-
-    #[test]
-    fn interleaver_spreads_bursts() {
-        let il = BlockInterleaver::new(8);
-        let bits = vec![0u8; 64];
-        let mut coded = il.interleave(&bits);
-        // Burst of 8 consecutive errors.
-        for b in coded.iter_mut().take(8) {
-            *b ^= 1;
-        }
-        let restored = il.deinterleave(&coded);
-        // After deinterleaving no two errors should be adjacent.
-        let error_positions: Vec<usize> = restored
-            .iter()
-            .enumerate()
-            .filter(|(_, &b)| b == 1)
-            .map(|(i, _)| i)
-            .collect();
-        assert_eq!(error_positions.len(), 8);
-        for w in error_positions.windows(2) {
-            assert!(w[1] - w[0] > 1, "burst not dispersed: {error_positions:?}");
-        }
     }
 
     #[test]

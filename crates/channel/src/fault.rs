@@ -90,10 +90,17 @@ impl FaultStats {
 /// [`FaultyLink::transit`] is independently dropped, corrupted, duplicated,
 /// and/or reordered according to a [`FaultConfig`].
 ///
-/// The injector always draws exactly four uniforms per frame, so the fault
-/// pattern for a given seed is a fixed function of the frame *index* — two
-/// sweeps over the same seed see identical faults even if their payloads
-/// differ.
+/// # RNG contract
+///
+/// Every frame first draws four uniforms (drop, corrupt, duplicate,
+/// reorder, in that order). A frame that is then corrupted (not dropped,
+/// not empty) draws more: a flip count and, per flip, a byte index and a
+/// mask. The index comes from `gen_range(0..len)`, whose rejection
+/// sampling takes a number of draws that depends on the payload length.
+/// So the fault pattern is a fixed function of the seed and the frame
+/// *index* only until the first corruption (always, with `corrupt = 0.0`).
+/// After it, two links with the same seed see identical faults only while
+/// their corrupted payloads have the same lengths.
 #[derive(Debug)]
 pub struct FaultyLink {
     config: FaultConfig,
@@ -130,7 +137,7 @@ impl FaultyLink {
     /// released behind this one).
     pub fn transit(&mut self, frame: &[u8]) -> Vec<Vec<u8>> {
         self.stats.frames += 1;
-        // Fixed RNG consumption: always four draws per frame.
+        // Four draws per frame; a corrupted frame draws more below.
         let drop = self.rng.gen::<f64>() < self.config.drop;
         let corrupt = self.rng.gen::<f64>() < self.config.corrupt;
         let duplicate = self.rng.gen::<f64>() < self.config.duplicate;
@@ -211,21 +218,22 @@ impl<C: Channel> FaultyChannel<C> {
 }
 
 impl<C: Channel> Channel for FaultyChannel<C> {
-    fn transmit(&self, symbols: &[Complex], rng: &mut dyn RngCore) -> Vec<Complex> {
+    fn transmit_into(&self, symbols: &[Complex], out: &mut Vec<Complex>, rng: &mut dyn RngCore) {
         // Drop decision first, so the fault pattern does not depend on the
         // inner channel's RNG appetite.
         if rng.gen::<f64>() < self.drop_rate {
-            return vec![Complex::ZERO; symbols.len()];
+            out.clear();
+            out.resize(symbols.len(), Complex::ZERO);
+            return;
         }
-        let mut out = self.inner.transmit(symbols, rng);
+        self.inner.transmit_into(symbols, out, rng);
         if self.corrupt_rate > 0.0 {
-            for s in &mut out {
+            for s in out.iter_mut() {
                 if rng.gen::<f64>() < self.corrupt_rate {
                     *s = Complex::new(-s.re, -s.im);
                 }
             }
         }
-        out
     }
 }
 
@@ -261,6 +269,27 @@ mod tests {
             (all, link.stats())
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn without_corruption_faults_depend_on_the_frame_index_only() {
+        // corrupt = 0.0 keeps every frame at four draws, so payloads of
+        // different lengths see the same drops, duplicates and reorders.
+        let cfg = FaultConfig {
+            corrupt: 0.0,
+            ..FaultConfig::uniform(0.3)
+        };
+        let (mut short, mut long) = (FaultyLink::new(cfg, 11), FaultyLink::new(cfg, 11));
+        // Each frame's bytes are its index, so arrivals name their frame.
+        let arrivals = |out: Vec<Vec<u8>>| out.iter().map(|f| f[0]).collect::<Vec<_>>();
+        for i in 0..200u8 {
+            let a = arrivals(short.transit(&vec![i; 1 + i as usize % 3]));
+            let b = arrivals(long.transit(&vec![i; 500 + i as usize]));
+            assert_eq!(a, b, "frame {i}");
+        }
+        assert_eq!(short.flush().map(|f| f[0]), long.flush().map(|f| f[0]));
+        assert_eq!(short.stats(), long.stats());
+        assert!(short.stats().perturbed() > 0);
     }
 
     #[test]

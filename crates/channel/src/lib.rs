@@ -12,7 +12,7 @@
 //!   [`ErasureChannel`];
 //! * channel codes behind the [`coding::BlockCode`] trait: repetition,
 //!   Hamming(7,4), and a rate-1/2 convolutional code with Viterbi decoding,
-//!   plus CRC-16/32 error detection and a block interleaver;
+//!   plus CRC-16/32 error detection;
 //! * [`BitPipeline`] — code + modulation + channel composed end-to-end, the
 //!   *traditional communication* leg of every semantic-vs-traditional
 //!   experiment (F2, T1, F6);
@@ -23,12 +23,11 @@
 //!   DeepSC-style evaluation setup.
 //!
 //! Bits are carried word-packed ([`BitVec`]: 64 bits per `u64`, MSB-first)
-//! through the whole PHY chain. The hot path —
-//! [`BitPipeline::transmit_packed`] with a caller-owned [`TransmitScratch`],
-//! or [`BitPipeline::transmit_batch`] for many frames fanned out across
-//! `semcom-par` workers — makes zero heap allocations once warm and is
-//! bit-identical to the legacy byte-per-bit methods, which remain as
-//! reference implementations.
+//! through the whole PHY chain, and every stage has one implementation.
+//! [`BitPipeline::transmit_packed`] with a caller-owned [`TransmitScratch`]
+//! makes zero heap allocations once warm. The naive byte-per-bit reference
+//! the stages are checked against lives in `tests/properties.rs`, not in
+//! this crate.
 //!
 //! # Example: BER of Hamming-coded BPSK over AWGN
 //!
@@ -62,10 +61,10 @@ pub use adapt::{
     MarkovSnrModel, MarkovSnrTrace, SnrEstimator,
 };
 pub use arq::{ArqByteOutcome, ArqOutcome, ArqPipeline};
-pub use bits::{bits_to_bytes, bytes_to_bits, hamming_distance, BitVec, Bits};
+pub use bits::{BitVec, Bits};
 pub use channel::{
     AwgnChannel, BinarySymmetricChannel, Channel, ChannelError, ErasureChannel, FeatureScratch,
-    NoiselessChannel, PacedChannel, RayleighChannel,
+    NoiselessChannel, RayleighChannel,
 };
 pub use complex::Complex;
 pub use fault::{FaultConfig, FaultStats, FaultyChannel, FaultyLink};

@@ -21,10 +21,9 @@ pub enum Modulation {
 const PAM4: [f64; 4] = [-3.0, -1.0, 1.0, 3.0];
 const QAM16_SCALE: f64 = 0.316227766016838; // 1/sqrt(10)
 
-/// Symbol tables for the packed hot path, indexed by the MSB-first bit
-/// group a symbol carries. One load replaces the per-symbol branch chain of
-/// [`Modulation::map_symbol`]; equality with it is asserted exhaustively in
-/// tests.
+/// Symbol tables indexed by the MSB-first bit group a symbol carries: one
+/// load per symbol. `tests/properties.rs` checks every entry against a
+/// naive Gray mapper.
 const BPSK_LUT: [Complex; 2] = [Complex { re: 1.0, im: 0.0 }, Complex { re: -1.0, im: 0.0 }];
 
 const QPSK_LUT: [Complex; 4] = {
@@ -79,73 +78,12 @@ impl Modulation {
         }
     }
 
-    /// Maps bits to symbols. The bit string is zero-padded to a multiple of
-    /// [`Self::bits_per_symbol`].
+    /// Maps bits to symbols in a caller-owned buffer (cleared first). The
+    /// bit string is zero-padded to a multiple of [`Self::bits_per_symbol`].
     ///
-    /// # Panics
-    ///
-    /// Panics if any element is not 0 or 1.
-    pub fn modulate(self, bits: &[u8]) -> Vec<Complex> {
-        for &b in bits {
-            assert!(b <= 1, "bit values must be 0 or 1, got {b}");
-        }
-        let bps = self.bits_per_symbol();
-        let mut symbols = Vec::with_capacity(bits.len().div_ceil(bps));
-        for chunk in bits.chunks(bps) {
-            let mut padded = [0u8; 4];
-            padded[..chunk.len()].copy_from_slice(chunk);
-            symbols.push(self.map_symbol(&padded[..bps]));
-        }
-        symbols
-    }
-
-    fn map_symbol(self, b: &[u8]) -> Complex {
-        match self {
-            Modulation::Bpsk => Complex::new(if b[0] == 0 { 1.0 } else { -1.0 }, 0.0),
-            Modulation::Qpsk => {
-                let s = std::f64::consts::FRAC_1_SQRT_2;
-                Complex::new(
-                    if b[0] == 0 { s } else { -s },
-                    if b[1] == 0 { s } else { -s },
-                )
-            }
-            Modulation::Qam16 => {
-                let i = PAM4[gray_to_level(b[0], b[1])] * QAM16_SCALE;
-                let q = PAM4[gray_to_level(b[2], b[3])] * QAM16_SCALE;
-                Complex::new(i, q)
-            }
-        }
-    }
-
-    /// Hard-decision demodulation (minimum-distance per symbol).
-    ///
-    /// Returns `symbols.len() * bits_per_symbol` bits; if the original bit
-    /// string was padded during modulation, the caller truncates.
-    pub fn demodulate(self, symbols: &[Complex]) -> Vec<u8> {
-        let mut bits = Vec::with_capacity(symbols.len() * self.bits_per_symbol());
-        for &s in symbols {
-            match self {
-                Modulation::Bpsk => bits.push(if s.re >= 0.0 { 0 } else { 1 }),
-                Modulation::Qpsk => {
-                    bits.push(if s.re >= 0.0 { 0 } else { 1 });
-                    bits.push(if s.im >= 0.0 { 0 } else { 1 });
-                }
-                Modulation::Qam16 => {
-                    let (b0, b1) = level_to_gray(nearest_pam(s.re / QAM16_SCALE));
-                    let (b2, b3) = level_to_gray(nearest_pam(s.im / QAM16_SCALE));
-                    bits.extend_from_slice(&[b0, b1, b2, b3]);
-                }
-            }
-        }
-        bits
-    }
-
-    /// Packed-word modulation into a caller-owned buffer (cleared first).
-    ///
-    /// Equivalent to [`Self::modulate`] on the unpacked bits — one table
-    /// load per symbol, with bit groups extracted a whole word (64 bits) at
-    /// a time, and no per-call allocation once `out` has capacity. Tail bit
-    /// groups are zero-padded at the end, like the legacy path.
+    /// One table load per symbol, with bit groups extracted a whole word
+    /// (64 bits) at a time, and no per-call allocation once `out` has
+    /// capacity.
     pub fn modulate_into(self, bits: &BitVec, out: &mut Vec<Complex>) {
         out.clear();
         let bps = self.bits_per_symbol();
@@ -176,15 +114,16 @@ impl Modulation {
         }
     }
 
-    /// Packed-word hard-decision demodulation into a caller-owned buffer
-    /// (cleared first). Bit-identical to [`Self::demodulate`].
+    /// Hard-decision (minimum-distance) demodulation into a caller-owned
+    /// buffer (cleared first): `symbols.len() * bits_per_symbol` bits; if
+    /// the bit string was padded during modulation, the caller truncates.
     ///
     /// Per-symbol decisions accumulate in a 64-bit word that is appended in
-    /// one shot, and 16-QAM quantizes with [`pam_level`] — both exact
-    /// equivalents of the legacy per-bit logic (NaN and tie inputs
-    /// included), just without its per-bit bookkeeping.
-    // `!(x >= 0.0)` (rather than `x < 0.0`) deliberately mirrors the legacy
-    // `if x >= 0.0 { 0 } else { 1 }` so NaN symbols demodulate identically.
+    /// one shot, and 16-QAM quantizes with [`pam_level`]. For BPSK and QPSK
+    /// a zero coordinate reads as bit 0 and a NaN one as bit 1; 16-QAM keeps
+    /// the lower PAM level on an exact tie (zero included) and maps NaN to
+    /// the lowest level.
+    // `!(x >= 0.0)` (rather than `x < 0.0`) is what sends NaN to bit 1.
     #[allow(clippy::neg_cmp_op_on_partial_ord)]
     pub fn demodulate_into(self, symbols: &[Complex], out: &mut BitVec) {
         out.clear();
@@ -248,15 +187,6 @@ const fn gray_to_level(b0: u8, b1: u8) -> usize {
         (1, 1) => 2,
         (1, 0) => 3,
         _ => unreachable!(),
-    }
-}
-
-fn level_to_gray(level: usize) -> (u8, u8) {
-    match level {
-        0 => (0, 0),
-        1 => (0, 1),
-        2 => (1, 1),
-        _ => (1, 0),
     }
 }
 
@@ -335,19 +265,31 @@ fn min_positive_where(pred: impl Fn(f64) -> bool) -> f64 {
     f64::from_bits(hi)
 }
 
-/// Gray 2-bit pattern per PAM level (MSB-first), for the packed demod path.
+/// Gray 2-bit pattern per PAM level (MSB-first), the inverse of
+/// [`gray_to_level`].
 const LEVEL_GRAY: [u64; 4] = [0b00, 0b01, 0b11, 0b10];
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn modulate(m: Modulation, bits: &[u8]) -> Vec<Complex> {
+        let mut out = Vec::new();
+        m.modulate_into(&BitVec::from_u8_bits(bits), &mut out);
+        out
+    }
+
+    fn demodulate(m: Modulation, symbols: &[Complex]) -> Vec<u8> {
+        let mut out = BitVec::new();
+        m.demodulate_into(symbols, &mut out);
+        out.to_u8_bits()
+    }
+
     #[test]
     fn noiseless_roundtrip_all_modulations() {
         let bits: Vec<u8> = (0..64).map(|i| ((i * 7) % 3 == 0) as u8).collect();
         for m in Modulation::ALL {
-            let symbols = m.modulate(&bits);
-            let mut out = m.demodulate(&symbols);
+            let mut out = demodulate(m, &modulate(m, &bits));
             out.truncate(bits.len());
             assert_eq!(out, bits, "{m:?}");
         }
@@ -364,7 +306,7 @@ mod tests {
                 let bits: Vec<u8> = (0..bps)
                     .map(|i| ((pattern >> (bps - 1 - i)) & 1) as u8)
                     .collect();
-                total += m.modulate(&bits)[0].norm_sq();
+                total += modulate(m, &bits)[0].norm_sq();
             }
             let avg = total / n as f64;
             assert!((avg - 1.0).abs() < 1e-9, "{m:?} energy {avg}");
@@ -373,12 +315,13 @@ mod tests {
 
     #[test]
     fn qam16_gray_neighbours_differ_by_one_bit() {
-        // Adjacent PAM levels must differ in exactly one bit.
+        // Adjacent PAM levels must differ in exactly one bit, and the
+        // demodulator's table must invert the modulator's mapping.
         for lev in 0..3usize {
-            let (a0, a1) = level_to_gray(lev);
-            let (b0, b1) = level_to_gray(lev + 1);
-            let diff = (a0 != b0) as u8 + (a1 != b1) as u8;
-            assert_eq!(diff, 1);
+            assert_eq!((LEVEL_GRAY[lev] ^ LEVEL_GRAY[lev + 1]).count_ones(), 1);
+        }
+        for (lev, &gray) in LEVEL_GRAY.iter().enumerate() {
+            assert_eq!(gray_to_level((gray >> 1) as u8, (gray & 1) as u8), lev);
         }
     }
 
@@ -392,22 +335,16 @@ mod tests {
     #[test]
     fn padding_only_affects_tail() {
         let bits = vec![1, 0, 1]; // not a multiple of 2
-        let symbols = Modulation::Qpsk.modulate(&bits);
+        let symbols = modulate(Modulation::Qpsk, &bits);
         assert_eq!(symbols.len(), 2);
-        let mut out = Modulation::Qpsk.demodulate(&symbols);
+        let mut out = demodulate(Modulation::Qpsk, &symbols);
         out.truncate(3);
         assert_eq!(out, bits);
     }
 
     #[test]
-    #[should_panic(expected = "bit values must be 0 or 1")]
-    fn modulate_rejects_non_bits() {
-        Modulation::Bpsk.modulate(&[3]);
-    }
-
-    #[test]
     fn pam_level_matches_nearest_pam_everywhere() {
-        // The division-free quantizer must agree with the legacy
+        // The division-free quantizer must agree with the reference
         // divide-then-search form on every raw coordinate, since packed
         // demod rests on it. Probe the pulled-back thresholds at their
         // exact bit neighbours, the post-division tie points, signed
@@ -446,74 +383,6 @@ mod tests {
         while x < 2.0 {
             assert_eq!(pam_level(x, t), nearest_pam(x / QAM16_SCALE), "x = {x}");
             x += 0.0037;
-        }
-    }
-
-    #[test]
-    fn luts_match_map_symbol_exhaustively() {
-        for m in Modulation::ALL {
-            let bps = m.bits_per_symbol();
-            for pattern in 0..1usize << bps {
-                let bits: Vec<u8> = (0..bps)
-                    .map(|i| ((pattern >> (bps - 1 - i)) & 1) as u8)
-                    .collect();
-                let legacy = m.modulate(&bits)[0];
-                let mut packed_bits = BitVec::new();
-                packed_bits.push_bits(pattern as u64, bps);
-                let mut out = Vec::new();
-                m.modulate_into(&packed_bits, &mut out);
-                assert_eq!(out.len(), 1);
-                assert_eq!(out[0].re.to_bits(), legacy.re.to_bits(), "{m:?} {pattern}");
-                assert_eq!(out[0].im.to_bits(), legacy.im.to_bits(), "{m:?} {pattern}");
-            }
-        }
-    }
-
-    #[test]
-    fn packed_paths_match_legacy_including_padding() {
-        for m in Modulation::ALL {
-            for len in [0usize, 1, 2, 3, 5, 17, 64, 67] {
-                let bits: Vec<u8> = (0..len).map(|i| ((i * 11 + 2) % 3 == 0) as u8).collect();
-                let packed = BitVec::from_u8_bits(&bits);
-                let legacy_syms = m.modulate(&bits);
-                let mut syms = Vec::new();
-                m.modulate_into(&packed, &mut syms);
-                assert_eq!(syms, legacy_syms, "{m:?} len {len}");
-
-                let mut demod = BitVec::new();
-                m.demodulate_into(&syms, &mut demod);
-                assert_eq!(
-                    demod.to_u8_bits(),
-                    m.demodulate(&legacy_syms),
-                    "{m:?} demod"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn demodulate_into_matches_legacy_on_noisy_and_nan_symbols() {
-        use semcom_nn::rng::seeded_rng;
-        let mut rng = seeded_rng(41);
-        let mut symbols: Vec<Complex> = (0..200)
-            .map(|_| {
-                Complex::new(
-                    semcom_nn::rng::standard_normal(&mut rng) as f64,
-                    semcom_nn::rng::standard_normal(&mut rng) as f64,
-                )
-            })
-            .collect();
-        // NaN, signed-zero, and exact PAM tie-point symbols must demodulate
-        // like the legacy path.
-        symbols.push(Complex::new(f64::NAN, f64::NAN));
-        symbols.push(Complex::new(-0.0, 0.0));
-        for t in [-2.0, 0.0, 2.0] {
-            symbols.push(Complex::new(t * QAM16_SCALE, -t * QAM16_SCALE));
-        }
-        for m in Modulation::ALL {
-            let mut out = BitVec::new();
-            m.demodulate_into(&symbols, &mut out);
-            assert_eq!(out.to_u8_bits(), m.demodulate(&symbols), "{m:?}");
         }
     }
 }

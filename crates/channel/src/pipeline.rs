@@ -3,9 +3,7 @@ use crate::channel::Channel;
 use crate::coding::{BlockCode, CodeScratch};
 use crate::modulation::Modulation;
 use rand::{Rng, RngCore};
-use semcom_nn::rng::seeded_rng;
 use semcom_obs::{Recorder, Stage};
-use std::cell::RefCell;
 
 /// Reusable buffers for one end-to-end [`BitPipeline`] round.
 ///
@@ -14,8 +12,6 @@ use std::cell::RefCell;
 /// heap allocations — verified by a counting-allocator test in the suite.
 #[derive(Debug, Default)]
 pub struct TransmitScratch {
-    /// Packed input bits (used by the byte-per-bit compatibility wrappers).
-    input: BitVec,
     /// Encoder output / demodulator reference length.
     coded: BitVec,
     /// Modulated symbols.
@@ -38,12 +34,6 @@ impl TransmitScratch {
     }
 }
 
-thread_local! {
-    /// Per-thread scratch backing the byte-per-bit compatibility API, so
-    /// legacy callers get buffer reuse without a signature change.
-    static SCRATCH: RefCell<TransmitScratch> = RefCell::new(TransmitScratch::new());
-}
-
 /// A complete traditional (bit-level) transmission chain: channel code +
 /// modulation over a physical channel.
 ///
@@ -51,11 +41,8 @@ thread_local! {
 /// paper contrasts semantic communication with systems "which transmit data
 /// bit by bit" (§I).
 ///
-/// The hot path is [`Self::transmit_packed`] (word-packed bits, caller-owned
-/// [`TransmitScratch`], zero allocations when warm); the byte-per-bit
-/// [`Self::transmit`] wrapper keeps the original API and routes through a
-/// thread-local scratch. [`Self::transmit_batch`] carries many frames per
-/// call and fans out across `semcom-par` workers deterministically.
+/// Its one transmit path is [`Self::transmit_packed`]: word-packed bits and
+/// a caller-owned [`TransmitScratch`], zero allocations when warm.
 pub struct BitPipeline {
     code: Box<dyn BlockCode + Send + Sync>,
     modulation: Modulation,
@@ -110,38 +97,12 @@ impl BitPipeline {
         self.modulation
     }
 
-    /// Transmits an information bit string end-to-end, returning the decoded
-    /// information bits (trimmed to the input length).
+    /// Transmits an information bit string end-to-end: encode → modulate →
+    /// channel → demodulate → decode, every stage writing into `scratch`.
+    /// Returns the decoded information bits (trimmed to `bits.len()`),
+    /// borrowed from `scratch`.
     ///
-    /// Byte-per-bit compatibility wrapper over [`Self::transmit_packed`];
-    /// bit-identical to the pre-packed implementation, including RNG
-    /// consumption order.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if any element is not 0 or 1.
-    pub fn transmit(&self, bits: &[u8], channel: &dyn Channel, rng: &mut dyn RngCore) -> Vec<u8> {
-        SCRATCH.with(|cell| {
-            let mut scratch = cell.borrow_mut();
-            // Detach the input buffer so the scratch can be borrowed
-            // mutably alongside it; reattached below for reuse.
-            let mut input = std::mem::take(&mut scratch.input);
-            input.clear();
-            input.extend_from_u8_bits(bits);
-            let out = self
-                .transmit_packed(&input, channel, rng, &mut scratch)
-                .to_u8_bits();
-            scratch.input = input;
-            out
-        })
-    }
-
-    /// The packed hot path: encode → modulate → channel → demodulate →
-    /// decode, every stage writing into `scratch`. Returns the decoded
-    /// information bits (trimmed to `bits.len()`), borrowed from `scratch`.
-    ///
-    /// Allocation-free once `scratch` buffers are at capacity, and
-    /// bit-identical to the byte-per-bit chain for any channel/seed.
+    /// Allocation-free once `scratch` buffers are at capacity.
     pub fn transmit_packed<'a>(
         &self,
         bits: &BitVec,
@@ -172,30 +133,6 @@ impl BitPipeline {
         &scratch.decoded
     }
 
-    /// Transmits many frames in one call, partitioned across `semcom-par`
-    /// workers.
-    ///
-    /// Per-frame RNG seeds are drawn from `rng` in frame order **before**
-    /// the fan-out, and each worker reuses a thread-local scratch, so the
-    /// output is bit-identical at any `SEMCOM_THREADS` setting (the same
-    /// two-tier determinism contract as the rest of the workspace).
-    pub fn transmit_batch(
-        &self,
-        frames: &[BitVec],
-        channel: &(dyn Channel + Sync),
-        rng: &mut dyn RngCore,
-    ) -> Vec<BitVec> {
-        let seeds: Vec<u64> = frames.iter().map(|_| rng.next_u64()).collect();
-        semcom_par::par_map_indexed(frames, |i, frame| {
-            let mut frame_rng = seeded_rng(seeds[i]);
-            SCRATCH.with(|cell| {
-                let mut scratch = cell.borrow_mut();
-                self.transmit_packed(frame, channel, &mut frame_rng, &mut scratch)
-                    .clone()
-            })
-        })
-    }
-
     /// Number of channel symbols used to carry `k` information bits.
     pub fn symbols_for(&self, k: usize) -> usize {
         self.code
@@ -209,27 +146,30 @@ impl BitPipeline {
     /// historical RNG consumption order exactly (F2/F6 goldens depend on
     /// it).
     pub fn measure_ber(&self, channel: &dyn Channel, n_bits: usize, rng: &mut dyn RngCore) -> f64 {
-        SCRATCH.with(|cell| {
-            let mut scratch = cell.borrow_mut();
-            let mut input = std::mem::take(&mut scratch.input);
-            input.clear();
-            for _ in 0..n_bits {
-                input.push(rng.gen::<u32>() & 1 == 1);
-            }
-            let out = self.transmit_packed(&input, channel, rng, &mut scratch);
-            let errors = input.hamming_distance(out);
-            scratch.input = input;
-            errors as f64 / n_bits.max(1) as f64
-        })
+        let input: BitVec = (0..n_bits).map(|_| rng.gen::<u32>() & 1 == 1).collect();
+        let mut scratch = TransmitScratch::new();
+        let errors =
+            input.hamming_distance(self.transmit_packed(&input, channel, rng, &mut scratch));
+        errors as f64 / n_bits.max(1) as f64
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::channel::{AwgnChannel, NoiselessChannel, RayleighChannel};
+    use crate::channel::{AwgnChannel, NoiselessChannel};
     use crate::coding::{ConvolutionalCode, HammingCode74, IdentityCode, RepetitionCode};
     use semcom_nn::rng::seeded_rng;
+
+    fn transmit(
+        p: &BitPipeline,
+        bits: &BitVec,
+        channel: &dyn Channel,
+        rng: &mut dyn RngCore,
+    ) -> BitVec {
+        p.transmit_packed(bits, channel, rng, &mut TransmitScratch::new())
+            .clone()
+    }
 
     #[test]
     fn noiseless_pipeline_is_exact() {
@@ -240,8 +180,8 @@ mod tests {
             Box::new(ConvolutionalCode),
         ] {
             let p = BitPipeline::new(code, Modulation::Qam16);
-            let bits: Vec<u8> = (0..123).map(|i| ((i * 5) % 2) as u8).collect();
-            assert_eq!(p.transmit(&bits, &NoiselessChannel, &mut rng), bits);
+            let bits: BitVec = (0..123).map(|i| (i * 5) % 2 == 1).collect();
+            assert_eq!(transmit(&p, &bits, &NoiselessChannel, &mut rng), bits);
         }
     }
 
@@ -273,93 +213,21 @@ mod tests {
         assert_eq!(p.measure_ber(&NoiselessChannel, 1_000, &mut rng), 0.0);
     }
 
-    /// The pre-refactor transmit chain, reconstructed from the legacy
-    /// (reference) trait methods, for bit-equivalence checks.
-    fn legacy_transmit(
-        p: &BitPipeline,
-        bits: &[u8],
-        channel: &dyn Channel,
-        rng: &mut dyn RngCore,
-    ) -> Vec<u8> {
-        let coded = p.code().encode(bits);
-        let tx = p.modulation().modulate(&coded);
-        let rx = channel.transmit(&tx, rng);
-        let mut demod = p.modulation().demodulate(&rx);
-        demod.truncate(coded.len());
-        let mut decoded = p.code().decode(&demod);
-        decoded.truncate(bits.len());
-        decoded
-    }
-
-    #[test]
-    fn packed_chain_matches_legacy_chain_bit_for_bit() {
-        // Same seed through both chains over noisy channels: every stage
-        // (RNG order included) must line up exactly.
-        let channels: Vec<Box<dyn Channel>> = vec![
-            Box::new(NoiselessChannel),
-            Box::new(AwgnChannel::new(2.0)),
-            Box::new(RayleighChannel::new(6.0)),
-        ];
-        let codes: Vec<fn() -> Box<dyn BlockCode + Send + Sync>> = vec![
-            || Box::new(IdentityCode),
-            || Box::new(RepetitionCode::new(3)),
-            || Box::new(HammingCode74),
-            || Box::new(ConvolutionalCode),
-        ];
-        for ch in &channels {
-            for make in &codes {
-                for m in Modulation::ALL {
-                    let p = BitPipeline::new(make(), m);
-                    let bits: Vec<u8> = (0..501).map(|i| ((i * 7) % 2) as u8).collect();
-                    let legacy = legacy_transmit(&p, &bits, ch.as_ref(), &mut seeded_rng(42));
-                    let packed = p.transmit(&bits, ch.as_ref(), &mut seeded_rng(42));
-                    assert_eq!(packed, legacy, "{p:?}");
-                }
-            }
-        }
-    }
-
     #[test]
     fn measure_ber_matches_legacy_rng_order() {
-        // Re-derive the BER with the historical byte-per-bit recipe and the
-        // same seed; the packed measure_ber must agree exactly.
+        // The historical recipe: one `u32` per information bit, then one
+        // transmit, then count the errors. `measure_ber` must agree exactly.
         let ch = AwgnChannel::new(3.0);
         let p = BitPipeline::new(Box::new(HammingCode74), Modulation::Qam16);
         let n_bits = 5_000;
 
         let mut rng = seeded_rng(7);
-        let bits: Vec<u8> = (0..n_bits).map(|_| (rng.gen::<u32>() & 1) as u8).collect();
-        let out = legacy_transmit(&p, &bits, &ch, &mut rng);
-        let errors = bits.iter().zip(&out).filter(|(a, b)| a != b).count();
-        let legacy_ber = errors as f64 / n_bits as f64;
+        let bits: BitVec = (0..n_bits).map(|_| rng.gen::<u32>() & 1 == 1).collect();
+        let out = transmit(&p, &bits, &ch, &mut rng);
+        let legacy_ber = bits.hamming_distance(&out) as f64 / n_bits as f64;
 
         let packed_ber = p.measure_ber(&ch, n_bits, &mut seeded_rng(7));
         assert_eq!(packed_ber.to_bits(), legacy_ber.to_bits());
-    }
-
-    #[test]
-    fn transmit_batch_matches_sequential_at_any_worker_count() {
-        let p = BitPipeline::new(Box::new(ConvolutionalCode), Modulation::Qpsk);
-        let ch = AwgnChannel::new(5.0);
-        let frames: Vec<BitVec> = (0..9)
-            .map(|f| {
-                let bits: Vec<u8> = (0..100 + f * 13).map(|i| ((i + f) % 2) as u8).collect();
-                BitVec::from_u8_bits(&bits)
-            })
-            .collect();
-
-        let baseline = {
-            semcom_par::set_workers(1);
-            let out = p.transmit_batch(&frames, &ch, &mut seeded_rng(11));
-            semcom_par::reset_workers();
-            out
-        };
-        for workers in [2, 4] {
-            semcom_par::set_workers(workers);
-            let out = p.transmit_batch(&frames, &ch, &mut seeded_rng(11));
-            semcom_par::reset_workers();
-            assert_eq!(out, baseline, "workers={workers}");
-        }
     }
 
     #[test]
@@ -368,9 +236,9 @@ mod tests {
         let p =
             BitPipeline::new(Box::new(HammingCode74), Modulation::Qpsk).with_recorder(rec.clone());
         let mut rng = seeded_rng(5);
-        let bits: Vec<u8> = (0..64).map(|i| (i % 2) as u8).collect();
+        let bits: BitVec = (0..64).map(|i| i % 2 == 1).collect();
         for _ in 0..3 {
-            p.transmit(&bits, &AwgnChannel::new(6.0), &mut rng);
+            transmit(&p, &bits, &AwgnChannel::new(6.0), &mut rng);
         }
         for stage in [
             Stage::Encode,
@@ -384,21 +252,8 @@ mod tests {
         // Timing never perturbs the data path.
         let plain = BitPipeline::new(Box::new(HammingCode74), Modulation::Qpsk);
         assert_eq!(
-            p.transmit(&bits, &AwgnChannel::new(6.0), &mut seeded_rng(9)),
-            plain.transmit(&bits, &AwgnChannel::new(6.0), &mut seeded_rng(9)),
+            transmit(&p, &bits, &AwgnChannel::new(6.0), &mut seeded_rng(9)),
+            transmit(&plain, &bits, &AwgnChannel::new(6.0), &mut seeded_rng(9)),
         );
-    }
-
-    #[test]
-    fn transmit_batch_recovers_frames_noiselessly() {
-        let p = BitPipeline::new(Box::new(HammingCode74), Modulation::Qam16);
-        let frames: Vec<BitVec> = (0..5)
-            .map(|f| {
-                let bits: Vec<u8> = (0..64 + f).map(|i| ((i * 3 + f) % 2) as u8).collect();
-                BitVec::from_u8_bits(&bits)
-            })
-            .collect();
-        let out = p.transmit_batch(&frames, &NoiselessChannel, &mut seeded_rng(1));
-        assert_eq!(out, frames);
     }
 }

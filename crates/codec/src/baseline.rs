@@ -1,7 +1,7 @@
 use crate::huffman::HuffmanCode;
 use rand::RngCore;
 use semcom_channel::coding::BlockCode;
-use semcom_channel::{BitPipeline, Channel, Modulation};
+use semcom_channel::{BitPipeline, BitVec, Channel, Modulation, TransmitScratch};
 use semcom_text::{ConceptId, Domain, Sentence, SyntheticLanguage};
 
 /// A concept id that matches nothing — produced when the traditional
@@ -71,9 +71,12 @@ impl TraditionalCodec {
         channel: &dyn Channel,
         rng: &mut dyn RngCore,
     ) -> Vec<usize> {
-        let bits = self.huffman.encode(tokens);
-        let received_bits = self.pipeline.transmit(&bits, channel, rng);
-        self.huffman.decode(&received_bits)
+        let bits = BitVec::from_u8_bits(&self.huffman.encode(tokens));
+        let mut scratch = TransmitScratch::new();
+        let received = self
+            .pipeline
+            .transmit_packed(&bits, channel, rng, &mut scratch);
+        self.huffman.decode(&received.to_u8_bits())
     }
 
     /// Channel symbols needed to carry a token sequence.

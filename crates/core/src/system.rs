@@ -331,14 +331,6 @@ impl SemanticEdgeSystem {
         &self.config
     }
 
-    /// Replaces the physical channel used for message serving — e.g. a
-    /// [`semcom_channel::PacedChannel`] that models per-symbol airtime. The
-    /// replacement participates in all serving paths; determinism holds as
-    /// long as the channel itself is deterministic for a given RNG stream.
-    pub fn set_channel(&mut self, channel: Box<dyn Channel + Send + Sync>) {
-        self.channel = channel;
-    }
-
     /// Number of edge servers.
     pub fn edge_count(&self) -> usize {
         self.servers.len()

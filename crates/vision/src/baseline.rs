@@ -1,7 +1,7 @@
 use crate::glyphs::{GlyphSet, GLYPH_PIXELS};
 use rand::RngCore;
 use semcom_channel::coding::BlockCode;
-use semcom_channel::{BitPipeline, Channel, Modulation};
+use semcom_channel::{BitPipeline, BitVec, Channel, Modulation, TransmitScratch};
 
 /// The traditional leg for images: binarize pixels, ship them through a
 /// channel-coded bit pipeline, classify at the receiver by nearest
@@ -47,9 +47,12 @@ impl PixelBaseline {
         rng: &mut dyn RngCore,
     ) -> Vec<f32> {
         assert_eq!(image.len(), GLYPH_PIXELS, "wrong image size");
-        let bits: Vec<u8> = image.iter().map(|&p| (p >= 0.5) as u8).collect();
-        let received = self.pipeline.transmit(&bits, channel, rng);
-        received.iter().map(|&b| b as f32).collect()
+        let bits: BitVec = image.iter().map(|&p| p >= 0.5).collect();
+        let mut scratch = TransmitScratch::new();
+        let received = self
+            .pipeline
+            .transmit_packed(&bits, channel, rng, &mut scratch);
+        received.iter().map(|b| f32::from(u8::from(b))).collect()
     }
 
     /// End-to-end classification accuracy over `n` fresh samples.

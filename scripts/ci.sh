@@ -25,7 +25,8 @@ cargo test --offline -q --manifest-path benchmark/Cargo.toml
 
 echo "=== bench smoke (criterion --test mode) ==="
 # Runs every channel and cache bench routine exactly once (no sampling),
-# so the fast/reference bench pairs can't bit-rot without failing CI.
+# so the PHY stage routines and the cache engine's fast/reference pairs
+# can't bit-rot without failing CI.
 cargo bench -p semcom-bench --bench channel -- --test
 cargo bench -p semcom-bench --bench cache -- --test
 cargo bench -p semcom-bench --bench sync -- --test
@@ -37,8 +38,8 @@ cargo bench -p semcom-bench --bench obs -- --test
 # int8 vs fp32 encode, batched vs per-user; see BENCH_pr6.json).
 cargo bench -p semcom-bench --bench matmul -- --test
 cargo bench -p semcom-bench --bench codec -- --test
-# send_stream routines (sequential vs send_stream at 1 and 4 workers, paced
-# airtime; routine names as recorded in BENCH_pr7.json).
+# send_stream routines (sequential vs send_stream at 1 and 4 workers;
+# routine names as recorded in BENCH_pr7.json).
 cargo bench -p semcom-bench --bench pipeline -- --test
 # The F14 adaptation loop sits on every serving ingress and fleet arrival:
 # the policy step and the adaptive/offload fleet replays must keep running.
@@ -119,6 +120,9 @@ t8_observability t11_tracing f13_fleet_scale f14_adaptive: 1 4
 # are recorded at 1 worker only; tests/multimodal_digest.rs pins the
 # training itself at 1, 2 and 4.
 f7_image_codec f10_audio_codec f11_video_codec: 1
+# T6: decoder-sync updates over a BSC, unprotected, CRC-dropped and framed
+# with ARQ. Recorded at 1 worker; its stdout is the same at 2 and 4.
+t6_lossy_sync: 1
 # T10: a mixed trace through send_stream (bit-identity to send_message is
 # asserted inside) and the fleet DES dispatch loop; 3 workers split a
 # window into uneven chunks.

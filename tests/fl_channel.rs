@@ -3,8 +3,8 @@
 
 use semcom_channel::coding::{crc32, ConvolutionalCode, IdentityCode};
 use semcom_channel::{
-    bits_to_bytes, bytes_to_bits, ArqPipeline, AwgnChannel, BitPipeline, FaultConfig,
-    FaultyChannel, FaultyLink, Modulation, NoiselessChannel,
+    ArqPipeline, AwgnChannel, BitPipeline, BitVec, FaultConfig, FaultyChannel, FaultyLink,
+    Modulation, NoiselessChannel, TransmitScratch,
 };
 use semcom_codec::train::{TrainConfig, Trainer};
 use semcom_codec::{CodecConfig, KbScope, KnowledgeBase};
@@ -48,8 +48,14 @@ fn sync_update_survives_a_noiseless_modem() {
     let wire = update.to_bytes();
     let pipeline = BitPipeline::new(Box::new(IdentityCode), Modulation::Qam16);
     let mut rng = seeded_rng(1);
-    let rx_bits = pipeline.transmit(&bytes_to_bits(&wire), &NoiselessChannel, &mut rng);
-    let rx = SyncUpdate::from_bytes(&bits_to_bytes(&rx_bits)).expect("clean channel");
+    let mut scratch = TransmitScratch::new();
+    let rx_bits = pipeline.transmit_packed(
+        &BitVec::from_bytes(&wire),
+        &NoiselessChannel,
+        &mut rng,
+        &mut scratch,
+    );
+    let rx = SyncUpdate::from_bytes(&rx_bits.to_bytes()).expect("clean channel");
     rx.apply(&mut receiver.decoder.params_mut()).unwrap();
     assert_close(
         ParamVec::values_of(&receiver.decoder.params_mut()).as_slice(),
@@ -97,9 +103,11 @@ fn arq_delivers_sync_updates_through_a_noisy_modem() {
         8,
     );
     let mut rng = seeded_rng(2);
-    let out = arq.transmit(&bytes_to_bits(&wire), &AwgnChannel::new(4.0), &mut rng);
+    let bits = BitVec::from_bytes(&wire).to_u8_bits();
+    let out = arq.transmit(&bits, &AwgnChannel::new(4.0), &mut rng);
     assert!(out.delivered, "ARQ failed at 4 dB with FEC");
-    let rx = SyncUpdate::from_bytes(&bits_to_bytes(&out.bits)).expect("CRC-verified frame");
+    let rx = SyncUpdate::from_bytes(&BitVec::from_u8_bits(&out.bits).to_bytes())
+        .expect("CRC-verified frame");
     rx.apply(&mut receiver.decoder.params_mut()).unwrap();
     assert_close(
         ParamVec::values_of(&receiver.decoder.params_mut()).as_slice(),

@@ -10,16 +10,25 @@
 //! 4 097 symbols (one more than any block size), AWGN
 //! `transmit_f32_in_place` of 33 features (odd: the padded imaginary sample
 //! is still drawn), one 8 KB `ArqPipeline::transmit` at 10 dB and the same
-//! bytes as eight retransmitting `ArqLink::deliver` frames at 6 dB. Each digest ends with the generator's
-//! next draw, so consuming one sample too many or too few fails as well.
+//! bytes as eight retransmitting `ArqLink::deliver` frames at 6 dB. A
+//! seventh pins the whole bit-level PHY: `BitPipeline::transmit_packed` and
+//! `symbols_for` for every code × modulation × channel (noiseless, AWGN,
+//! Rayleigh, erasure, faulty AWGN) at payloads of 1, 63, 64, 65 and 501
+//! bits, plus `measure_ber`; it was recorded while the byte-per-bit chain
+//! (code `encode`, `modulate`, `transmit`, `demodulate`, code `decode`)
+//! still existed, and that chain gave the same digest. Each digest ends
+//! with the generator's next draw, so consuming one sample too many or too
+//! few fails as well.
 //! None of this depends on the worker count; `scripts/ci.sh` still runs the
 //! file at `SEMCOM_THREADS` = 1 and 4 beside the other digests.
 
-use rand::Rng;
-use semcom_channel::coding::ConvolutionalCode;
+use rand::{Rng, RngCore};
+use semcom_channel::coding::{
+    BlockCode, ConvolutionalCode, HammingCode74, IdentityCode, RepetitionCode,
+};
 use semcom_channel::{
-    ArqPipeline, AwgnChannel, BitPipeline, Channel, Complex, FeatureScratch, Modulation,
-    RayleighChannel,
+    ArqPipeline, AwgnChannel, BitPipeline, BitVec, Channel, Complex, ErasureChannel, FaultyChannel,
+    FeatureScratch, Modulation, NoiselessChannel, RayleighChannel, TransmitScratch,
 };
 use semcom_fl::{ArqLink, SyncLink};
 use semcom_nn::rng::{fill_standard_normal, seeded_rng};
@@ -30,6 +39,7 @@ const EXPECTED_RAYLEIGH: u64 = 0xa0fd_bd1d_1223_bddf;
 const EXPECTED_FEATURES: u64 = 0x9203_0b8c_7808_3fa6;
 const EXPECTED_ARQ: u64 = 0x4939_eb59_4747_8b2d;
 const EXPECTED_LINK: u64 = 0xc60d_8e1d_6376_684e;
+const EXPECTED_PHY: u64 = 0xd1a1_e240_9fc4_8466;
 
 struct Fnv(u64);
 
@@ -140,7 +150,7 @@ fn arq_frames_are_bit_identical_to_the_recorded_digests() {
     let frame = frame();
 
     let mut rng = seeded_rng(35);
-    let bits = semcom_channel::bytes_to_bits(&frame);
+    let bits = BitVec::from_bytes(&frame).to_u8_bits();
     let out = arq().transmit(&bits, &channel, &mut rng);
     let mut digest = Fnv::new();
     digest.bytes(&out.bits);
@@ -168,4 +178,55 @@ fn arq_frames_are_bit_identical_to_the_recorded_digests() {
     digest.u64(ok);
     let got = digest.finish(&mut rng);
     assert_eq!(got, EXPECTED_LINK, "ARQ link moved: {got:#018x}");
+}
+
+type CodeCtor = fn() -> Box<dyn BlockCode + Send + Sync>;
+
+const CODES: [CodeCtor; 4] = [
+    || Box::new(IdentityCode),
+    || Box::new(RepetitionCode::new(3)),
+    || Box::new(HammingCode74),
+    || Box::new(ConvolutionalCode),
+];
+
+/// `len` payload bits drawn from `rng`, 64 at a time.
+fn payload(len: usize, rng: &mut impl RngCore) -> BitVec {
+    let mut bits = BitVec::with_capacity(len);
+    while bits.len() < len {
+        bits.push_bits(rng.next_u64(), (len - bits.len()).min(64));
+    }
+    bits
+}
+
+#[test]
+fn bit_pipeline_is_bit_identical_to_the_recorded_digest() {
+    let channels: Vec<Box<dyn Channel>> = vec![
+        Box::new(NoiselessChannel),
+        Box::new(AwgnChannel::new(2.0)),
+        Box::new(RayleighChannel::new(6.0)),
+        Box::new(ErasureChannel::new(0.1)),
+        Box::new(FaultyChannel::new(AwgnChannel::new(4.0), 0.2, 0.05)),
+    ];
+    let mut data = seeded_rng(37);
+    let mut rng = seeded_rng(38);
+    let mut scratch = TransmitScratch::new();
+    let mut digest = Fnv::new();
+    for code in CODES {
+        for m in Modulation::ALL {
+            let p = BitPipeline::new(code(), m);
+            for channel in &channels {
+                for len in [1usize, 63, 64, 65, 501] {
+                    let bits = payload(len, &mut data);
+                    let out = p.transmit_packed(&bits, channel.as_ref(), &mut rng, &mut scratch);
+                    digest.u64(out.len() as u64);
+                    digest.bytes(&out.to_bytes());
+                    digest.u64(p.symbols_for(len) as u64);
+                }
+            }
+            let ber = p.measure_ber(&AwgnChannel::new(3.0), 2_000, &mut rng);
+            digest.u64(ber.to_bits());
+        }
+    }
+    let got = digest.finish(&mut rng);
+    assert_eq!(got, EXPECTED_PHY, "bit pipeline moved: {got:#018x}");
 }
