@@ -285,6 +285,54 @@ mod tests {
         out.to_u8_bits()
     }
 
+    /// Per-bit reference mapper for one symbol's MSB-first bit group.
+    fn reference_symbol(m: Modulation, b: &[u8]) -> Complex {
+        match m {
+            Modulation::Bpsk => Complex::new(if b[0] == 0 { 1.0 } else { -1.0 }, 0.0),
+            Modulation::Qpsk => {
+                let s = std::f64::consts::FRAC_1_SQRT_2;
+                Complex::new(
+                    if b[0] == 0 { s } else { -s },
+                    if b[1] == 0 { s } else { -s },
+                )
+            }
+            Modulation::Qam16 => Complex::new(
+                PAM4[gray_to_level(b[0], b[1])] * QAM16_SCALE,
+                PAM4[gray_to_level(b[2], b[3])] * QAM16_SCALE,
+            ),
+        }
+    }
+
+    /// Per-bit reference modulator: zero-pads the tail to a whole symbol.
+    fn reference_modulate(m: Modulation, bits: &[u8]) -> Vec<Complex> {
+        let bps = m.bits_per_symbol();
+        bits.chunks(bps)
+            .map(|chunk| {
+                let mut padded = [0u8; 4];
+                padded[..chunk.len()].copy_from_slice(chunk);
+                reference_symbol(m, &padded[..bps])
+            })
+            .collect()
+    }
+
+    /// Per-symbol reference demodulator: sign decisions, and the
+    /// divide-then-search PAM quantizer for 16-QAM.
+    fn reference_demodulate(m: Modulation, symbols: &[Complex]) -> Vec<u8> {
+        let sign = |x: f64| if x >= 0.0 { 0 } else { 1 };
+        let gray = |x: f64| {
+            let g = LEVEL_GRAY[nearest_pam(x / QAM16_SCALE)];
+            [(g >> 1) as u8, (g & 1) as u8]
+        };
+        symbols
+            .iter()
+            .flat_map(|s| match m {
+                Modulation::Bpsk => vec![sign(s.re)],
+                Modulation::Qpsk => vec![sign(s.re), sign(s.im)],
+                Modulation::Qam16 => [gray(s.re), gray(s.im)].concat(),
+            })
+            .collect()
+    }
+
     #[test]
     fn noiseless_roundtrip_all_modulations() {
         let bits: Vec<u8> = (0..64).map(|i| ((i * 7) % 3 == 0) as u8).collect();
@@ -383,6 +431,51 @@ mod tests {
         while x < 2.0 {
             assert_eq!(pam_level(x, t), nearest_pam(x / QAM16_SCALE), "x = {x}");
             x += 0.0037;
+        }
+    }
+
+    #[test]
+    fn luts_match_map_symbol_exhaustively() {
+        for m in Modulation::ALL {
+            let bps = m.bits_per_symbol();
+            for pattern in 0..1usize << bps {
+                let bits: Vec<u8> = (0..bps)
+                    .map(|i| ((pattern >> (bps - 1 - i)) & 1) as u8)
+                    .collect();
+                let reference = reference_symbol(m, &bits);
+                let mut packed_bits = BitVec::new();
+                packed_bits.push_bits(pattern as u64, bps);
+                let mut out = Vec::new();
+                m.modulate_into(&packed_bits, &mut out);
+                assert_eq!(out.len(), 1);
+                assert_eq!(
+                    out[0].re.to_bits(),
+                    reference.re.to_bits(),
+                    "{m:?} {pattern}"
+                );
+                assert_eq!(
+                    out[0].im.to_bits(),
+                    reference.im.to_bits(),
+                    "{m:?} {pattern}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn packed_paths_match_legacy_including_padding() {
+        for m in Modulation::ALL {
+            for len in [0usize, 1, 2, 3, 5, 17, 64, 67] {
+                let bits: Vec<u8> = (0..len).map(|i| ((i * 11 + 2) % 3 == 0) as u8).collect();
+                let reference_syms = reference_modulate(m, &bits);
+                let syms = modulate(m, &bits);
+                assert_eq!(syms, reference_syms, "{m:?} len {len}");
+                assert_eq!(
+                    demodulate(m, &syms),
+                    reference_demodulate(m, &reference_syms),
+                    "{m:?} demod"
+                );
+            }
         }
     }
 }
