@@ -29,7 +29,7 @@ fn main() {
         let mut sem_symbols = 0usize;
         let mut n = 0usize;
         for s in &setup.test[&d] {
-            raw_bits += s.utf8_bytes() * 8;
+            raw_bits += s.utf8_bytes(setup.lang.vocab()) * 8;
             let h = huff.encode(&s.tokens).len();
             huff_bits += h;
             fec_bits += HammingCode74.coded_len(h);

@@ -20,8 +20,8 @@ use serde::{Deserialize, Serialize};
 /// only code here needing per-call storage).
 #[derive(Debug, Clone, Default)]
 pub struct CodeScratch {
-    /// Viterbi survivor entries, `prev_state | input << 2` per
-    /// `(step, state)`.
+    /// Viterbi survivors, one bitmask byte per step: bit `s` is set when
+    /// state `s` was reached from its upper predecessor.
     survivors: Vec<u8>,
 }
 
@@ -328,6 +328,29 @@ const CONV_NIBBLE: [[(u8, u8); 16]; 4] = {
     t
 };
 
+/// Viterbi branch metrics: `BRANCH_COST[r][s]` holds the Hamming
+/// distances between the received pair `r` and the pairs emitted on the
+/// two transitions into state `s`, from its lower predecessor `2·(s & 1)`
+/// and its upper one `2·(s & 1) + 1` (the input bit is `s >> 1`).
+const BRANCH_COST: [[[u32; 2]; 4]; 4] = {
+    let mut t = [[[0u32; 2]; 4]; 4];
+    let mut r = 0;
+    while r < 4 {
+        let mut s = 0;
+        while s < 4 {
+            let mut upper = 0;
+            while upper < 2 {
+                let (pair, _) = conv_step(2 * (s & 1) + upper, (s >> 1) as u8);
+                t[r][s][upper] = (pair ^ r as u8).count_ones();
+                upper += 1;
+            }
+            s += 1;
+        }
+        r += 1;
+    }
+    t
+};
+
 /// A rate-1/2 convolutional code, constraint length 3, generators (7, 5)
 /// octal, with hard-decision Viterbi decoding and zero-tail termination.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -377,34 +400,35 @@ impl BlockCode for ConvolutionalCode {
         if steps == 0 {
             return;
         }
+        // Only state 0 is reachable at the start. An unreachable state's
+        // metric stays within two branch costs of INF, so it never wins a
+        // comparison with a reachable one, and after step 1 every state is
+        // reachable.
         const INF: u32 = u32::MAX / 2;
-        let mut metrics = [INF; Self::STATES];
-        metrics[0] = 0;
-        // Survivor entry: prev_state | input << 2, indexed [t * STATES + s].
+        let mut metrics = [0, INF, INF, INF];
         // `resize` reuses the scratch allocation across calls.
         scratch.survivors.clear();
-        scratch.survivors.resize(steps * Self::STATES, 0);
+        scratch.survivors.resize(steps, 0);
 
-        for t in 0..steps {
-            let r = coded.get_bits(2 * t, 2);
-            let (r0, r1) = ((r >> 1) as u8, (r & 1) as u8);
-            let mut next = [INF; Self::STATES];
-            let surv = &mut scratch.survivors[t * Self::STATES..(t + 1) * Self::STATES];
-            for (state, &metric) in metrics.iter().enumerate() {
-                if metric >= INF {
-                    continue;
+        // Add-compare-select on 32 received pairs per coded word. Each
+        // state keeps the smaller of its predecessors' `metric + cost`; a
+        // tie keeps the lower predecessor.
+        let chunks = scratch.survivors.chunks_mut(32);
+        for (&word, survivors) in coded.words().iter().zip(chunks) {
+            for (i, survivor) in survivors.iter_mut().enumerate() {
+                let cost = &BRANCH_COST[(word >> (62 - 2 * i)) as usize & 3];
+                let mut next = [0; Self::STATES];
+                let mut upper = 0u8;
+                for (s, next) in next.iter_mut().enumerate() {
+                    let lower = 2 * (s & 1);
+                    let a = metrics[lower] + cost[s][0];
+                    let b = metrics[lower + 1] + cost[s][1];
+                    *next = a.min(b);
+                    upper |= u8::from(b < a) << s;
                 }
-                for input in 0..=1u8 {
-                    let (pair, ns) = conv_step(state, input);
-                    let cost = ((pair >> 1) != r0) as u32 + ((pair & 1) != r1) as u32;
-                    let m = metric + cost;
-                    if m < next[ns] {
-                        next[ns] = m;
-                        surv[ns] = (state as u8) | (input << 2);
-                    }
-                }
+                metrics = next;
+                *survivor = upper;
             }
-            metrics = next;
         }
 
         // Zero-tail termination: trace back from state 0 when reachable.
@@ -414,46 +438,69 @@ impl BlockCode for ConvolutionalCode {
             (0..Self::STATES).min_by_key(|&s| metrics[s]).unwrap_or(0)
         };
         out.resize(steps);
-        for t in (0..steps).rev() {
-            let entry = scratch.survivors[t * Self::STATES + state];
-            out.set(t, entry >> 2 == 1);
-            state = (entry & 0b11) as usize;
+        for (t, &upper) in scratch.survivors.iter().enumerate().rev() {
+            out.set(t, state >> 1 == 1);
+            state = 2 * (state & 1) + usize::from(upper >> state & 1);
         }
         // Drop the two flush bits.
         out.truncate(steps.saturating_sub(2));
     }
 }
 
-/// CRC-16/CCITT-FALSE checksum.
-pub fn crc16(data: &[u8]) -> u16 {
-    let mut crc: u16 = 0xFFFF;
-    for &b in data {
-        crc ^= (b as u16) << 8;
-        for _ in 0..8 {
-            if crc & 0x8000 != 0 {
-                crc = (crc << 1) ^ 0x1021;
+/// CRC-16/CCITT-FALSE of one byte value, MSB-first (polynomial 0x1021).
+const CRC16_TABLE: [u16; 256] = {
+    let mut t = [0u16; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = (i as u16) << 8;
+        let mut k = 0;
+        while k < 8 {
+            crc = if crc & 0x8000 != 0 {
+                (crc << 1) ^ 0x1021
             } else {
-                crc <<= 1;
-            }
+                crc << 1
+            };
+            k += 1;
         }
+        t[i] = crc;
+        i += 1;
     }
-    crc
+    t
+};
+
+/// CRC-32 of one byte value, reflected (polynomial 0xEDB88320).
+const CRC32_TABLE: [u32; 256] = {
+    let mut t = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut k = 0;
+        while k < 8 {
+            crc = if crc & 1 != 0 {
+                (crc >> 1) ^ 0xEDB8_8320
+            } else {
+                crc >> 1
+            };
+            k += 1;
+        }
+        t[i] = crc;
+        i += 1;
+    }
+    t
+};
+
+/// CRC-16/CCITT-FALSE checksum, one table lookup per byte.
+pub fn crc16(data: &[u8]) -> u16 {
+    data.iter().fold(0xFFFF, |crc, &b| {
+        (crc << 8) ^ CRC16_TABLE[usize::from((crc >> 8) as u8 ^ b)]
+    })
 }
 
-/// CRC-32 (IEEE 802.3, reflected) checksum.
+/// CRC-32 (IEEE 802.3, reflected) checksum, one table lookup per byte.
 pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc: u32 = 0xFFFF_FFFF;
-    for &b in data {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            if crc & 1 != 0 {
-                crc = (crc >> 1) ^ 0xEDB8_8320;
-            } else {
-                crc >>= 1;
-            }
-        }
-    }
-    !crc
+    !data.iter().fold(0xFFFF_FFFF, |crc, &b| {
+        (crc >> 8) ^ CRC32_TABLE[usize::from(crc as u8 ^ b)]
+    })
 }
 
 #[cfg(test)]
@@ -491,6 +538,127 @@ mod tests {
     fn flip(bits: &mut BitVec, i: usize) {
         let b = bits.get(i);
         bits.set(i, !b);
+    }
+
+    /// The first-found Viterbi decoder: states in ascending order, a
+    /// strictly smaller metric replaces a survivor, unreachable states are
+    /// skipped. `ConvolutionalCode::decode_packed` must match it bit for
+    /// bit.
+    fn reference_viterbi(coded: &BitVec) -> BitVec {
+        const STATES: usize = ConvolutionalCode::STATES;
+        let mut out = BitVec::new();
+        let steps = coded.len() / 2;
+        if steps == 0 {
+            return out;
+        }
+        const INF: u32 = u32::MAX / 2;
+        let mut metrics = [INF; STATES];
+        metrics[0] = 0;
+        // Survivor entry: prev_state | input << 2, indexed [t * STATES + s].
+        let mut survivors = vec![0u8; steps * STATES];
+        for t in 0..steps {
+            let r = coded.get_bits(2 * t, 2);
+            let (r0, r1) = ((r >> 1) as u8, (r & 1) as u8);
+            let mut next = [INF; STATES];
+            let surv = &mut survivors[t * STATES..(t + 1) * STATES];
+            for (state, &metric) in metrics.iter().enumerate() {
+                if metric >= INF {
+                    continue;
+                }
+                for input in 0..=1u8 {
+                    let (pair, ns) = conv_step(state, input);
+                    let cost = ((pair >> 1) != r0) as u32 + ((pair & 1) != r1) as u32;
+                    let m = metric + cost;
+                    if m < next[ns] {
+                        next[ns] = m;
+                        surv[ns] = (state as u8) | (input << 2);
+                    }
+                }
+            }
+            metrics = next;
+        }
+        let mut state = if metrics[0] < INF {
+            0
+        } else {
+            (0..STATES).min_by_key(|&s| metrics[s]).unwrap_or(0)
+        };
+        out.resize(steps);
+        for t in (0..steps).rev() {
+            let entry = survivors[t * STATES + state];
+            out.set(t, entry >> 2 == 1);
+            state = (entry & 0b11) as usize;
+        }
+        out.truncate(steps.saturating_sub(2));
+        out
+    }
+
+    /// Bit-at-a-time CRC-16/CCITT-FALSE, the oracle for the table.
+    fn reference_crc16(data: &[u8]) -> u16 {
+        let mut crc: u16 = 0xFFFF;
+        for &b in data {
+            crc ^= (b as u16) << 8;
+            for _ in 0..8 {
+                if crc & 0x8000 != 0 {
+                    crc = (crc << 1) ^ 0x1021;
+                } else {
+                    crc <<= 1;
+                }
+            }
+        }
+        crc
+    }
+
+    /// Bit-at-a-time reflected CRC-32, the oracle for the table.
+    fn reference_crc32(data: &[u8]) -> u32 {
+        let mut crc: u32 = 0xFFFF_FFFF;
+        for &b in data {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                if crc & 1 != 0 {
+                    crc = (crc >> 1) ^ 0xEDB8_8320;
+                } else {
+                    crc >>= 1;
+                }
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn viterbi_matches_the_first_found_reference_on_noisy_frames() {
+        use crate::channel::BinarySymmetricChannel;
+        let mut rng = seeded_rng(91);
+        let mut scratch = CodeScratch::new();
+        let mut rx = BitVec::new();
+        let mut out = BitVec::new();
+        for frame in 0..400 {
+            let k = rng.gen_range(0..300usize);
+            let coded = encode(&ConvolutionalCode, &random_bits(k, frame));
+            // Flip rates up to 0.5 make ties and wrong paths common.
+            let flip = [0.0, 0.02, 0.1, 0.3, 0.5][frame as usize % 5];
+            BinarySymmetricChannel::new(flip).transmit_bits_into(&coded, &mut rx, &mut rng);
+            // Truncated frames, odd lengths included.
+            if frame % 3 == 0 {
+                rx.truncate(rng.gen_range(0..=rx.len()));
+            }
+            ConvolutionalCode.decode_packed(&rx, &mut out, &mut scratch);
+            assert_eq!(
+                out,
+                reference_viterbi(&rx),
+                "frame {frame}, {} bits",
+                rx.len()
+            );
+        }
+    }
+
+    #[test]
+    fn crc_tables_match_the_bitwise_reference() {
+        let mut rng = seeded_rng(5);
+        for len in (0..64).chain([255, 1000, 4097]) {
+            let data: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
+            assert_eq!(crc16(&data), reference_crc16(&data), "crc16 len {len}");
+            assert_eq!(crc32(&data), reference_crc32(&data), "crc32 len {len}");
+        }
     }
 
     #[test]

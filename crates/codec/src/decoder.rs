@@ -1,5 +1,5 @@
 use rand::RngCore;
-use semcom_channel::{AwgnChannel, Channel};
+use semcom_channel::{AwgnChannel, Channel, FeatureScratch};
 use semcom_nn::layers::{Activation, DenseLayer, Linear};
 use semcom_nn::loss::softmax_cross_entropy;
 use semcom_nn::params::Param;
@@ -144,18 +144,16 @@ impl SemanticDecoder {
     }
 }
 
-/// `features` after `channel`, shape kept; an empty batch draws no noise.
+/// `features` after `channel`, in place; an empty batch draws no noise.
 pub(crate) fn over_channel(
-    features: Tensor,
+    mut features: Tensor,
     channel: &dyn Channel,
     rng: &mut dyn RngCore,
 ) -> Tensor {
-    if features.is_empty() {
-        return features;
+    if !features.is_empty() {
+        channel.transmit_f32_in_place(features.as_mut_slice(), &mut FeatureScratch::new(), rng);
     }
-    let received = channel.transmit_f32(features.as_slice(), rng);
-    Tensor::from_vec(features.rows(), features.cols(), received)
-        .expect("channel preserves feature length")
+    features
 }
 
 #[cfg(test)]

@@ -77,7 +77,7 @@ use semcom_codec::{
 use semcom_fl::BufferSample;
 use semcom_nn::rng::{derive_seed, seeded_rng};
 use semcom_nn::Tensor;
-use semcom_obs::{Event, Recorder, SpanContext, Stage, TraceSpan};
+use semcom_obs::{Counter, Event, Gauge, Recorder, SpanContext, Stage, TraceSpan};
 use semcom_text::{ConceptId, Domain, Sentence};
 use std::sync::Arc;
 
@@ -236,6 +236,32 @@ fn gather_members<Q>(
     );
 }
 
+/// The `sched_stream_*` counters and gauges every `send_stream` call
+/// updates, resolved once per attached recorder so the hot path takes no
+/// lock and makes no allocation.
+#[derive(Default)]
+pub(crate) struct StreamCounters {
+    encode_batches: Counter,
+    decode_batches: Counter,
+    windows: Counter,
+    fanouts: Counter,
+    window_peak: Gauge,
+    workers: Gauge,
+}
+
+impl StreamCounters {
+    pub(crate) fn resolve(obs: &Recorder) -> Self {
+        StreamCounters {
+            encode_batches: obs.counter_handle("sched_stream_encode_batches"),
+            decode_batches: obs.counter_handle("sched_stream_decode_batches"),
+            windows: obs.counter_handle("sched_stream_windows"),
+            fanouts: obs.counter_handle("sched_stream_fanouts"),
+            window_peak: obs.gauge_handle("sched_stream_window_peak"),
+            workers: obs.gauge_handle("sched_stream_workers"),
+        }
+    }
+}
+
 /// Books one NN stage's wall time since `t0` to the slots that took part
 /// in equal shares (histogram entry, message total, trace span).
 fn share_stage_time(
@@ -260,7 +286,7 @@ fn share_stage_time(
 
 /// Encode stage: groups the chunk by serving encoder and packs each group
 /// into one forward pass.
-fn run_encode(chunk: &mut [StreamSlot], obs: &Recorder) {
+fn run_encode(chunk: &mut [StreamSlot], obs: &Recorder, batches: &Counter) {
     let t0 = obs.now_ns();
     let models = group_slots(chunk, |s| s.enc.as_ref());
     let mut scratch = EncodeScratch::new();
@@ -307,7 +333,7 @@ fn run_encode(chunk: &mut [StreamSlot], obs: &Recorder) {
         |t, span| t.encode = span,
     );
     if !models.is_empty() {
-        obs.add("sched_stream_encode_batches", 1);
+        batches.add(1);
     }
 }
 
@@ -340,7 +366,7 @@ fn run_phy(chunk: &mut [StreamSlot], channel: &dyn Channel, obs: &Recorder) {
 
 /// Decode stage: groups the chunk by the peer-edge decoder captured at
 /// ingress and runs one packed `predict` per group.
-fn run_decode(chunk: &mut [StreamSlot], obs: &Recorder) {
+fn run_decode(chunk: &mut [StreamSlot], obs: &Recorder, batches: &Counter) {
     let t0 = obs.now_ns();
     let models = group_slots(chunk, |s| s.dec.as_ref());
     let mut scratch = DecodeScratch::new();
@@ -395,16 +421,21 @@ fn run_decode(chunk: &mut [StreamSlot], obs: &Recorder) {
         |t, span| t.decode = span,
     );
     if !models.is_empty() {
-        obs.add("sched_stream_decode_batches", 1);
+        batches.add(1);
     }
 }
 
 /// Everything between ingress and commit for one contiguous run of slots;
 /// the unit of work a worker (or, inline, the caller) executes.
-fn run_chunk(chunk: &mut [StreamSlot], channel: &dyn Channel, obs: &Recorder) {
-    run_encode(chunk, obs);
+fn run_chunk(
+    chunk: &mut [StreamSlot],
+    channel: &dyn Channel,
+    obs: &Recorder,
+    counters: &StreamCounters,
+) {
+    run_encode(chunk, obs, &counters.encode_batches);
     run_phy(chunk, channel, obs);
-    run_decode(chunk, obs);
+    run_decode(chunk, obs, &counters.decode_batches);
 }
 
 impl SemanticEdgeSystem {
@@ -484,21 +515,21 @@ impl SemanticEdgeSystem {
                 window.len()
             };
             chunks_peak = chunks_peak.max(window.len().div_ceil(chunk_len));
-            let (channel, obs) = (self.channel.as_ref(), &self.obs);
+            let (channel, obs, counters) =
+                (self.channel.as_ref(), &self.obs, &self.stream_counters);
             semcom_par::par_chunks(&mut window, chunk_len, |_, chunk| {
-                run_chunk(chunk, channel, obs)
+                run_chunk(chunk, channel, obs, counters)
             });
 
             for slot in window.drain(..) {
                 outcomes.push(self.stream_commit(slot));
             }
         }
-        self.obs.add("sched_stream_windows", windows);
-        self.obs.add("sched_stream_fanouts", fanouts);
-        self.obs
-            .set_gauge("sched_stream_window_peak", window_peak as f64);
-        self.obs
-            .set_gauge("sched_stream_workers", chunks_peak as f64);
+        let counters = &self.stream_counters;
+        counters.windows.add(windows);
+        counters.fanouts.add(fanouts);
+        counters.window_peak.set(window_peak as f64);
+        counters.workers.set(chunks_peak as f64);
         outcomes
     }
 
@@ -860,7 +891,12 @@ mod tests {
                 "mixed decoders, shared across peer edges: {groups} groups"
             );
 
-            run_chunk(&mut chunk, system.channel.as_ref(), &Recorder::disabled());
+            run_chunk(
+                &mut chunk,
+                system.channel.as_ref(),
+                &Recorder::disabled(),
+                &StreamCounters::default(),
+            );
             for (i, slot) in chunk.iter().enumerate() {
                 let expected = match (&slot.dec, &slot.features) {
                     (Some(StreamModel::F32(kb)), Some(f)) => kb.decoder.predict(f),

@@ -1,6 +1,7 @@
 use crate::config::{ChannelModel, SelectionStrategy, SystemConfig};
 use crate::metrics::SystemMetrics;
 use crate::server::{EdgeServer, UserKey};
+use crate::stream::StreamCounters;
 use semcom_channel::adapt::LinkState;
 use semcom_channel::{AwgnChannel, Channel, RayleighChannel};
 use semcom_codec::train::Trainer;
@@ -66,6 +67,8 @@ pub struct SemanticEdgeSystem {
     next_user: UserId,
     pub(crate) metrics: SystemMetrics,
     pub(crate) obs: Recorder,
+    /// `obs`'s serving counters, resolved when it is attached.
+    pub(crate) stream_counters: StreamCounters,
     pub(crate) quant: Option<QuantServing>,
     /// Per-user link-adaptation state (Markov SNR trace + EWMA estimator +
     /// policy), present only when [`SystemConfig::adapt`] is set.
@@ -183,6 +186,7 @@ impl SemanticEdgeSystem {
             next_user: 1,
             metrics: SystemMetrics::default(),
             obs: Recorder::disabled(),
+            stream_counters: StreamCounters::default(),
             quant: None,
             links: HashMap::new(),
             adapt_messages: 0,
@@ -236,6 +240,7 @@ impl SemanticEdgeSystem {
         for s in &mut self.servers {
             s.set_recorder(recorder.clone());
         }
+        self.stream_counters = StreamCounters::resolve(&recorder);
         self.obs = recorder;
     }
 

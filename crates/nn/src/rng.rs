@@ -7,6 +7,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use serde::{Deserialize, Serialize};
 
 /// Creates a deterministic [`StdRng`] from a `u64` seed.
 ///
@@ -227,7 +228,7 @@ fn cos_port(x: f64) -> (f64, f64) {
 /// let x = zipf.sample(&mut rng);
 /// assert!(x < 100);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Zipf {
     cdf: Vec<f64>,
 }

@@ -88,7 +88,7 @@ pub use clock::{Clock, MonotonicClock, TickClock};
 pub use event::{Event, EventRecord, RejectCause};
 pub use hist::{bucket_index, bucket_upper_bound, Histogram, BUCKETS};
 pub use json::{parse as parse_json, Json, JsonError};
-pub use recorder::{Recorder, Span, Stage};
+pub use recorder::{Counter, Gauge, Recorder, Span, Stage};
 pub use series::TimeSeriesSampler;
 pub use slo::{SloEvaluator, SloSpec};
 pub use snapshot::{HistogramSnapshot, Snapshot};

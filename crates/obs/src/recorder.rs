@@ -1,5 +1,9 @@
 //! The recorder: named counters, gauges, per-stage latency histograms,
 //! span guards, and the event journal behind one cheap, cloneable handle.
+//!
+//! Counters and gauges are atomic cells behind a name map. Updating by
+//! name locks the map; a hot site resolves a [`Counter`] or [`Gauge`]
+//! handle once and then updates the cell with no lock and no allocation.
 
 use crate::clock::{Clock, MonotonicClock, TickClock};
 use crate::event::{Event, EventRing};
@@ -7,6 +11,7 @@ use crate::hist::Histogram;
 use crate::snapshot::{HistogramSnapshot, Snapshot};
 use crate::trace::{TraceBuffer, TraceSpan, DEFAULT_TRACE_CAPACITY};
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// An instrumented pipeline stage. Each stage owns one latency
@@ -93,11 +98,74 @@ impl Stage {
     }
 }
 
+/// One named counter or gauge (a gauge holds its `f64` bits). A name is
+/// listed from its first update on, not from when a handle resolved it.
+#[derive(Default)]
+struct Cell {
+    bits: AtomicU64,
+    written: AtomicBool,
+}
+
+impl Cell {
+    fn add(&self, delta: u64) {
+        self.bits.fetch_add(delta, Ordering::Relaxed);
+        self.written.store(true, Ordering::Release);
+    }
+
+    fn set(&self, bits: u64) {
+        self.bits.store(bits, Ordering::Relaxed);
+        self.written.store(true, Ordering::Release);
+    }
+
+    fn get(&self) -> Option<u64> {
+        self.written
+            .load(Ordering::Acquire)
+            .then(|| self.bits.load(Ordering::Relaxed))
+    }
+}
+
+type Cells = Mutex<BTreeMap<String, Arc<Cell>>>;
+
+/// Applies `f` to the cell named `name`, creating it on first use.
+fn update(cells: &mut BTreeMap<String, Arc<Cell>>, name: &str, f: impl FnOnce(&Cell)) {
+    match cells.get(name) {
+        Some(c) => f(c),
+        None => {
+            let c = Arc::new(Cell::default());
+            f(&c);
+            cells.insert(name.to_owned(), c);
+        }
+    }
+}
+
+/// The cell named `name`, created unwritten if it does not exist yet.
+fn resolve(cells: &Cells, name: &str) -> Arc<Cell> {
+    let mut cells = cells.lock().expect("metric lock");
+    match cells.get(name) {
+        Some(c) => Arc::clone(c),
+        None => {
+            let c = Arc::new(Cell::default());
+            cells.insert(name.to_owned(), Arc::clone(&c));
+            c
+        }
+    }
+}
+
+/// The written cells' values, sorted by name.
+fn written(cells: &Cells) -> Vec<(String, u64)> {
+    cells
+        .lock()
+        .expect("metric lock")
+        .iter()
+        .filter_map(|(k, c)| Some((k.clone(), c.get()?)))
+        .collect()
+}
+
 struct Inner {
     clock: Box<dyn Clock>,
     stages: Vec<Histogram>,
-    counters: Mutex<BTreeMap<String, u64>>,
-    gauges: Mutex<BTreeMap<String, f64>>,
+    counters: Cells,
+    gauges: Cells,
     events: Mutex<EventRing>,
     trace: Option<Arc<TraceBuffer>>,
 }
@@ -107,11 +175,36 @@ struct Inner {
 /// silently skipped rather than escalated to an abort).
 fn bump_aborted(inner: &Inner) {
     if let Ok(mut c) = inner.counters.lock() {
-        match c.get_mut("spans_aborted") {
-            Some(v) => *v += 1,
-            None => {
-                c.insert("spans_aborted".to_string(), 1);
-            }
+        update(&mut c, "spans_aborted", |c| c.add(1));
+    }
+}
+
+/// A counter resolved once by [`Recorder::counter_handle`]: an update is
+/// one atomic add, with no lock and no allocation. The handle of a
+/// disabled recorder does nothing.
+#[derive(Clone, Default)]
+pub struct Counter(Option<Arc<Cell>>);
+
+impl Counter {
+    /// Adds to the counter (listed in snapshots from its first update).
+    pub fn add(&self, delta: u64) {
+        if let Some(c) = &self.0 {
+            c.add(delta);
+        }
+    }
+}
+
+/// A gauge resolved once by [`Recorder::gauge_handle`]: an update is one
+/// atomic store, with no lock and no allocation. The handle of a disabled
+/// recorder does nothing.
+#[derive(Clone, Default)]
+pub struct Gauge(Option<Arc<Cell>>);
+
+impl Gauge {
+    /// Sets the gauge (listed in snapshots from its first update).
+    pub fn set(&self, value: f64) {
+        if let Some(c) = &self.0 {
+            c.set(value.to_bits());
         }
     }
 }
@@ -135,7 +228,7 @@ impl std::fmt::Debug for Recorder {
             Some(i) => write!(
                 f,
                 "Recorder(enabled, {} counters)",
-                i.counters.lock().expect("counter lock").len()
+                written(&i.counters).len()
             ),
         }
     }
@@ -267,13 +360,8 @@ impl Recorder {
     /// Adds to a named counter (created at zero on first use).
     pub fn add(&self, name: &str, delta: u64) {
         if let Some(inner) = &self.inner {
-            let mut c = inner.counters.lock().expect("counter lock");
-            match c.get_mut(name) {
-                Some(v) => *v += delta,
-                None => {
-                    c.insert(name.to_string(), delta);
-                }
-            }
+            let mut c = inner.counters.lock().expect("metric lock");
+            update(&mut c, name, |c| c.add(delta));
         }
     }
 
@@ -281,31 +369,36 @@ impl Recorder {
     /// externally-accumulated totals, so re-publishing is idempotent).
     pub fn set_counter(&self, name: &str, value: u64) {
         if let Some(inner) = &self.inner {
-            inner
-                .counters
-                .lock()
-                .expect("counter lock")
-                .insert(name.to_string(), value);
+            let mut c = inner.counters.lock().expect("metric lock");
+            update(&mut c, name, |c| c.set(value));
         }
     }
 
     /// Sets a named gauge.
     pub fn set_gauge(&self, name: &str, value: f64) {
         if let Some(inner) = &self.inner {
-            inner
-                .gauges
-                .lock()
-                .expect("gauge lock")
-                .insert(name.to_string(), value);
+            let mut g = inner.gauges.lock().expect("metric lock");
+            update(&mut g, name, |g| g.set(value.to_bits()));
         }
+    }
+
+    /// Resolves the counter `name` to a handle that updates it without
+    /// a lookup. Resolving writes nothing: the name is listed from the
+    /// handle's (or a by-name) first update on.
+    pub fn counter_handle(&self, name: &str) -> Counter {
+        Counter(self.inner.as_ref().map(|i| resolve(&i.counters, name)))
+    }
+
+    /// Resolves the gauge `name` to a handle, as [`Self::counter_handle`].
+    pub fn gauge_handle(&self, name: &str) -> Gauge {
+        Gauge(self.inner.as_ref().map(|i| resolve(&i.gauges, name)))
     }
 
     /// Reads a named counter back (`None` when disabled or never
     /// written).
     pub fn counter(&self, name: &str) -> Option<u64> {
-        self.inner
-            .as_ref()
-            .and_then(|i| i.counters.lock().expect("counter lock").get(name).copied())
+        let inner = self.inner.as_ref()?;
+        inner.counters.lock().expect("metric lock").get(name)?.get()
     }
 
     /// Reads a named gauge back (`None` when disabled or never written).
@@ -316,9 +409,9 @@ impl Recorder {
     /// node whose *last-reported* load is lowest — deliberately stale
     /// between publishes, like real node telemetry.
     pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.inner
-            .as_ref()
-            .and_then(|i| i.gauges.lock().expect("gauge lock").get(name).copied())
+        let inner = self.inner.as_ref()?;
+        let bits = inner.gauges.lock().expect("metric lock").get(name)?.get()?;
+        Some(f64::from_bits(bits))
     }
 
     /// Appends an event to the journal (oldest entry overwritten when
@@ -343,19 +436,10 @@ impl Recorder {
         let Some(inner) = &self.inner else {
             return Snapshot::default();
         };
-        let counters = inner
-            .counters
-            .lock()
-            .expect("counter lock")
-            .iter()
-            .map(|(k, v)| (k.clone(), *v))
-            .collect();
-        let gauges = inner
-            .gauges
-            .lock()
-            .expect("gauge lock")
-            .iter()
-            .map(|(k, v)| (k.clone(), *v))
+        let counters = written(&inner.counters);
+        let gauges = written(&inner.gauges)
+            .into_iter()
+            .map(|(k, bits)| (k, f64::from_bits(bits)))
             .collect();
         let histograms = Stage::ALL
             .iter()
@@ -495,6 +579,34 @@ mod tests {
         off.set_gauge("g", 1.0);
         assert_eq!(off.gauge("g"), None);
         assert_eq!(off.counter("g"), None);
+    }
+
+    #[test]
+    fn handles_update_the_named_cells_from_their_first_write() {
+        let rec = Recorder::with_ticks();
+        let batches = rec.counter_handle("batches");
+        let peak = rec.gauge_handle("peak");
+        // Resolving lists nothing: a name appears at its first update.
+        assert_eq!(rec.snapshot(), Recorder::with_ticks().snapshot());
+        assert_eq!(rec.counter("batches"), None);
+        assert_eq!(format!("{rec:?}"), "Recorder(enabled, 0 counters)");
+        batches.add(0);
+        assert_eq!(rec.counter("batches"), Some(0));
+        batches.add(2);
+        rec.add("batches", 3);
+        rec.clone().counter_handle("batches").add(1);
+        peak.set(4.0);
+        peak.set(2.5);
+        let snap = rec.snapshot();
+        assert_eq!(snap.counters, vec![("batches".to_string(), 6)]);
+        assert_eq!(snap.gauges, vec![("peak".to_string(), 2.5)]);
+        rec.set_gauge("peak", 1.0);
+        assert_eq!(rec.gauge("peak"), Some(1.0));
+        // A disabled recorder's handles are inert.
+        let off = Recorder::disabled();
+        off.counter_handle("batches").add(1);
+        off.gauge_handle("peak").set(1.0);
+        assert_eq!(off.snapshot(), Snapshot::default());
     }
 
     #[test]

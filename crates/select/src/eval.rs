@@ -39,7 +39,7 @@ impl ConversationSet {
         messages_each: usize,
         seed: u64,
     ) -> Self {
-        let mut gen = CorpusGenerator::with_params(lang, derive_seed(seed, 1), 0.9, 3, 8);
+        let mut gen = CorpusGenerator::with_params(lang, derive_seed(seed, 1), 3, 8);
         let mut rng = seeded_rng(derive_seed(seed, 2));
         let shared: Vec<_> = lang
             .domain_concepts(Domain::It)

@@ -2,8 +2,9 @@ use crate::concept::ConceptId;
 use crate::domain::Domain;
 use crate::idiolect::Idiolect;
 use crate::language::SyntheticLanguage;
+use crate::vocab::Vocabulary;
 use rand::Rng;
-use semcom_nn::rng::{seeded_rng, Zipf};
+use semcom_nn::rng::seeded_rng;
 use serde::{Deserialize, Serialize};
 
 /// How concepts are rendered to surface words.
@@ -25,16 +26,31 @@ pub struct Sentence {
     pub domain: Domain,
     /// Ground-truth meaning: the concept sequence.
     pub concepts: Vec<ConceptId>,
-    /// Surface words as uttered.
-    pub words: Vec<String>,
-    /// Surface words as vocabulary token ids.
+    /// Surface words as uttered, as vocabulary token ids (the words
+    /// themselves are `vocab.word_of(token)`).
     pub tokens: Vec<usize>,
 }
 
 impl Sentence {
+    /// The surface words as uttered, looked up in `vocab`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a token is not in `vocab` (a sentence of another
+    /// language's vocabulary).
+    pub fn words<'a>(&'a self, vocab: &'a Vocabulary) -> impl Iterator<Item = &'a str> + 'a {
+        self.tokens
+            .iter()
+            .map(|&t| vocab.word_of(t).expect("sentence token is interned"))
+    }
+
     /// The sentence as a single space-joined string.
-    pub fn text(&self) -> String {
-        self.words.join(" ")
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::words`].
+    pub fn text(&self, vocab: &Vocabulary) -> String {
+        self.words(vocab).collect::<Vec<_>>().join(" ")
     }
 
     /// Number of tokens.
@@ -50,36 +66,38 @@ impl Sentence {
     /// Raw UTF-8 payload size of the sentence text in bytes (including
     /// separating spaces) — the baseline "transmit the words bit by bit"
     /// cost used by the payload experiment (T1).
-    pub fn utf8_bytes(&self) -> usize {
-        self.text().len()
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::words`].
+    pub fn utf8_bytes(&self, vocab: &Vocabulary) -> usize {
+        let letters: usize = self.words(vocab).map(str::len).sum();
+        letters + self.tokens.len().saturating_sub(1)
     }
 }
 
 /// A seeded sentence generator over a [`SyntheticLanguage`].
 ///
-/// Concepts are drawn Zipf-distributed over the domain's concept list
-/// (shared concepts first, mirroring frequent function words), with
-/// uniformly-distributed sentence lengths.
+/// Concepts are drawn from the language's
+/// [concept popularity](SyntheticLanguage::concept_zipf) over the domain's
+/// concept list (shared concepts first, mirroring frequent function
+/// words), with uniformly-distributed sentence lengths. A generator owns
+/// only its RNG, so making one per message costs no table.
 #[derive(Debug)]
 pub struct CorpusGenerator<'a> {
     lang: &'a SyntheticLanguage,
-    zipf: Zipf,
     rng: rand::rngs::StdRng,
     min_len: usize,
     max_len: usize,
 }
 
 impl<'a> CorpusGenerator<'a> {
-    /// Default Zipf exponent for concept popularity.
-    pub const DEFAULT_ALPHA: f64 = 0.9;
-
-    /// Creates a generator with default length range (4..=12) and Zipf
-    /// exponent [`Self::DEFAULT_ALPHA`].
+    /// Creates a generator with default length range (4..=12).
     pub fn new(lang: &'a SyntheticLanguage, seed: u64) -> Self {
-        Self::with_params(lang, seed, Self::DEFAULT_ALPHA, 4, 12)
+        Self::with_params(lang, seed, 4, 12)
     }
 
-    /// Creates a generator with explicit Zipf exponent and length range.
+    /// Creates a generator with an explicit length range.
     ///
     /// # Panics
     ///
@@ -87,15 +105,12 @@ impl<'a> CorpusGenerator<'a> {
     pub fn with_params(
         lang: &'a SyntheticLanguage,
         seed: u64,
-        alpha: f64,
         min_len: usize,
         max_len: usize,
     ) -> Self {
         assert!(min_len > 0 && min_len <= max_len, "invalid length range");
-        let n = lang.domain_concepts(Domain::It).len();
         CorpusGenerator {
             lang,
-            zipf: Zipf::new(n, alpha),
             rng: seeded_rng(seed),
             min_len,
             max_len,
@@ -105,13 +120,16 @@ impl<'a> CorpusGenerator<'a> {
     /// Generates one sentence in `domain` with the given rendering.
     pub fn sentence(&mut self, domain: Domain, rendering: Rendering<'_>) -> Sentence {
         let len = self.rng.gen_range(self.min_len..=self.max_len);
+        let (lang, zipf) = (self.lang, self.lang.concept_zipf());
         let concepts: Vec<ConceptId> = (0..len)
-            .map(|_| {
-                let rank = self.zipf.sample(&mut self.rng);
-                self.lang.domain_concepts(domain)[rank]
-            })
+            .map(|_| lang.domain_concepts(domain)[zipf.sample(&mut self.rng)])
             .collect();
-        self.render(domain, &concepts, rendering)
+        let tokens = self.tokens(&concepts, rendering);
+        Sentence {
+            domain,
+            concepts,
+            tokens,
+        }
     }
 
     /// Generates `n` sentences in `domain`.
@@ -131,7 +149,16 @@ impl<'a> CorpusGenerator<'a> {
         concepts: &[ConceptId],
         rendering: Rendering<'_>,
     ) -> Sentence {
-        let tokens: Vec<usize> = concepts
+        Sentence {
+            domain,
+            concepts: concepts.to_vec(),
+            tokens: self.tokens(concepts, rendering),
+        }
+    }
+
+    /// The surface tokens `concepts` are uttered as.
+    fn tokens(&mut self, concepts: &[ConceptId], rendering: Rendering<'_>) -> Vec<usize> {
+        concepts
             .iter()
             .map(|&c| match rendering {
                 Rendering::Canonical => self.lang.primary_token(c),
@@ -145,23 +172,7 @@ impl<'a> CorpusGenerator<'a> {
                 }
                 Rendering::Idiolect(id) => id.utter(self.lang, c),
             })
-            .collect();
-        let words = tokens
-            .iter()
-            .map(|&t| {
-                self.lang
-                    .vocab()
-                    .word_of(t)
-                    .expect("rendered token is interned")
-                    .to_owned()
-            })
-            .collect();
-        Sentence {
-            domain,
-            concepts: concepts.to_vec(),
-            words,
-            tokens,
-        }
+            .collect()
     }
 }
 
@@ -178,12 +189,12 @@ mod tests {
     #[test]
     fn sentence_lengths_respect_range() {
         let l = lang();
-        let mut g = CorpusGenerator::with_params(&l, 1, 1.0, 3, 5);
+        let mut g = CorpusGenerator::with_params(&l, 1, 3, 5);
         for _ in 0..50 {
             let s = g.sentence(Domain::News, Rendering::Canonical);
             assert!(s.len() >= 3 && s.len() <= 5);
-            assert_eq!(s.concepts.len(), s.words.len());
-            assert_eq!(s.tokens.len(), s.words.len());
+            assert_eq!(s.concepts.len(), s.len());
+            assert_eq!(s.words(l.vocab()).count(), s.len());
         }
     }
 
@@ -248,7 +259,7 @@ mod tests {
     #[test]
     fn zipf_skew_prefers_low_ranks() {
         let l = lang();
-        let mut g = CorpusGenerator::with_params(&l, 9, 1.2, 8, 8);
+        let mut g = CorpusGenerator::with_params(&l, 9, 8, 8);
         let concepts = l.domain_concepts(Domain::News);
         let head = concepts[0];
         let tail = concepts[concepts.len() - 1];
@@ -267,7 +278,11 @@ mod tests {
         let l = lang();
         let mut g = CorpusGenerator::new(&l, 2);
         let s = g.sentence(Domain::It, Rendering::Canonical);
-        assert_eq!(s.text().split(' ').count(), s.len());
-        assert_eq!(s.utf8_bytes(), s.text().len());
+        let text = s.text(l.vocab());
+        assert_eq!(text.split(' ').count(), s.len());
+        assert_eq!(s.utf8_bytes(l.vocab()), text.len());
+        let empty = g.render(Domain::It, &[], Rendering::Canonical);
+        assert_eq!(empty.text(l.vocab()), "");
+        assert_eq!(empty.utf8_bytes(l.vocab()), 0);
     }
 }

@@ -2,6 +2,7 @@ use crate::concept::ConceptId;
 use crate::domain::Domain;
 use crate::vocab::Vocabulary;
 use crate::words::pseudo_word;
+use semcom_nn::rng::Zipf;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -37,6 +38,10 @@ impl Default for LanguageConfig {
 }
 
 impl LanguageConfig {
+    /// Zipf exponent of concept popularity inside a domain (see
+    /// [`SyntheticLanguage::concept_zipf`]).
+    pub const CONCEPT_ZIPF_ALPHA: f64 = 0.9;
+
     /// A miniature language for fast unit tests.
     pub fn tiny() -> Self {
         LanguageConfig {
@@ -130,12 +135,18 @@ impl LanguageConfig {
             }
         }
 
+        // Every domain lists the same number of concepts.
+        let concept_zipf = Zipf::new(
+            self.shared_concepts + self.concepts_per_domain,
+            Self::CONCEPT_ZIPF_ALPHA,
+        );
         SyntheticLanguage {
             config: self.clone(),
             vocab,
             concepts,
             senses,
             domain_concepts,
+            concept_zipf,
             poly_tokens,
         }
     }
@@ -164,6 +175,8 @@ pub struct SyntheticLanguage {
     senses: Vec<HashMap<usize, ConceptId>>,
     /// Concepts usable in each domain (shared first, then domain-specific).
     domain_concepts: Vec<Vec<ConceptId>>,
+    /// Popularity of a domain's concepts by rank, built once here.
+    concept_zipf: Zipf,
     poly_tokens: Vec<usize>,
 }
 
@@ -186,6 +199,14 @@ impl SyntheticLanguage {
     /// Concepts available in a domain (shared concepts first).
     pub fn domain_concepts(&self, d: Domain) -> &[ConceptId] {
         &self.domain_concepts[d.index()]
+    }
+
+    /// Popularity of a domain's concepts: rank `k` of
+    /// [`Self::domain_concepts`] is drawn with Zipf probability
+    /// (exponent [`LanguageConfig::CONCEPT_ZIPF_ALPHA`]), so shared
+    /// concepts are the most frequent.
+    pub fn concept_zipf(&self) -> &Zipf {
+        &self.concept_zipf
     }
 
     /// The domain a concept belongs to (`None` for shared concepts).

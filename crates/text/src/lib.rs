@@ -40,9 +40,9 @@
 //! let lang = LanguageConfig::default().build(7);
 //! let mut gen = CorpusGenerator::new(&lang, 42);
 //! let s = gen.sentence(Domain::It, Rendering::Canonical);
-//! assert_eq!(s.concepts.len(), s.words.len());
+//! assert_eq!(s.concepts.len(), s.tokens.len());
 //! // Every canonical word resolves back to its concept in-domain.
-//! for (c, w) in s.concepts.iter().zip(&s.words) {
+//! for (c, w) in s.concepts.iter().zip(s.words(lang.vocab())) {
 //!     assert_eq!(lang.word_sense(Domain::It, w), Some(*c));
 //! }
 //! ```

@@ -78,6 +78,6 @@ mod tests {
         let mut gen = CorpusGenerator::new(&lang, 1);
         let s = gen.sentence(Domain::It, Rendering::Canonical);
         // A generated sentence's text re-tokenizes to the same token ids.
-        assert_eq!(tokenize(&s.text(), lang.vocab()), s.tokens);
+        assert_eq!(tokenize(&s.text(lang.vocab()), lang.vocab()), s.tokens);
     }
 }

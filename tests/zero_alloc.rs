@@ -5,6 +5,9 @@
 //! The same contract covers observability: the pipeline stays zero-alloc
 //! both with the default disabled `Recorder` (spans are inert) and with an
 //! *enabled* recorder (span timings land in fixed atomic histograms).
+//! A served message's compose makes only the sentence it returns, and an
+//! enabled recorder adds no allocation to a warm `send_message`: its
+//! serving counters update through handles resolved at attach time.
 //!
 //! The check counts every allocation through a `#[global_allocator]`
 //! wrapper over [`System`]. It lives in this root-crate test binary (its
@@ -215,6 +218,89 @@ fn trace_span_recording_does_not_allocate() {
         "trace_span into a preallocated buffer allocated"
     );
     assert_eq!(traced.trace_buffer().unwrap().len(), 53);
+}
+
+/// A tiny two-edge system with one registered user whose buffer never
+/// fills, so every message is served without a training round.
+fn serving_system() -> (semcom::SemanticEdgeSystem, semcom::UserId) {
+    let mut config = semcom::SystemConfig::tiny();
+    config.buffer_capacity = 1 << 20;
+    config.buffer_threshold = 1 << 20;
+    let mut system = semcom::SemanticEdgeSystem::build(config, 31);
+    let user = system.register_user(semcom_text::Domain::It, 0.5);
+    (system, user)
+}
+
+#[test]
+fn warm_compose_makes_only_the_sentence() {
+    // A composed message owns two vectors, its concepts and its tokens;
+    // the Zipf table and the surface words are not rebuilt per message.
+    let (mut system, user) = serving_system();
+    for _ in 0..3 {
+        system.send_message(user);
+    }
+    for _ in 0..20 {
+        system.send_message(user);
+        let before = local_allocations();
+        let sentence = system.compose_message(user);
+        let made = local_allocations() - before;
+        assert!(
+            made <= 2,
+            "warm compose_message allocated {made} time(s) for a {}-token sentence",
+            sentence.len()
+        );
+    }
+}
+
+#[test]
+fn enabled_recorder_adds_no_allocation_to_a_warm_message() {
+    // The same messages on two identically seeded systems, one with a
+    // recorder attached: every call allocates exactly as often on both.
+    for recorder in [Recorder::with_ticks(), Recorder::with_ticks_and_trace()] {
+        let (mut plain, user) = serving_system();
+        let (mut observed, same) = serving_system();
+        assert_eq!(user, same);
+        observed.attach_recorder(recorder.clone());
+        for _ in 0..3 {
+            assert_eq!(plain.send_message(user), observed.send_message(user));
+        }
+        for i in 0..20 {
+            let before = local_allocations();
+            let a = plain.send_message(user);
+            let between = local_allocations();
+            let b = observed.send_message(user);
+            let after = local_allocations();
+            assert_eq!(a, b, "message {i}");
+            assert_eq!(
+                after - between,
+                between - before,
+                "message {i}: allocations with the recorder vs without"
+            );
+        }
+        assert_eq!(recorder.counter("sched_stream_windows"), Some(23));
+        assert_eq!(
+            recorder.stage_histogram(Stage::Message).unwrap().count(),
+            23
+        );
+    }
+}
+
+#[test]
+fn warm_counter_and_gauge_handles_do_not_allocate() {
+    let recorder = Recorder::with_wall_clock();
+    let counter = recorder.counter_handle("probe_batches");
+    let gauge = recorder.gauge_handle("probe_peak");
+    counter.add(1);
+    gauge.set(1.0);
+
+    let before = local_allocations();
+    for i in 0..100u64 {
+        counter.add(i);
+        gauge.set(i as f64);
+    }
+    assert_eq!(local_allocations() - before, 0, "handle updates allocated");
+    assert_eq!(recorder.counter("probe_batches"), Some(1 + 4950));
+    assert_eq!(recorder.gauge("probe_peak"), Some(99.0));
 }
 
 #[test]
